@@ -18,7 +18,6 @@ from .criteria import (
     discrepancy,
     discrimination,
     fitness,
-    subset_means,
 )
 from .estimation import (
     RaschModel,
@@ -28,7 +27,6 @@ from .estimation import (
     fit_rasch,
     mean_performance_correlation,
     rasch_snapshot,
-    subsample_learners,
     sufficiency_curve,
 )
 from .search import (
@@ -81,8 +79,6 @@ __all__ = [
     "simulate",
     "solve_probability",
     "split_learners",
-    "subsample_learners",
-    "subset_means",
     "sufficiency_curve",
     "__version__",
 ]

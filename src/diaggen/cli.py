@@ -39,6 +39,7 @@ from .estimation import (
 from .io import (
     read_interactions,
     read_snapshot,
+    report_dict,
     result_record,
     write_interactions,
     write_json,
@@ -200,6 +201,8 @@ def _summary(runs: list[dict[str, Any]]) -> dict[str, Any]:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    if args.repeats < 1:
+        raise ValueError("repeats must be at least 1")
     snapshot = read_snapshot(args.snapshot)
     split = split_learners(range(snapshot.n_learners), args.ratio, args.split_seed)
     train_ctx = CriteriaContext.build(snapshot, split.train)
@@ -273,9 +276,16 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     snapshot = read_snapshot(args.snapshot)
+    doc: dict[str, Any] = {}
     if args.result is not None:
         with open(args.result, encoding="utf-8") as fh:
             record = json.load(fh)
+        if "runs" in record:
+            # A --repeats document: re-score the run with the highest train
+            # fitness, the earliest one on ties.
+            fits = [run["train"]["fitness"] for run in record["runs"]]
+            record = record["runs"][fits.index(max(fits))]
+            doc["sub_seed"] = record["config"]["seed"]
         config = record["config"]
         ratio = config["ratio"]
         split_seed = config["split_seed"]
@@ -298,23 +308,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     split = split_learners(range(snapshot.n_learners), ratio, split_seed)
     train_ctx = CriteriaContext.build(snapshot, split.train, lam=lam)
     test_ctx = CriteriaContext.build(snapshot, split.test, lam=lam)
-    train_report = fitness(train_ctx, genes)
-    test_report = fitness(test_ctx, genes)
-    doc = {
+    doc |= {
         "selected_questions": selected,
         "lambda": lam,
-        "train": {
-            "rmse": train_report.rmse,
-            "std": train_report.std,
-            "fitness": train_report.fitness,
-            "lambda": train_report.lam,
-        },
-        "test": {
-            "rmse": test_report.rmse,
-            "std": test_report.std,
-            "fitness": test_report.fitness,
-            "lambda": test_report.lam,
-        },
+        "train": report_dict(fitness(train_ctx, genes)),
+        "test": report_dict(fitness(test_ctx, genes)),
     }
     if args.out is not None:
         write_json(doc, args.out)
@@ -436,25 +434,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _config_value(action: argparse.Action, key: str, value: Any) -> Any:
+    """A config value checked as strictly as the flag it overrides.
+
+    A store_true flag takes a JSON bool. Any other flag takes a JSON value
+    of its argparse type (an integer also serves a float flag), or null
+    when the flag is optional and defaults to None; flags with choices
+    take one of them.
+    """
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r} must be true or false")
+        return value
+    if value is None and action.default is None and not action.required:
+        return None
+    kind = action.type or str
+    accepted = (int, float) if kind is float else (kind,)
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(
+            f"config key {key!r} must be of type {kind.__name__}, got {json.dumps(value)}"
+        )
+    value = kind(value)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(
+            f"config key {key!r} must be one of {', '.join(map(str, action.choices))}"
+        )
+    return value
+
+
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if getattr(args, "config", None) is None:
         return
     with open(args.config, encoding="utf-8") as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ValueError("config file must contain a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {
+        action.dest: action
+        for action in sub.choices[args.command]._actions
+        if isinstance(action, (argparse._StoreAction, argparse._StoreTrueAction))
+        and action.dest != "config"
+    }
     for key, value in overrides.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in actions:
             raise ValueError(f"unknown config key {key!r}")
-        setattr(args, dest, value)
+        setattr(args, dest, _config_value(actions[dest], key, value))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

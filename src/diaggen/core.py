@@ -88,7 +88,7 @@ def to_index_arrays(
 class Snapshot:
     """Question-by-learner matrix of correct-answer probabilities.
 
-    Rows are questions, columns are learners; every entry lies in [0, 1]
+    Rows are questions and the second axis runs over learners; every entry lies in [0, 1]
     and NaN is rejected at construction. The array is frozen read-only so
     a snapshot can be shared across threads.
     """

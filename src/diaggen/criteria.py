@@ -13,6 +13,16 @@ fitness = -discrepancy + lam * discrimination, where lam rescales the two
 criteria to comparable magnitude. lam is calibrated as the ratio of the
 average discrepancy to the average discrimination over uniformly random
 subsets, which places "no better than a random subset" at fitness zero.
+
+Both criteria are quadratic in the subset indicator, so two Q x Q
+statistics of the training matrix X (Q questions x L learners) are all
+scoring needs. With D = X minus each learner's pool mean and Xc = X minus
+each question's mean, H = D D^T / L and C = Xc Xc^T / L, and for a subset
+S of K questions
+
+    discrepancy^2 = sum(H[S, S]) / K^2,  discrimination^2 = sum(C[S, S]) / K^2.
+
+Scoring one subset costs O(K^2), independent of the number of learners.
 """
 
 from __future__ import annotations
@@ -26,9 +36,6 @@ import numpy as np
 from .core import Assessment, Snapshot
 
 Genes = Sequence[int] | Assessment
-
-# Soft cap on temporary elements allocated per evaluation chunk.
-_CHUNK_ELEMENTS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -47,18 +54,18 @@ class FitnessReport:
 
 @dataclass(frozen=True)
 class CriteriaContext:
-    """Snapshot restricted to a learner subset, with precomputed pool means.
+    """The scoring statistics of a snapshot restricted to a learner subset.
 
-    ``columns`` holds the learner-subset columns so that scoring an
-    assessment costs O(K * learners) instead of O(questions * learners).
+    ``gap`` is H = D D^T / L, with D the learners' scores minus each
+    learner's pool mean; ``spread`` is C = Xc Xc^T / L, with Xc the scores
+    minus each question's mean. Both are Q x Q, so a context holds no
+    per-learner data.
     Read-only after construction; safe to score concurrently.
     """
 
-    snapshot: Snapshot
-    learners: tuple[int, ...]
     lam: float | None
-    columns: np.ndarray
-    pool_means: np.ndarray
+    gap: np.ndarray
+    spread: np.ndarray
 
     @classmethod
     def build(
@@ -72,17 +79,14 @@ class CriteriaContext:
             raise ValueError("learner subset is empty")
         if min(learners) < 0 or max(learners) >= snapshot.n_learners:
             raise ValueError("learner index out of range")
-        columns = snapshot.values[:, np.asarray(learners, dtype=np.intp)].copy()
-        columns.flags.writeable = False
-        pool_means = columns.mean(axis=0)
-        pool_means.flags.writeable = False
-        return cls(
-            snapshot=snapshot,
-            learners=learners,
-            lam=lam,
-            columns=columns,
-            pool_means=pool_means,
-        )
+        x = snapshot.values[:, np.asarray(learners, dtype=np.intp)]
+        d = x - x.mean(axis=0)
+        xc = x - x.mean(axis=1, keepdims=True)
+        gap = d @ d.T / len(learners)
+        spread = xc @ xc.T / len(learners)
+        gap.flags.writeable = False
+        spread.flags.writeable = False
+        return cls(lam=lam, gap=gap, spread=spread)
 
     def with_lambda(self, lam: float) -> "CriteriaContext":
         if lam < 0:
@@ -91,11 +95,7 @@ class CriteriaContext:
 
     @property
     def n_questions(self) -> int:
-        return self.columns.shape[0]
-
-    @property
-    def n_learners(self) -> int:
-        return self.columns.shape[1]
+        return self.gap.shape[0]
 
 
 def combined(rmse: float, std: float, lam: float) -> float:
@@ -103,49 +103,60 @@ def combined(rmse: float, std: float, lam: float) -> float:
     return -rmse + lam * std
 
 
-def _gene_array(ctx: CriteriaContext, genes: Genes) -> np.ndarray:
-    """Validated gene indices in sorted order.
+def _sorted_rows(ctx: CriteriaContext, idx: np.ndarray) -> np.ndarray:
+    """Validated gene rows, each sorted.
 
     Sorting makes the set semantics literal: any permutation of the same
     genes produces bitwise-identical scores.
     """
+    if idx.size and (idx.min() < 0 or idx.max() >= ctx.n_questions):
+        raise ValueError("gene index out of range for this snapshot")
+    idx = np.sort(idx, axis=1)
+    if np.any(idx[:, 1:] == idx[:, :-1]):
+        raise ValueError("genes must be distinct")
+    return idx
+
+
+def _criteria(ctx: CriteriaContext, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scoring kernel: (rmse, std) for each row of distinct, in-range
+    genes. Rows holding the same gene values in the same positions score
+    bitwise-equal; callers sort rows to make that hold for equal sets."""
+    k = idx.shape[1]
+    rows, cols = idx[:, :, None], idx[:, None, :]
+    std = np.sqrt(np.maximum(ctx.spread[rows, cols].sum(axis=(1, 2)), 0.0) / (k * k))
+    if k == ctx.n_questions:
+        # K distinct genes out of Q = K questions: the subset is the pool.
+        return np.zeros(len(idx)), std
+    rmse = np.sqrt(np.maximum(ctx.gap[rows, cols].sum(axis=(1, 2)), 0.0) / (k * k))
+    return rmse, std
+
+
+def _score(ctx: CriteriaContext, genes: Genes) -> tuple[float, float]:
+    """(rmse, std) of one assessment."""
     if isinstance(genes, Assessment):
         genes = genes.genes
     arr = np.asarray(genes, dtype=np.intp)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("genes must be a non-empty 1-D index sequence")
-    if arr.min() < 0 or arr.max() >= ctx.n_questions:
-        raise ValueError("gene index out of range for this snapshot")
-    arr = np.sort(arr)
-    if np.any(arr[1:] == arr[:-1]):
-        raise ValueError("genes must be distinct")
-    return arr
-
-
-def subset_means(ctx: CriteriaContext, genes: Genes) -> np.ndarray:
-    """Per-learner mean score over the selected questions."""
-    return ctx.columns[_gene_array(ctx, genes)].mean(axis=0)
+    rmse, std = _criteria(ctx, _sorted_rows(ctx, arr[None, :]))
+    return float(rmse[0]), float(std[0])
 
 
 def discrepancy(ctx: CriteriaContext, genes: Genes) -> float:
     """RMSE across learners between pool means and subset means."""
-    diff = ctx.pool_means - subset_means(ctx, genes)
-    return float(np.sqrt(np.mean(diff * diff)))
+    return _score(ctx, genes)[0]
 
 
 def discrimination(ctx: CriteriaContext, genes: Genes) -> float:
     """Population standard deviation across learners of subset means."""
-    return float(subset_means(ctx, genes).std())
+    return _score(ctx, genes)[1]
 
 
 def fitness(ctx: CriteriaContext, genes: Genes) -> FitnessReport:
     """Score one assessment; requires a calibrated lam on the context."""
     if ctx.lam is None:
         raise ValueError("context has no lam; calibrate it first")
-    means = ctx.columns[_gene_array(ctx, genes)].mean(axis=0)
-    diff = ctx.pool_means - means
-    rmse = float(np.sqrt(np.mean(diff * diff)))
-    std = float(means.std())
+    rmse, std = _score(ctx, genes)
     return FitnessReport(
         rmse=rmse, std=std, fitness=combined(rmse, std, ctx.lam), lam=ctx.lam
     )
@@ -156,34 +167,13 @@ def batch_criteria(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (rmse, std) for many assessments at once.
 
-    ``genes_matrix`` has one assessment per row. Evaluation is chunked so
-    the gather temporaries stay within a fixed memory budget.
+    ``genes_matrix`` has one assessment per row; each row costs O(K^2)
+    memory and time.
     """
     idx = np.asarray(genes_matrix, dtype=np.intp)
-    if idx.ndim != 2:
-        raise ValueError("genes_matrix must be 2-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= ctx.n_questions):
-        raise ValueError("gene index out of range for this snapshot")
-    idx = np.sort(idx, axis=1)
-    n, k = idx.shape
-    rmse = np.empty(n)
-    std = np.empty(n)
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, k * ctx.n_learners))
-    for start in range(0, n, chunk):
-        block = idx[start : start + chunk]
-        means = ctx.columns[block].mean(axis=1)
-        diff = means - ctx.pool_means
-        rmse[start : start + chunk] = np.sqrt(np.mean(diff * diff, axis=1))
-        std[start : start + chunk] = means.std(axis=1)
-    return rmse, std
-
-
-def batch_fitness(ctx: CriteriaContext, genes_matrix: np.ndarray) -> np.ndarray:
-    """Vectorized fitness values for many assessments."""
-    if ctx.lam is None:
-        raise ValueError("context has no lam; calibrate it first")
-    rmse, std = batch_criteria(ctx, genes_matrix)
-    return -rmse + ctx.lam * std
+    if idx.ndim != 2 or idx.shape[1] == 0:
+        raise ValueError("genes_matrix must be 2-D with at least one gene per row")
+    return _criteria(ctx, _sorted_rows(ctx, idx))
 
 
 def sample_subsets(

@@ -244,23 +244,6 @@ def correct_ratio_snapshot(
     )
 
 
-def subsample_learners(snapshot: Snapshot, n: int, seed: int = 0) -> Snapshot:
-    """Restrict a snapshot to n uniformly chosen learner columns.
-
-    Chosen columns keep their original relative order, so n = |L| is the
-    identity. Per-question values are untouched (pure column selection).
-    """
-    if not 1 <= n <= snapshot.n_learners:
-        raise ValueError("n must lie in [1, number of learners]")
-    rng = np.random.default_rng(seed)
-    cols = np.sort(rng.choice(snapshot.n_learners, size=n, replace=False))
-    return Snapshot(
-        values=snapshot.values[:, cols],
-        question_ids=snapshot.question_ids,
-        learner_ids=tuple(snapshot.learner_ids[i] for i in cols),
-    )
-
-
 @dataclass(frozen=True)
 class SufficiencyCurve:
     """Absolute change of mean learner performance as learners accumulate.
@@ -372,8 +355,9 @@ def mean_performance_correlation(
     Learners and questions are aligned by external id; means are taken
     over the common question set.
     """
-    common_l = [l for l in predicted.learner_ids if l in set(truth.learner_ids)]
-    common_q = [q for q in predicted.question_ids if q in set(truth.question_ids)]
+    truth_l, truth_q = set(truth.learner_ids), set(truth.question_ids)
+    common_l = [l for l in predicted.learner_ids if l in truth_l]
+    common_q = [q for q in predicted.question_ids if q in truth_q]
     if len(common_l) < 2:
         raise ValueError("need at least 2 common learners to correlate")
     if not common_q:

@@ -1,4 +1,4 @@
-"""File formats: interaction CSV, snapshot CSV, split JSON, result JSON.
+"""File formats: interaction CSV, snapshot CSV, result JSON.
 
 All readers validate and reject malformed data instead of coercing it.
 Formats are versioned where they carry structure (schema_version in JSON
@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import csv
 import json
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
-from .core import Interaction, InteractionLog, LearnerSplit, Snapshot
+from .core import Interaction, InteractionLog, Snapshot
 from .criteria import FitnessReport
 from .search import SearchResult
 
@@ -116,30 +115,6 @@ def read_snapshot(path: str | Path) -> Snapshot:
     )
 
 
-def write_split(split: LearnerSplit, path: str | Path) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": split.seed,
-        "ratio": split.ratio,
-        "train": list(split.train),
-        "test": list(split.test),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_split(path: str | Path) -> LearnerSplit:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return LearnerSplit(
-        train=tuple(int(x) for x in doc["train"]),
-        test=tuple(int(x) for x in doc["test"]),
-        seed=int(doc["seed"]),
-        ratio=float(doc["ratio"]),
-    )
-
-
 def report_dict(report: FitnessReport) -> dict[str, float]:
     return {
         "rmse": report.rmse,
@@ -172,26 +147,6 @@ def result_record(
         "history": [list(entry) for entry in result.history],
         "evaluations": result.evaluations,
     }
-
-
-def write_result(
-    result: SearchResult,
-    *,
-    question_ids: Sequence[str],
-    train_report: FitnessReport,
-    test_report: FitnessReport,
-    config: dict[str, Any],
-    path: str | Path,
-) -> None:
-    doc = result_record(
-        result,
-        question_ids=question_ids,
-        train_report=train_report,
-        test_report=test_report,
-        config=config,
-    )
-    doc["created_at"] = datetime.now(timezone.utc).isoformat()
-    write_json(doc, path)
 
 
 def write_json(doc: dict[str, Any], path: str | Path) -> None:

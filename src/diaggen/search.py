@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import Assessment
-from .criteria import CriteriaContext, FitnessReport, batch_criteria, fitness
+from .criteria import CriteriaContext, FitnessReport, _criteria, batch_criteria, fitness
 
 Individual = list[int]
 
@@ -203,20 +203,23 @@ def greedy_search(ctx: CriteriaContext, k: int) -> SearchResult:
         raise ValueError("k exceeds the number of questions")
     chosen: list[int] = []
     in_set = np.zeros(nq, dtype=bool)
-    running_sum = np.zeros(ctx.n_learners)
     evaluations = 0
     history: list[GenerationStats] = []
     for step in range(1, k + 1):
         cand = np.flatnonzero(~in_set)
-        means = (running_sum[None, :] + ctx.columns[cand]) / step
-        diff = means - ctx.pool_means
-        fits = -np.sqrt(np.mean(diff * diff, axis=1)) + lam * means.std(axis=1)
+        rows = np.empty((cand.size, step), dtype=np.intp)
+        rows[:, :-1] = chosen
+        rows[:, -1] = cand
+        # Unsorted rows share the prefix ``chosen``, so candidates with
+        # identical snapshot rows score bitwise-equal and the tie goes to
+        # the lower index; sorting would reorder the sum per candidate.
+        rmse, std = _criteria(ctx, rows)
+        fits = -rmse + lam * std
         evaluations += int(cand.size)
         j = int(np.argmax(fits))
         q = int(cand[j])
         chosen.append(q)
         in_set[q] = True
-        running_sum += ctx.columns[q]
         history.append(GenerationStats(step, float(fits[j]), float(fits.mean())))
     report = fitness(ctx, chosen)
     return SearchResult(

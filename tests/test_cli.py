@@ -242,6 +242,14 @@ class TestSearch:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_zero_repeats_rejected(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        code, _, err = self.run_search(
+            capsys, truth, tmp_path / "x.json", "--algo", "random", "--repeats", "0",
+        )
+        assert code == 1
+        assert err == "error: repeats must be at least 1\n"
+
     def test_lambda_override_skips_calibration(self, small_world, tmp_path, capsys):
         _, truth = small_world
         out_path = tmp_path / "res.json"
@@ -280,6 +288,59 @@ class TestEvaluate:
                 assert doc[block][key] == pytest.approx(
                     saved[block][key], abs=1e-9
                 )
+
+    def test_repeats_document_rescores_best_train_run(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        res_path = tmp_path / "res.json"
+        code, _, err = run_cli(
+            capsys,
+            "search",
+            "--snapshot", str(truth),
+            "--k", "3",
+            "--samples", "500",
+            "--algo", "random",
+            "--seed", "4",
+            "--repeats", "5",
+            "--out", str(res_path),
+        )
+        assert code == 0, err
+        runs = json.loads(res_path.read_text())["runs"]
+        fits = [run["train"]["fitness"] for run in runs]
+        best = runs[fits.index(max(fits))]
+        code, out, err = run_cli(
+            capsys,
+            "evaluate",
+            "--snapshot", str(truth),
+            "--result", str(res_path),
+        )
+        assert code == 0, err
+        doc = last_json(out)
+        assert doc["selected_questions"] == best["selected_questions"]
+        assert doc["sub_seed"] == best["config"]["seed"]
+        for block in ("train", "test"):
+            assert doc[block] == pytest.approx(best[block], abs=1e-12)
+
+    def test_repeats_document_tie_goes_to_first_run(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        res_path = tmp_path / "res.json"
+        run_cli(
+            capsys,
+            "search",
+            "--snapshot", str(truth),
+            "--k", "3",
+            "--samples", "500",
+            "--algo", "greedy",
+            "--repeats", "3",
+            "--out", str(res_path),
+        )
+        doc = json.loads(res_path.read_text())
+        # greedy ignores the seed, so all three runs tie
+        assert len({run["train"]["fitness"] for run in doc["runs"]}) == 1
+        code, out, err = run_cli(
+            capsys, "evaluate", "--snapshot", str(truth), "--result", str(res_path)
+        )
+        assert code == 0, err
+        assert last_json(out)["sub_seed"] == doc["sub_seeds"][0]
 
     def test_explicit_genes(self, small_world, capsys):
         _, truth = small_world
@@ -375,6 +436,62 @@ class TestConfigOverride:
             "--config", str(cfg_path),
         )
         assert code == 1 and "unknown config key" in err
+
+
+    def run_with_config(self, capsys, tmp_path, truth, overrides):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(overrides))
+        return run_cli(
+            capsys,
+            "search",
+            "--snapshot", str(truth),
+            "--k", "3",
+            "--samples", "300",
+            "--algo", "greedy",
+            "--out", str(tmp_path / "res.json"),
+            "--config", str(cfg_path),
+        )
+
+    def test_string_for_int_rejected(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        code, _, err = self.run_with_config(capsys, tmp_path, truth, {"k": "5"})
+        assert code == 1
+        assert err == "error: config key 'k' must be of type int, got \"5\"\n"
+
+    def test_list_for_int_rejected(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        code, _, err = self.run_with_config(capsys, tmp_path, truth, {"k": [3]})
+        assert code == 1
+        assert err == "error: config key 'k' must be of type int, got [3]\n"
+
+    def test_zero_repeats_rejected(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        code, _, err = self.run_with_config(capsys, tmp_path, truth, {"repeats": 0})
+        assert code == 1
+        assert err == "error: repeats must be at least 1\n"
+
+    def test_store_true_flag_needs_bool(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        code, _, err = self.run_with_config(
+            capsys, tmp_path, truth, {"track_best_ever": "yes"}
+        )
+        assert code == 1
+        assert err == "error: config key 'track_best_ever' must be true or false\n"
+
+    def test_choices_enforced(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        code, _, err = self.run_with_config(capsys, tmp_path, truth, {"algo": "anneal"})
+        assert code == 1
+        assert err.startswith("error: config key 'algo' must be one of")
+
+    def test_int_accepted_for_float_flag(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        code, _, err = self.run_with_config(
+            capsys, tmp_path, truth, {"lam": 1, "track-best-ever": True}
+        )
+        assert code == 0, err
+        doc = json.loads((tmp_path / "res.json").read_text())
+        assert doc["config"]["lambda"] == 1.0
 
 
 class TestErrorReporting:

@@ -14,42 +14,10 @@ from diaggen import (
     discrepancy,
     discrimination,
     fitness,
-    subset_means,
 )
 from diaggen.criteria import batch_criteria, sample_subsets
 
 from conftest import random_snapshot
-
-
-class TestSubsetMeans:
-    def test_two_question_mean(self, toy_ctx):
-        np.testing.assert_allclose(subset_means(toy_ctx, [1, 3]), [0.7, 0.3])
-        np.testing.assert_allclose(subset_means(toy_ctx, [0, 3]), [0.95, 0.05])
-
-    def test_full_pool_equals_pool_means(self, toy_ctx):
-        got = subset_means(toy_ctx, [0, 1, 2, 3])
-        np.testing.assert_array_equal(got, toy_ctx.pool_means)
-
-    def test_pool_means_recomputable(self):
-        snap = random_snapshot(19, n_questions=9, n_learners=14)
-        learners = [1, 4, 6, 10]
-        ctx = CriteriaContext.build(snap, learners)
-        recomputed = np.array(
-            [snap.values[:, l].sum() / snap.n_questions for l in learners]
-        )
-        np.testing.assert_allclose(ctx.pool_means, recomputed, atol=1e-12)
-
-    def test_arithmetic_mean(self, toy_ctx):
-        # learner x over rows {1, 3}: (0.5 + 0.9) / 2 = 0.7
-        assert subset_means(toy_ctx, [1, 3])[0] == pytest.approx(0.7, abs=1e-15)
-
-    def test_rejects_out_of_range_gene(self, toy_ctx):
-        with pytest.raises(ValueError, match="out of range"):
-            subset_means(toy_ctx, [0, 4])
-
-    def test_rejects_duplicate_genes(self, toy_ctx):
-        with pytest.raises(ValueError, match="distinct"):
-            subset_means(toy_ctx, [1, 1])
 
 
 class TestDiscrepancy:
@@ -66,6 +34,14 @@ class TestDiscrepancy:
             snap = random_snapshot(seed)
             ctx = CriteriaContext.build(snap, range(snap.n_learners))
             assert discrepancy(ctx, range(snap.n_questions)) == 0.0
+
+    def test_rejects_out_of_range_gene(self, toy_ctx):
+        with pytest.raises(ValueError, match="out of range"):
+            discrepancy(toy_ctx, [0, 4])
+
+    def test_rejects_duplicate_genes(self, toy_ctx):
+        with pytest.raises(ValueError, match="distinct"):
+            discrepancy(toy_ctx, [1, 1])
 
 
 class TestDiscrimination:
@@ -154,21 +130,61 @@ class TestBatchCriteria:
             assert rmse[i] == pytest.approx(discrepancy(toy_ctx, genes), abs=1e-14)
             assert std[i] == pytest.approx(discrimination(toy_ctx, genes), abs=1e-14)
 
-    def test_chunking_consistent(self):
-        snap = random_snapshot(3, n_questions=20, n_learners=40)
-        ctx = CriteriaContext.build(snap, range(40))
-        draws = sample_subsets(20, 4, 500, np.random.default_rng(0))
-        import diaggen.criteria as crit
+    def test_rejects_duplicate_genes_in_a_row(self, toy_ctx):
+        with pytest.raises(ValueError, match="distinct"):
+            batch_criteria(toy_ctx, np.array([[0, 1], [2, 2]]))
 
-        whole = batch_criteria(ctx, draws)
-        old = crit._CHUNK_ELEMENTS
-        try:
-            crit._CHUNK_ELEMENTS = 999  # force many chunks
-            chunked = batch_criteria(ctx, draws)
-        finally:
-            crit._CHUNK_ELEMENTS = old
-        np.testing.assert_array_equal(whole[0], chunked[0])
-        np.testing.assert_array_equal(whole[1], chunked[1])
+
+def reference_criteria(values, learners, genes):
+    """(rmse, std) from the definitions: per-learner subset means over the
+    learner columns, their RMSE to the pool means and their population std."""
+    cols = values[:, learners]
+    means = cols[list(genes)].mean(axis=0)
+    diff = means - cols.mean(axis=0)
+    return float(np.sqrt(np.mean(diff * diff))), float(means.std())
+
+
+class TestReferenceCriteria:
+    """The kernel against plain numpy on random instances, for every K."""
+
+    def instances(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            q = int(rng.integers(2, 16))
+            n = int(rng.integers(2, 50))
+            snap = random_snapshot(int(rng.integers(1 << 30)), q, n)
+            learners = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            yield rng, snap, learners
+
+    def test_batch_criteria_matches_reference(self):
+        for rng, snap, learners in self.instances():
+            ctx = CriteriaContext.build(snap, learners)
+            for k in range(1, snap.n_questions + 1):
+                draws = sample_subsets(snap.n_questions, k, 8, rng)
+                rmse, std = batch_criteria(ctx, draws)
+                for i, genes in enumerate(draws):
+                    ref_rmse, ref_std = reference_criteria(snap.values, learners, genes)
+                    assert abs(rmse[i] - ref_rmse) <= 1e-12
+                    assert abs(std[i] - ref_std) <= 1e-12
+
+    def test_fitness_matches_reference(self):
+        for rng, snap, learners in self.instances():
+            ctx = CriteriaContext.build(snap, learners, lam=0.6)
+            for k in range(1, snap.n_questions + 1):
+                genes = rng.choice(snap.n_questions, size=k, replace=False)
+                report = fitness(ctx, genes)
+                ref_rmse, ref_std = reference_criteria(snap.values, learners, genes)
+                assert abs(report.rmse - ref_rmse) <= 1e-12
+                assert abs(report.std - ref_std) <= 1e-12
+                assert abs(report.fitness - (-ref_rmse + 0.6 * ref_std)) <= 1e-12
+
+    def test_full_pool_is_exactly_zero(self):
+        for _, snap, learners in self.instances():
+            ctx = CriteriaContext.build(snap, learners)
+            everything = np.arange(snap.n_questions)
+            rmse, _ = batch_criteria(ctx, everything[None, :])
+            assert rmse[0] == 0.0
+            assert discrepancy(ctx, everything[::-1]) == 0.0
 
 
 def two_archetype_snapshot():

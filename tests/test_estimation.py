@@ -12,7 +12,6 @@ from diaggen import (
     fit_rasch,
     mean_performance_correlation,
     rasch_snapshot,
-    subsample_learners,
     sufficiency_curve,
 )
 from diaggen.estimation import per_question_sufficiency_curve
@@ -185,52 +184,6 @@ class TestFitAbilities:
         model = fit_rasch(make_log([("l0", "q0", 1, 0), ("l1", "q0", 0, 0)]))
         with pytest.raises(ValueError, match="not in the fitted model"):
             fit_abilities(model, make_log([("lx", "q9", 1, 0)]))
-
-
-class TestSubsampleLearners:
-    def make(self, n=10):
-        rng = np.random.default_rng(4)
-        return Snapshot(
-            rng.random((5, n)),
-            tuple(f"q{i}" for i in range(5)),
-            tuple(f"l{j}" for j in range(n)),
-        )
-
-    def test_full_size_is_identity(self):
-        snap = self.make()
-        out = subsample_learners(snap, snap.n_learners, seed=7)
-        np.testing.assert_array_equal(out.values, snap.values)
-        assert out.learner_ids == snap.learner_ids
-
-    def test_single_column(self):
-        out = subsample_learners(self.make(), 1, seed=0)
-        assert out.n_learners == 1 and out.n_questions == 5
-
-    def test_columns_preserved_exactly(self):
-        snap = self.make()
-        out = subsample_learners(snap, 4, seed=3)
-        for new_col, lid in enumerate(out.learner_ids):
-            old_col = snap.learner_ids.index(lid)
-            np.testing.assert_array_equal(
-                out.values[:, new_col], snap.values[:, old_col]
-            )
-
-    def test_order_preserved(self):
-        out = subsample_learners(self.make(), 6, seed=5)
-        positions = [int(l[1:]) for l in out.learner_ids]
-        assert positions == sorted(positions)
-
-    def test_deterministic(self):
-        snap = self.make()
-        a = subsample_learners(snap, 4, seed=9)
-        b = subsample_learners(snap, 4, seed=9)
-        assert a.learner_ids == b.learner_ids
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            subsample_learners(self.make(), 0, seed=0)
-        with pytest.raises(ValueError):
-            subsample_learners(self.make(), 11, seed=0)
 
 
 class TestSufficiencyCurve:

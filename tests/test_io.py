@@ -14,15 +14,14 @@ from diaggen import (
     simulate,
     split_learners,
 )
+from diaggen.cli import main
 from diaggen.io import (
     read_interactions,
     read_snapshot,
-    read_split,
     result_record,
     write_interactions,
-    write_result,
+    write_json,
     write_snapshot,
-    write_split,
 )
 
 
@@ -118,14 +117,6 @@ class TestSnapshotRoundTrip:
             read_snapshot(path)
 
 
-class TestSplitRoundTrip:
-    def test_identity(self, tmp_path):
-        split = split_learners(range(20), 0.75, seed=5)
-        path = tmp_path / "split.json"
-        write_split(split, path)
-        assert read_split(path) == split
-
-
 class TestResultDocument:
     def make_result(self):
         rng = np.random.default_rng(0)
@@ -143,14 +134,14 @@ class TestResultDocument:
     def test_consistency_and_structure(self, tmp_path):
         snap, result, train_rep, test_rep = self.make_result()
         path = tmp_path / "result.json"
-        write_result(
+        record = result_record(
             result,
             question_ids=snap.question_ids,
             train_report=train_rep,
             test_report=test_rep,
             config={"seed": 11, "lambda": 0.4},
-            path=path,
         )
+        write_json(record, path)
         doc = json.loads(path.read_text())
         assert doc["schema_version"] == 1
         assert doc["algorithm"] == "random"
@@ -163,22 +154,20 @@ class TestResultDocument:
         assert doc["config"]["seed"] == 11
         assert len(doc["selected_questions"]) == 3
         assert all(q in snap.question_ids for q in doc["selected_questions"])
-        assert "created_at" in doc
 
-    def test_determinism_except_timestamp(self, tmp_path):
-        snap, result, train_rep, test_rep = self.make_result()
+    def test_determinism_except_timestamp(self, tmp_path, capsys):
+        snap, *_ = self.make_result()
+        snap_path = tmp_path / "snap.csv"
+        write_snapshot(snap, snap_path)
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
-            write_result(
-                result,
-                question_ids=snap.question_ids,
-                train_report=train_rep,
-                test_report=test_rep,
-                config={"seed": 11, "lambda": 0.4},
-                path=path,
-            )
+            argv = ["search", "--snapshot", str(snap_path), "--algo", "random",
+                    "--k", "3", "--samples", "200", "--seed", "11", "--out", str(path)]
+            assert main(argv) == 0
         docs = []
         for path in paths:
+            doc = json.loads(path.read_text())
+            assert "created_at" in doc
             lines = [
                 line
                 for line in path.read_text().splitlines()

@@ -221,6 +221,22 @@ class TestGreedySearch:
         result = greedy_search(ctx, 1)
         assert result.best.genes == (0,)
 
+    def test_exact_tie_after_first_step_breaks_to_lower_index(self):
+        # rows 1 and 4 are identical; after question 2, both extend the
+        # subset equally well and the lower index must win
+        values = np.array(
+            [
+                [0.81, 0.81, 0.52, 0.29],
+                [0.05, 0.38, 0.41, 0.05],
+                [0.05, 1.00, 0.65, 0.23],
+                [0.43, 0.97, 0.90, 0.84],
+                [0.05, 0.38, 0.41, 0.05],
+            ]
+        )
+        snap = Snapshot(values, tuple("abcde"), tuple("wxyz"))
+        ctx = CriteriaContext.build(snap, range(4), lam=0.5)
+        assert greedy_search(ctx, 2).best.genes == (2, 1)
+
     def test_k_equals_pool(self, toy_ctx):
         result = greedy_search(toy_ctx, 4)
         assert sorted(result.best.genes) == [0, 1, 2, 3]
