@@ -3,7 +3,6 @@ learner-performance snapshots."""
 
 from .core import (
     Assessment,
-    Interaction,
     InteractionLog,
     LearnerSplit,
     Snapshot,
@@ -49,7 +48,6 @@ __all__ = [
     "CriteriaContext",
     "FitnessReport",
     "GaConfig",
-    "Interaction",
     "InteractionLog",
     "LearnerSplit",
     "RaschModel",

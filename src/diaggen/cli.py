@@ -24,9 +24,8 @@ from datetime import datetime, timezone
 from typing import Any, Sequence
 
 import numpy as np
-from scipy.special import expit
 
-from .core import Snapshot, build_pool, split_learners
+from .core import build_pool, split_learners
 from .criteria import CriteriaContext, calibrate_lambda, fitness
 from .estimation import (
     correct_ratio_snapshot,
@@ -34,6 +33,7 @@ from .estimation import (
     fit_rasch,
     mean_performance_correlation,
     per_question_sufficiency_curve,
+    rasch_snapshot,
     sufficiency_curve,
 )
 from .io import (
@@ -95,45 +95,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rasch_full_snapshot(args: argparse.Namespace, log, learner_ids, train_ids, test_ids) -> Snapshot:
-    """Fit difficulties on training learners, score held-out learners with
-    difficulties frozen, and assemble one snapshot over all learners."""
-    model = fit_rasch(
-        log.restrict_learners(train_ids),
-        reg=args.reg,
-        learning_rate=args.learning_rate,
-        max_epochs=args.max_epochs,
-        tol=args.tol,
-    )
-    theta = {lid: t for lid, t in zip(model.learner_ids, model.theta)}
-    if test_ids:
-        test_theta, test_order = fit_abilities(model, log.restrict_learners(test_ids))
-        theta.update(zip(test_order, test_theta))
-    abilities = np.asarray([theta[lid] for lid in learner_ids])
-    values = expit(abilities[None, :] - model.b[:, None])
-    return Snapshot(
-        values=values, question_ids=model.question_ids, learner_ids=learner_ids
-    )
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     log = read_interactions(args.interactions)
     _, learner_index = build_pool(log)
     learner_ids = tuple(learner_index)
     split = split_learners(range(len(learner_ids)), args.ratio, args.split_seed)
     train_ids = {learner_ids[i] for i in split.train}
-    test_ids = {learner_ids[i] for i in split.test}
 
+    doc: dict[str, Any] = {"estimator": args.estimator}
     if args.estimator == "rasch":
-        snapshot = _rasch_full_snapshot(args, log, learner_ids, train_ids, test_ids)
+        model = fit_rasch(
+            log.restrict_learners(train_ids), reg=args.reg, max_epochs=args.max_epochs, tol=args.tol
+        )
+        theta, ids = fit_abilities(model, log)
+        snapshot = rasch_snapshot(model, theta, ids)
+        doc |= {"converged": model.converged, "iterations": model.iterations}
     else:
         snapshot = correct_ratio_snapshot(
             log, smoothing=args.smoothing, fit_learners=train_ids
         )
     write_snapshot(snapshot, args.out)
 
-    doc: dict[str, Any] = {
-        "estimator": args.estimator,
+    doc |= {
         "questions": snapshot.n_questions,
         "learners": snapshot.n_learners,
         "out": args.out,
@@ -374,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_split_flags(p)
     p.add_argument("--smoothing", type=float, default=1.0)
     p.add_argument("--reg", type=float, default=1e-4)
-    p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--max-epochs", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_estimate)

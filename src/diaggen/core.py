@@ -8,47 +8,131 @@ appear at I/O boundaries.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 
-class Interaction(NamedTuple):
-    learner_id: str
-    question_id: str
-    correct: bool
-    order: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionLog:
-    """Problem-solving records in ingestion order.
+    """Problem-solving records in ingestion order, held as columns.
 
-    Per learner, ``order`` must be strictly increasing in record order.
+    Record ``i`` says that learner ``learner_ids[learner[i]]`` answered
+    question ``question_ids[question[i]]`` (rightly when ``correct[i]``) at
+    position ``order[i]`` of their history. Each id table lists every id of
+    the records once, in order of first appearance. Per learner, ``order``
+    must be strictly increasing in record order. The columns are frozen
+    read-only.
     """
 
-    records: tuple[Interaction, ...]
+    learner_ids: tuple[str, ...]
+    question_ids: tuple[str, ...]
+    learner: np.ndarray
+    question: np.ndarray
+    correct: np.ndarray
+    order: np.ndarray
 
     def __post_init__(self) -> None:
-        last: dict[str, int] = {}
-        for rec in self.records:
-            prev = last.get(rec.learner_id)
-            if prev is not None and rec.order <= prev:
-                raise ValueError(
-                    f"order values for learner {rec.learner_id!r} "
-                    "are not strictly increasing"
-                )
-            last[rec.learner_id] = rec.order
+        columns = {
+            "learner": np.array(self.learner, dtype=np.intp),
+            "question": np.array(self.question, dtype=np.intp),
+            "correct": np.array(self.correct, dtype=bool),
+            "order": np.array(self.order, dtype=np.int64),
+        }
+        if len({column.shape for column in columns.values()}) != 1 or columns["order"].ndim != 1:
+            raise ValueError("interaction columns must be 1-D arrays of equal length")
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        for name in ("learner", "question"):
+            ids = tuple(getattr(self, f"{name}_ids"))
+            _check_first_appearance(name, columns[name], ids)
+            object.__setattr__(self, f"{name}_ids", ids)
+        learner, order = self.learner, self.order
+        by_learner = np.argsort(learner, kind="stable")
+        later, earlier = by_learner[1:], by_learner[:-1]
+        bad = later[(learner[later] == learner[earlier]) & (order[later] <= order[earlier])]
+        if bad.size:
+            raise ValueError(
+                f"order values for learner {self.learner_ids[learner[bad.min()]]!r} "
+                "are not strictly increasing"
+            )
+
+    @classmethod
+    def from_records(
+        cls, records: Iterable[tuple[str, str, bool, int]]
+    ) -> "InteractionLog":
+        """Log from ``(learner_id, question_id, correct, order)`` tuples."""
+        learners: dict[str, int] = {}
+        questions: dict[str, int] = {}
+        learner, question, correct, order = (array("q") for _ in range(4))
+        for learner_id, question_id, solved, position in records:
+            learner.append(learners.setdefault(learner_id, len(learners)))
+            question.append(questions.setdefault(question_id, len(questions)))
+            correct.append(solved)
+            order.append(position)
+        return cls(
+            tuple(learners),
+            tuple(questions),
+            np.asarray(learner),
+            np.asarray(question),
+            np.asarray(correct),
+            np.asarray(order),
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.order)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InteractionLog):
+            return NotImplemented
+        return (
+            self.learner_ids == other.learner_ids
+            and self.question_ids == other.question_ids
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("learner", "question", "correct", "order")
+            )
+        )
 
     def restrict_learners(self, learner_ids: set[str]) -> "InteractionLog":
         """Sub-log containing only the given learners, order preserved."""
-        return InteractionLog(
-            tuple(r for r in self.records if r.learner_id in learner_ids)
+        wanted = np.fromiter(
+            (lid in learner_ids for lid in self.learner_ids),
+            dtype=bool,
+            count=len(self.learner_ids),
         )
+        keep = wanted[self.learner]
+        learner_ids, learner = _renumber(self.learner[keep], self.learner_ids)
+        question_ids, question = _renumber(self.question[keep], self.question_ids)
+        return InteractionLog(
+            learner_ids, question_ids, learner, question, self.correct[keep], self.order[keep]
+        )
+
+
+def _check_first_appearance(name: str, index: np.ndarray, ids: tuple[str, ...]) -> None:
+    """Every id is used by some record, and ids are numbered in order of
+    first appearance: each index exceeds all earlier ones by at most one."""
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate {name} ids")
+    if index.size and (index.min() < 0 or index.max() >= len(ids)):
+        raise ValueError(f"{name} index out of range")
+    ceiling = np.concatenate(([0], np.maximum.accumulate(index) + 1))
+    if np.any(index > ceiling[:-1]) or ceiling[-1] != len(ids):
+        raise ValueError(
+            f"{name} ids must each appear in the records, numbered in order of first appearance"
+        )
+
+
+def _renumber(index: np.ndarray, ids: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Keep the ids ``index`` uses, renumbered in order of first appearance."""
+    used, first = np.unique(index, return_index=True)
+    used = used[np.argsort(first)]
+    lookup = np.empty(len(ids), dtype=np.intp)
+    lookup[used] = np.arange(used.size)
+    return tuple(ids[i] for i in used), lookup[index]
 
 
 def build_pool(log: InteractionLog) -> tuple[dict[str, int], dict[str, int]]:
@@ -57,13 +141,10 @@ def build_pool(log: InteractionLog) -> tuple[dict[str, int], dict[str, int]]:
     Indices follow first appearance in the log; the returned maps are
     bijections between external ids and indices.
     """
-    if not log.records:
+    if not len(log):
         raise ValueError("empty interaction log")
-    questions: dict[str, int] = {}
-    learners: dict[str, int] = {}
-    for rec in log.records:
-        questions.setdefault(rec.question_id, len(questions))
-        learners.setdefault(rec.learner_id, len(learners))
+    questions = {qid: i for i, qid in enumerate(log.question_ids)}
+    learners = {lid: i for i, lid in enumerate(log.learner_ids)}
     return questions, learners
 
 
@@ -72,16 +153,10 @@ def to_index_arrays(
     question_index: dict[str, int],
     learner_index: dict[str, int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columnar view of a log: (learner idx, question idx, correct) arrays."""
-    n = len(log.records)
-    l_idx = np.empty(n, dtype=np.intp)
-    q_idx = np.empty(n, dtype=np.intp)
-    y = np.empty(n, dtype=np.float64)
-    for i, rec in enumerate(log.records):
-        l_idx[i] = learner_index[rec.learner_id]
-        q_idx[i] = question_index[rec.question_id]
-        y[i] = 1.0 if rec.correct else 0.0
-    return l_idx, q_idx, y
+    """(learner idx, question idx, correct) arrays under the given indices."""
+    l_lookup = np.array([learner_index[lid] for lid in log.learner_ids], dtype=np.intp)
+    q_lookup = np.array([question_index[qid] for qid in log.question_ids], dtype=np.intp)
+    return l_lookup[log.learner], q_lookup[log.question], log.correct.astype(np.float64)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 """Predicted snapshots from raw interaction logs, without a neural model.
 
 Two estimators are provided. The additive correct-ratio estimator combines
-smoothed per-question and per-learner correct ratios. The one-parameter
-logistic (Rasch) estimator fits a per-learner ability and per-question
-difficulty by penalized maximum likelihood and predicts
-sigmoid(ability - difficulty).
+smoothed per-question and per-learner correct ratios, counted with
+``np.bincount`` over the log's columns. The one-parameter logistic (Rasch)
+estimator fits a per-learner ability and per-question difficulty by
+L2-penalized joint maximum likelihood and predicts
+sigmoid(ability - difficulty). One Newton solver serves both the joint fit
+(``fit_rasch``) and the ability-only fit with difficulties frozen
+(``fit_abilities``); it alternates diagonal Newton steps on the two blocks
+with step halving, and fixes the scale the likelihood leaves free by the
+penalty-minimising shift, so sum(theta) + sum(b) = 0 at every iterate.
 
 Also implements the learner-count sufficiency analysis: how much the mean
 learner performance of a snapshot moves as learners are added, used to pick
@@ -29,9 +34,10 @@ _CLIP = 1e-3
 class RaschModel:
     """Fitted one-parameter logistic model: P(correct) = sigmoid(theta - b).
 
-    Difficulties are centered to zero mean after fitting (the ability scale
-    absorbs the shift, predictions are unchanged). ``nll_history`` records
-    the penalized negative log-likelihood accepted at each epoch.
+    ``nll_history`` records the penalized negative log-likelihood at the
+    start and after each iteration, so ``iterations`` is one less than its
+    length. ``converged`` says whether an iteration within ``max_epochs``
+    moved no parameter by ``tol`` or more.
     """
 
     theta: np.ndarray
@@ -39,149 +45,158 @@ class RaschModel:
     learner_ids: tuple[str, ...]
     question_ids: tuple[str, ...]
     reg: float
-    learning_rate: float
     max_epochs: int
     tol: float
     nll_history: tuple[float, ...]
+    converged: bool
+
+    @property
+    def iterations(self) -> int:
+        return len(self.nll_history) - 1
 
 
-def _penalized_nll(z: np.ndarray, y: np.ndarray, reg: float, *params: np.ndarray) -> float:
-    signed = np.where(y > 0.5, -z, z)
-    nll = float(np.logaddexp(0.0, signed).sum())
-    with np.errstate(over="ignore"):
-        for p in params:
-            nll += 0.5 * reg * float(p @ p)
-    return nll
+def _newton(
+    l_idx: np.ndarray,
+    q_idx: np.ndarray,
+    y: np.ndarray,
+    b: np.ndarray,
+    *,
+    n_learners: int,
+    reg: float,
+    max_epochs: int,
+    tol: float,
+    fit_b: bool,
+) -> tuple[np.ndarray, np.ndarray, list[float], bool]:
+    """Minimise the L2-penalized Bernoulli NLL of sigmoid(theta - b) by
+    alternating diagonal Newton steps, starting from theta = 0.
+
+    Each iteration takes a Newton step on theta and, when ``fit_b``, one on
+    b; both block Hessians are diagonal. A step is halved until the
+    objective does not rise. Fitting both blocks, the iteration ends by
+    shifting theta and b by the same constant: the likelihood depends only
+    on theta - b, so the shift that zeroes sum(theta) + sum(b) minimises the
+    penalty along the one direction the likelihood leaves flat. Converges
+    when no parameter moves by ``tol`` or more in an iteration; stops
+    unconverged after ``max_epochs`` iterations, or when no step size
+    keeps the objective from rising. Returns (theta, b, objective history,
+    converged).
+    """
+    flip = 1.0 - 2.0 * y
+
+    def objective(theta: np.ndarray, b: np.ndarray) -> float:
+        nll = np.logaddexp(0.0, flip * (theta[l_idx] - b[q_idx])).sum()
+        return float(nll + 0.5 * reg * (theta @ theta + b @ b))
+
+    def newton_step(theta, b, on_b):
+        """Diagonal Newton step on theta, or on b when ``on_b``."""
+        index, value, sign = (q_idx, b, -1.0) if on_b else (l_idx, theta, 1.0)
+        p = expit(theta[l_idx] - b[q_idx])
+        grad = sign * np.bincount(index, weights=p - y, minlength=value.size) + reg * value
+        return -grad / (np.bincount(index, weights=p * (1.0 - p), minlength=value.size) + reg)
+
+    def descend(theta, b, d_theta, d_b, nll):
+        """The first of t = 1, 1/2, 1/4, ... at which the objective does not
+        rise: (theta + t d_theta, b + t d_b, objective), or None."""
+        t = 1.0
+        while t > 1e-12:
+            trial = (theta + t * d_theta, b + t * d_b)
+            value = objective(*trial)
+            if value <= nll + 1e-9:
+                return *trial, value
+            t /= 2.0
+        return None
+
+    theta = np.zeros(n_learners)
+    nll = objective(theta, b)
+    history = [nll]
+    for _ in range(max_epochs):
+        start_theta, start_b = theta, b
+        moved = descend(theta, b, newton_step(theta, b, on_b=False), 0.0, nll)
+        if moved is None:
+            break
+        theta, b, nll = moved
+        if fit_b:
+            moved = descend(theta, b, 0.0, newton_step(theta, b, on_b=True), nll)
+            if moved is None:
+                break
+            theta, b, nll = moved
+            shift = -(theta.sum() + b.sum()) / (theta.size + b.size)
+            theta, b = theta + shift, b + shift
+            nll = objective(theta, b)
+        history.append(nll)
+        change = max(np.abs(theta - start_theta).max(), np.abs(b - start_b).max())
+        if change < tol:
+            return theta, b, history, True
+    return theta, b, history, False
 
 
 def fit_rasch(
     log: InteractionLog,
     *,
     reg: float = 1e-4,
-    learning_rate: float = 0.1,
     max_epochs: int = 500,
     tol: float = 1e-6,
 ) -> RaschModel:
-    """Fit abilities and difficulties by full-batch gradient ascent on the
-    L2-penalized Bernoulli log-likelihood.
+    """Fit abilities and difficulties by penalized joint maximum
+    likelihood with the Newton solver above.
 
-    Steps are scaled per parameter by its record count, and the step size
-    is halved whenever a step would increase the penalized negative
-    log-likelihood, which keeps the objective monotonically non-increasing.
-    Stops when the largest parameter change falls below ``tol``. Raises if
-    the likelihood turns non-finite.
+    ``reg`` is the L2 weight on both blocks, ``max_epochs`` the iteration
+    cap and ``tol`` the largest parameter change of an iteration that
+    counts as converged; all three must be positive.
     """
+    if reg <= 0:
+        raise ValueError("reg must be positive")
+    if max_epochs < 1:
+        raise ValueError("max_epochs must be at least 1")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     q_index, l_index = build_pool(log)
     l_idx, q_idx, y = to_index_arrays(log, q_index, l_index)
-    n_learners = len(l_index)
-    n_questions = len(q_index)
-
-    theta = np.zeros(n_learners)
-    b = np.zeros(n_questions)
-    n_per_learner = np.bincount(l_idx, minlength=n_learners).astype(float)
-    n_per_question = np.bincount(q_idx, minlength=n_questions).astype(float)
-
-    lr = learning_rate
-    nll = _penalized_nll(theta[l_idx] - b[q_idx], y, reg, theta, b)
-    nll_history = [nll]
-    for epoch in range(1, max_epochs + 1):
-        resid = y - expit(theta[l_idx] - b[q_idx])
-        grad_theta = np.bincount(l_idx, weights=resid, minlength=n_learners) - reg * theta
-        grad_b = -np.bincount(q_idx, weights=resid, minlength=n_questions) - reg * b
-        while True:
-            step_theta = lr * grad_theta / n_per_learner
-            step_b = lr * grad_b / n_per_question
-            new_theta = theta + step_theta
-            new_b = b + step_b
-            new_nll = _penalized_nll(
-                new_theta[l_idx] - new_b[q_idx], y, reg, new_theta, new_b
-            )
-            if not np.isfinite(new_nll):
-                raise ValueError(f"rasch fit diverged at epoch {epoch}")
-            if new_nll <= nll + 1e-9:
-                break
-            lr /= 2.0
-            if lr < 1e-12:
-                break
-        if new_nll > nll + 1e-9:
-            break
-        max_change = max(
-            float(np.abs(step_theta).max()), float(np.abs(step_b).max())
-        )
-        theta, b, nll = new_theta, new_b, new_nll
-        nll_history.append(nll)
-        if max_change < tol:
-            break
-
-    shift = float(b.mean())
-    b = b - shift
-    theta = theta - shift
+    theta, b, history, converged = _newton(
+        l_idx, q_idx, y, np.zeros(len(q_index)),
+        n_learners=len(l_index), reg=reg, max_epochs=max_epochs, tol=tol, fit_b=True,
+    )
     return RaschModel(
         theta=theta,
         b=b,
         learner_ids=tuple(l_index),
         question_ids=tuple(q_index),
         reg=reg,
-        learning_rate=learning_rate,
         max_epochs=max_epochs,
         tol=tol,
-        nll_history=tuple(nll_history),
+        nll_history=tuple(history),
+        converged=converged,
     )
 
 
 def fit_abilities(model: RaschModel, log: InteractionLog) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Estimate abilities for new learners with difficulties frozen.
+    """Estimate the abilities of the log's learners with difficulties frozen.
 
     This is how a fitted model is applied to learners outside the fitting
     split: only their own records are used and the question scale does not
-    move. Questions absent from the model are rejected.
+    move. Questions absent from the model are rejected. Returns the
+    abilities and the learner ids in log order.
     """
     known = {qid: i for i, qid in enumerate(model.question_ids)}
-    missing = sorted({r.question_id for r in log.records} - known.keys())
+    missing = sorted(set(log.question_ids) - known.keys())
     if missing:
         raise ValueError(f"questions not in the fitted model: {missing[:5]}")
-    l_index: dict[str, int] = {}
-    for rec in log.records:
-        l_index.setdefault(rec.learner_id, len(l_index))
-    if not l_index:
-        raise ValueError("empty interaction log")
+    _, l_index = build_pool(log)
     l_idx, q_idx, y = to_index_arrays(log, known, l_index)
-    n_learners = len(l_index)
-
-    theta = np.zeros(n_learners)
-    counts = np.bincount(l_idx, minlength=n_learners).astype(float)
-    b = model.b
-    lr = model.learning_rate
-    nll = _penalized_nll(theta[l_idx] - b[q_idx], y, model.reg, theta)
-    for epoch in range(1, model.max_epochs + 1):
-        resid = y - expit(theta[l_idx] - b[q_idx])
-        grad = np.bincount(l_idx, weights=resid, minlength=n_learners) - model.reg * theta
-        while True:
-            step = lr * grad / counts
-            new_theta = theta + step
-            new_nll = _penalized_nll(new_theta[l_idx] - b[q_idx], y, model.reg, new_theta)
-            if not np.isfinite(new_nll):
-                raise ValueError(f"ability fit diverged at epoch {epoch}")
-            if new_nll <= nll + 1e-9:
-                break
-            lr /= 2.0
-            if lr < 1e-12:
-                break
-        if new_nll > nll + 1e-9:
-            break
-        theta, nll = new_theta, new_nll
-        if float(np.abs(step).max()) < model.tol:
-            break
+    theta, *_ = _newton(
+        l_idx, q_idx, y, model.b,
+        n_learners=len(l_index), reg=model.reg, max_epochs=model.max_epochs,
+        tol=model.tol, fit_b=False,
+    )
     return theta, tuple(l_index)
 
 
-def rasch_snapshot(model: RaschModel) -> Snapshot:
-    """Predicted snapshot sigmoid(theta - b) for the model's own learners."""
-    values = expit(model.theta[None, :] - model.b[:, None])
+def rasch_snapshot(model: RaschModel, theta: np.ndarray, learner_ids: Sequence[str]) -> Snapshot:
+    """Predicted snapshot sigmoid(theta - b) for the given abilities."""
     return Snapshot(
-        values=values,
+        values=expit(np.asarray(theta)[None, :] - model.b[:, None]),
         question_ids=model.question_ids,
-        learner_ids=model.learner_ids,
+        learner_ids=tuple(learner_ids),
     )
 
 
@@ -196,7 +211,6 @@ def correct_ratio_snapshot(
     Entry (q, l) is clip(p_q + a_l - g, eps, 1 - eps) where p_q is the
     smoothed correct ratio of question q, a_l the smoothed correct ratio of
     learner l over their own records, and g the smoothed global ratio.
-    A learner without history falls back to p_q exactly (a_l = g).
 
     ``fit_learners`` optionally restricts the records used for p_q and g
     (per-learner ratios always come from the learner's own records), so a
@@ -205,36 +219,26 @@ def correct_ratio_snapshot(
     if smoothing < 0:
         raise ValueError("smoothing must be non-negative")
     q_index, l_index = build_pool(log)
+    l_idx, q_idx, y = to_index_arrays(log, q_index, l_index)
     nq, nl = len(q_index), len(l_index)
-
-    q_correct = np.zeros(nq)
-    q_count = np.zeros(nq)
-    l_correct = np.zeros(nl)
-    l_count = np.zeros(nl)
-    g_correct = 0.0
-    g_count = 0.0
-    for rec in log.records:
-        c = 1.0 if rec.correct else 0.0
-        li = l_index[rec.learner_id]
-        l_correct[li] += c
-        l_count[li] += 1.0
-        if fit_learners is None or rec.learner_id in fit_learners:
-            qi = q_index[rec.question_id]
-            q_correct[qi] += c
-            q_count[qi] += 1.0
-            g_correct += c
-            g_count += 1.0
-    if g_count == 0:
+    if fit_learners is not None:
+        fitting = np.fromiter((lid in fit_learners for lid in l_index), dtype=bool, count=nl)
+        keep = fitting[l_idx]
+        q_idx, fit_y = q_idx[keep], y[keep]
+    else:
+        fit_y = y
+    if not fit_y.size:
         raise ValueError("no records available for question statistics")
 
     def smoothed(correct, count):
         return (correct + smoothing) / (count + 2.0 * smoothing)
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        p_q = smoothed(q_correct, q_count)
-        a_l = smoothed(l_correct, l_count)
-    g = smoothed(g_correct, g_count)
-    a_l = np.where(l_count > 0, a_l, g)
+        p_q = smoothed(
+            np.bincount(q_idx, weights=fit_y, minlength=nq), np.bincount(q_idx, minlength=nq)
+        )
+    a_l = smoothed(np.bincount(l_idx, weights=y, minlength=nl), np.bincount(l_idx, minlength=nl))
+    g = smoothed(fit_y.sum(), fit_y.size)
 
     values = np.clip(p_q[:, None] + a_l[None, :] - g, _CLIP, 1.0 - _CLIP)
     return Snapshot(
@@ -353,7 +357,8 @@ def mean_performance_correlation(
     """(Pearson, Spearman) correlation of per-learner mean performance.
 
     Learners and questions are aligned by external id; means are taken
-    over the common question set.
+    over the common question set. Raises when either side's means are all
+    equal, since no correlation is defined then.
     """
     truth_l, truth_q = set(truth.learner_ids), set(truth.question_ids)
     common_l = [l for l in predicted.learner_ids if l in truth_l]
@@ -371,4 +376,9 @@ def mean_performance_correlation(
         return snap.values[np.ix_(rows, cols)].mean(axis=0)
 
     a, b = means(predicted), means(truth)
+    for name, m in (("predicted", a), ("true", b)):
+        if np.all(m == m[0]):
+            raise ValueError(
+                f"{name} per-learner mean performance is constant; correlation is undefined"
+            )
     return float(pearsonr(a, b).statistic), float(spearmanr(a, b).statistic)

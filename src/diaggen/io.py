@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .core import Interaction, InteractionLog, Snapshot
+from .core import InteractionLog, Snapshot
 from .criteria import FitnessReport
 from .search import SearchResult
 
@@ -25,7 +25,6 @@ SCHEMA_VERSION = 1
 
 def read_interactions(path: str | Path) -> InteractionLog:
     """Parse an interaction CSV; raises with a line number on bad rows."""
-    records: list[Interaction] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -33,34 +32,43 @@ def read_interactions(path: str | Path) -> InteractionLog:
             raise ValueError(
                 f"bad header: expected {','.join(INTERACTION_HEADER)}"
             )
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"malformed row: expected 4 fields (line {line})")
-            learner_id, question_id, correct, order = row
-            if correct not in ("0", "1"):
-                raise ValueError(f"correct must be 0 or 1 (line {line})")
-            try:
-                order_val = int(order)
-            except ValueError:
-                raise ValueError(f"order must be an integer (line {line})") from None
-            if order_val < 0:
-                raise ValueError(f"order must be non-negative (line {line})")
-            records.append(
-                Interaction(learner_id, question_id, correct == "1", order_val)
-            )
-    return InteractionLog(tuple(records))
+        return InteractionLog.from_records(_interaction_rows(reader))
+
+
+def _interaction_rows(reader: Iterator[list[str]]) -> Iterator[tuple[str, str, bool, int]]:
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ValueError(f"malformed row: expected 4 fields (line {line})")
+        learner_id, question_id, correct, order = row
+        if correct not in ("0", "1"):
+            raise ValueError(f"correct must be 0 or 1 (line {line})")
+        try:
+            order_val = int(order)
+        except ValueError:
+            raise ValueError(f"order must be an integer (line {line})") from None
+        if order_val < 0:
+            raise ValueError(f"order must be non-negative (line {line})")
+        if order_val >= 2**63:
+            raise ValueError(f"order must be below 2**63 (line {line})")
+        yield learner_id, question_id, correct == "1", order_val
 
 
 def write_interactions(log: InteractionLog, path: str | Path) -> None:
+    learner_ids = np.asarray(log.learner_ids, dtype=object)
+    question_ids = np.asarray(log.question_ids, dtype=object)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(INTERACTION_HEADER)
-        for rec in log.records:
-            writer.writerow(
-                [rec.learner_id, rec.question_id, int(rec.correct), rec.order]
+        writer.writerows(
+            zip(
+                learner_ids[log.learner],
+                question_ids[log.question],
+                log.correct.view(np.uint8).tolist(),
+                log.order.tolist(),
             )
+        )
 
 
 def write_snapshot(snapshot: Snapshot, path: str | Path) -> None:
@@ -82,7 +90,7 @@ def read_snapshot(path: str | Path) -> Snapshot:
             raise ValueError("bad header: expected question_id,<learner ids>")
         learner_ids = tuple(header[1:])
         question_ids: list[str] = []
-        rows: list[list[float]] = []
+        rows: list[np.ndarray] = []
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -92,27 +100,37 @@ def read_snapshot(path: str | Path) -> Snapshot:
                     f"got {len(row)} (line {line})"
                 )
             question_ids.append(row[0])
-            parsed: list[float] = []
-            for col, cell in enumerate(row[1:]):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"non-numeric value {cell!r} at line {line}, "
-                        f"learner {learner_ids[col]!r}"
-                    ) from None
-                if not 0.0 <= value <= 1.0 or not np.isfinite(value):
-                    raise ValueError(
-                        f"value {cell} out of range [0, 1] at line {line}, "
-                        f"learner {learner_ids[col]!r}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+            cells = row[1:]
+            try:
+                values = np.array(cells, dtype=np.float64)
+            except ValueError:
+                col = next(col for col, cell in enumerate(cells) if not _is_number(cell))
+                raise ValueError(
+                    f"non-numeric value {cells[col]!r} at line {line}, "
+                    f"learner {learner_ids[col]!r}"
+                ) from None
+            outside = ~((values >= 0.0) & (values <= 1.0))
+            if outside.any():
+                col = int(outside.argmax())
+                raise ValueError(
+                    f"value {cells[col]} out of range [0, 1] at line {line}, "
+                    f"learner {learner_ids[col]!r}"
+                )
+            rows.append(values)
     if not rows:
         raise ValueError("snapshot file has no data rows")
     return Snapshot(
-        values=np.asarray(rows), question_ids=tuple(question_ids), learner_ids=learner_ids
+        values=np.stack(rows), question_ids=tuple(question_ids), learner_ids=learner_ids
     )
+
+
+def _is_number(cell: str) -> bool:
+    """Whether the conversion ``read_snapshot`` uses accepts the cell."""
+    try:
+        np.array([cell], dtype=np.float64)
+    except ValueError:
+        return False
+    return True
 
 
 def report_dict(report: FitnessReport) -> dict[str, float]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import Interaction, InteractionLog, Snapshot
+from .core import InteractionLog, Snapshot
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,9 @@ def simulate(cfg: SimConfig) -> tuple[SimWorld, InteractionLog, Snapshot]:
     stream of the seed (concepts, difficulties, growth factors, skills, in
     that order), then each learner consumes an independent child stream
     derived from (seed, learner index), with one uniform draw per question.
-    Learners may therefore be simulated concurrently with results identical
-    to sequential execution.
+    All learners are stepped through the questions together; since no
+    learner's draws depend on another's, this equals simulating them one at
+    a time.
     """
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.num_learners + 1)
     world_rng = np.random.default_rng(streams[0])
@@ -87,27 +88,29 @@ def simulate(cfg: SimConfig) -> tuple[SimWorld, InteractionLog, Snapshot]:
         learner_skill=skills,
     )
 
-    records: list[Interaction] = []
-    final_skills = np.empty_like(skills)
-    for j in range(cfg.num_learners):
-        rng = np.random.default_rng(streams[j + 1])
-        draws = rng.random(cfg.num_questions)
-        skill = skills[j].copy()
-        learner_id = f"l{j}"
-        for q in range(cfg.num_questions):
-            concept = int(concepts[q])
-            p = solve_probability(difficulty[q], skill[concept], cfg.slip)
-            correct = bool(draws[q] < p)
-            if correct:
-                skill[concept] += growth[q]
-            records.append(Interaction(learner_id, f"q{q}", correct, q))
-        final_skills[j] = skill
+    draws = np.stack(
+        [np.random.default_rng(stream).random(cfg.num_questions) for stream in streams[1:]]
+    )
+    final_skills = skills.copy()
+    correct = np.empty((cfg.num_learners, cfg.num_questions), dtype=bool)
+    for q in range(cfg.num_questions):
+        concept = concepts[q]
+        p = solve_probability(difficulty[q], final_skills[:, concept], cfg.slip)
+        correct[:, q] = draws[:, q] < p
+        final_skills[correct[:, q], concept] += growth[q]
+    questions = np.arange(cfg.num_questions)
+    log = InteractionLog(
+        learner_ids=tuple(f"l{j}" for j in range(cfg.num_learners)),
+        question_ids=tuple(f"q{q}" for q in questions),
+        learner=np.repeat(np.arange(cfg.num_learners), cfg.num_questions),
+        question=np.tile(questions, cfg.num_learners),
+        correct=correct.ravel(),
+        order=np.tile(questions, cfg.num_learners),
+    )
 
     beta = final_skills[:, concepts].T
     values = solve_probability(difficulty[:, None], beta, cfg.slip)
     snapshot = Snapshot(
-        values=values,
-        question_ids=tuple(f"q{q}" for q in range(cfg.num_questions)),
-        learner_ids=tuple(f"l{j}" for j in range(cfg.num_learners)),
+        values=values, question_ids=log.question_ids, learner_ids=log.learner_ids
     )
-    return world, InteractionLog(tuple(records)), snapshot
+    return world, log, snapshot

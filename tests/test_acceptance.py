@@ -12,14 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from diaggen import (
     CriteriaContext,
     SimConfig,
     Snapshot,
     brute_force,
-    build_pool,
     calibrate_lambda,
     combined,
     crossover,
@@ -33,6 +31,7 @@ from diaggen import (
     mean_performance_correlation,
     mutate,
     random_search,
+    rasch_snapshot,
     select,
     simulate,
     split_learners,
@@ -61,24 +60,17 @@ _pipeline_cache: dict[int, tuple] = {}
 def pipeline(world_seed: int):
     """(log, truth, predicted, split) for one 6000-learner world.
 
-    Difficulties are fit on the training learners only; held-out learners
-    are scored with difficulties frozen, then one snapshot covers everyone.
+    Difficulties are fit on the training learners only; every learner is
+    then scored with difficulties frozen, so held-out learners never move
+    the question scale.
     """
     if world_seed not in _pipeline_cache:
         _, log, truth = simulate(SimConfig(num_learners=6000, seed=world_seed))
-        _, learner_index = build_pool(log)
-        ids = tuple(learner_index)
+        ids = log.learner_ids
         split = split_learners(range(len(ids)), 0.8, seed=0)
-        train_ids = {ids[i] for i in split.train}
-        test_ids = {ids[i] for i in split.test}
-        model = fit_rasch(log.restrict_learners(train_ids))
-        theta = dict(zip(model.learner_ids, model.theta))
-        held_theta, held_order = fit_abilities(model, log.restrict_learners(test_ids))
-        theta.update(zip(held_order, held_theta))
-        abilities = np.asarray([theta[lid] for lid in ids])
-        predicted = Snapshot(
-            expit(abilities[None, :] - model.b[:, None]), model.question_ids, ids
-        )
+        model = fit_rasch(log.restrict_learners({ids[i] for i in split.train}))
+        theta, ids = fit_abilities(model, log)
+        predicted = rasch_snapshot(model, theta, ids)
         _pipeline_cache[world_seed] = (log, truth, predicted, split)
     return _pipeline_cache[world_seed]
 
@@ -280,18 +272,16 @@ def test_criterion_4_simulator_correctness():
             )
         )
     )
-    empirical = float(np.mean([rec.correct for rec in mc_log.records]))
+    empirical = float(np.mean(mc_log.correct))
     mc_error = abs(empirical - analytic)
     mc_ok = mc_error < 0.01
 
     full_log = pipeline(FULL_SCALE_SEEDS[0])[0]
-    per_learner = {}
-    for rec in full_log.records:
-        per_learner[rec.learner_id] = per_learner.get(rec.learner_id, 0) + 1
+    per_learner = np.bincount(full_log.learner)
     scale_ok = (
         len(full_log) == 300_000
-        and len(per_learner) == 6000
-        and set(per_learner.values()) == {50}
+        and len(full_log.learner_ids) == len(per_learner) == 6000
+        and set(per_learner.tolist()) == {50}
     )
 
     ok = formula_ok and mc_ok and scale_ok

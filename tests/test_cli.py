@@ -94,7 +94,52 @@ class TestEstimate:
         assert code == 0, err
         doc = last_json(out)
         assert "pearson" in doc and "spearman" in doc
+        assert doc["converged"] is True and 0 < doc["iterations"] < 50
         assert out_path.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--reg", "-1", "reg must be positive"),
+            ("--reg", "0", "reg must be positive"),
+            ("--tol", "-1", "tol must be positive"),
+            ("--max-epochs", "0", "max_epochs must be at least 1"),
+        ],
+    )
+    def test_unworkable_solver_settings_rejected(
+        self, small_world, tmp_path, capsys, flag, value, message
+    ):
+        interactions, truth = small_world
+        code, out, err = run_cli(
+            capsys,
+            "estimate",
+            "--interactions", str(interactions),
+            "--truth", str(truth),
+            "--out", str(tmp_path / "est.csv"),
+            flag, value,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_constant_truth_rejected(self, small_world, tmp_path, capsys):
+        interactions, truth = small_world
+        lines = truth.read_text().splitlines()
+        flat = tmp_path / "flat.csv"
+        flat.write_text(
+            "\n".join([lines[0]] + [row.split(",")[0] + ",0.5" * 40 for row in lines[1:]]) + "\n"
+        )
+        code, _, err = run_cli(
+            capsys,
+            "estimate",
+            "--interactions", str(interactions),
+            "--estimator", "ratio",
+            "--truth", str(flat),
+            "--out", str(tmp_path / "est.csv"),
+        )
+        assert code == 1
+        assert err == (
+            "error: true per-learner mean performance is constant; correlation is undefined\n"
+        )
 
     def test_without_truth_no_correlation_block(self, small_world, tmp_path, capsys):
         interactions, _ = small_world
@@ -108,6 +153,7 @@ class TestEstimate:
         assert code == 0, err
         doc = last_json(out)
         assert "pearson" not in doc
+        assert "converged" not in doc and "iterations" not in doc
 
     def test_ratio_preserves_learner_ordering(self, small_world, tmp_path, capsys):
         from diaggen.io import read_interactions, read_snapshot
@@ -123,10 +169,9 @@ class TestEstimate:
         )
         snap = read_snapshot(out_path)
         log = read_interactions(interactions)
-        raw: dict[str, list[int]] = {}
-        for rec in log.records:
-            raw.setdefault(rec.learner_id, []).append(int(rec.correct))
-        raw_ratio = {k: np.mean(v) for k, v in raw.items()}
+        raw_ratio = {
+            lid: log.correct[log.learner == i].mean() for i, lid in enumerate(log.learner_ids)
+        }
         col_mean = {
             lid: snap.values[:, i].mean() for i, lid in enumerate(snap.learner_ids)
         }

@@ -3,7 +3,6 @@ import pytest
 
 from diaggen import (
     Assessment,
-    Interaction,
     InteractionLog,
     Snapshot,
     build_pool,
@@ -12,9 +11,7 @@ from diaggen import (
 
 
 def make_log(triples):
-    return InteractionLog(
-        tuple(Interaction(l, q, bool(c), o) for (l, q, c, o) in triples)
-    )
+    return InteractionLog.from_records((l, q, bool(c), o) for (l, q, c, o) in triples)
 
 
 class TestBuildPool:
@@ -32,7 +29,7 @@ class TestBuildPool:
 
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError, match="empty interaction log"):
-            build_pool(InteractionLog(()))
+            build_pool(make_log([]))
 
     def test_idempotent(self):
         log = make_log([("l1", "b", 1, 0), ("l2", "a", 0, 0), ("l3", "c", 1, 0)])
@@ -53,7 +50,34 @@ class TestInteractionLog:
     def test_restrict_learners(self):
         log = make_log([("l1", "a", 1, 0), ("l2", "a", 0, 0), ("l1", "b", 1, 1)])
         sub = log.restrict_learners({"l1"})
-        assert [r.learner_id for r in sub.records] == ["l1", "l1"]
+        assert [sub.learner_ids[i] for i in sub.learner] == ["l1", "l1"]
+
+    def test_restrict_learners_renumbers_by_first_appearance(self):
+        log = make_log(
+            [("l1", "a", 1, 0), ("l2", "b", 0, 0), ("l2", "c", 1, 1), ("l3", "a", 0, 0)]
+        )
+        sub = log.restrict_learners({"l2", "l3"})
+        assert sub == make_log([("l2", "b", 0, 0), ("l2", "c", 1, 1), ("l3", "a", 0, 0)])
+        assert sub.question_ids == ("b", "c", "a")
+        assert sub.learner.tolist() == [0, 0, 1]
+
+    def test_columns_frozen(self):
+        log = make_log([("l1", "a", 1, 0)])
+        with pytest.raises(ValueError):
+            log.order[0] = 5
+
+    @pytest.mark.parametrize(
+        "learner, question, message",
+        [
+            ([0, 0], [0], "equal length"),
+            ([0, 1], [0, 1], "learner index out of range"),
+            ([0, 0], [1, 0], "question ids must each appear"),
+        ],
+    )
+    def test_constructor_checks(self, learner, question, message):
+        n = len(learner)
+        with pytest.raises(ValueError, match=message):
+            InteractionLog(("l0",), ("a", "b"), learner, question, [True] * n, list(range(n)))
 
 
 class TestSnapshot:

@@ -4,7 +4,6 @@ from scipy.special import expit
 from scipy.stats import spearmanr
 
 from diaggen import (
-    Interaction,
     InteractionLog,
     Snapshot,
     correct_ratio_snapshot,
@@ -18,21 +17,40 @@ from diaggen.estimation import per_question_sufficiency_curve
 
 
 def make_log(triples):
-    return InteractionLog(
-        tuple(Interaction(l, q, bool(c), o) for (l, q, c, o) in triples)
-    )
+    return InteractionLog.from_records((l, q, bool(c), o) for (l, q, c, o) in triples)
 
 
 def bernoulli_log(theta, b, seed):
     """One attempt per learner-question pair under sigmoid(theta - b)."""
     rng = np.random.default_rng(seed)
-    records = []
-    for l, th in enumerate(theta):
-        y = rng.random(len(b)) < expit(th - np.asarray(b))
-        records.extend(
-            Interaction(f"l{l}", f"q{q}", bool(y[q]), q) for q in range(len(b))
-        )
-    return InteractionLog(tuple(records))
+    n_l, n_q = len(theta), len(b)
+    y = np.stack([rng.random(n_q) < expit(th - np.asarray(b)) for th in theta])
+    return InteractionLog(
+        learner_ids=tuple(f"l{l}" for l in range(n_l)),
+        question_ids=tuple(f"q{q}" for q in range(n_q)),
+        learner=np.repeat(np.arange(n_l), n_q),
+        question=np.tile(np.arange(n_q), n_l),
+        correct=y.ravel(),
+        order=np.tile(np.arange(n_q), n_l),
+    )
+
+
+def penalized_gradient(model, log):
+    """Gradient of the penalized NLL at the model's parameters, from the
+    log's records directly."""
+    theta = dict(zip(model.learner_ids, model.theta))
+    b = dict(zip(model.question_ids, model.b))
+    grad_theta = dict.fromkeys(model.learner_ids, 0.0)
+    grad_b = dict.fromkeys(model.question_ids, 0.0)
+    for l, q, c in zip(log.learner, log.question, log.correct):
+        lid, qid = log.learner_ids[l], log.question_ids[q]
+        resid = 1.0 / (1.0 + np.exp(b[qid] - theta[lid])) - float(c)
+        grad_theta[lid] += resid
+        grad_b[qid] -= resid
+    return (
+        np.array([grad_theta[l] + model.reg * theta[l] for l in model.learner_ids]),
+        np.array([grad_b[q] + model.reg * b[q] for q in model.question_ids]),
+    )
 
 
 class TestCorrectRatioSnapshot:
@@ -74,7 +92,43 @@ class TestCorrectRatioSnapshot:
 
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
-            correct_ratio_snapshot(InteractionLog(()))
+            correct_ratio_snapshot(make_log([]))
+
+    def test_matches_record_loop(self):
+        rng = np.random.default_rng(4)
+        triples = [
+            (f"l{rng.integers(9)}", f"q{rng.integers(6)}", int(rng.random() < 0.4), o)
+            for o in range(200)
+        ]
+        fit = {f"l{l}" for l in range(5)}
+        snap = correct_ratio_snapshot(make_log(triples), smoothing=0.5, fit_learners=fit)
+        q_stats, l_stats, g = {}, {}, [0, 0]
+        for l, q, c, _ in triples:
+            l_stats.setdefault(l, [0, 0])
+            l_stats[l][0] += c
+            l_stats[l][1] += 1
+            q_stats.setdefault(q, [0, 0])
+            if l in fit:
+                q_stats[q][0] += c
+                q_stats[q][1] += 1
+                g[0] += c
+                g[1] += 1
+
+        def smoothed(correct, count):
+            return (correct + 0.5) / (count + 1.0)
+
+        want = np.clip(
+            [
+                [
+                    smoothed(*q_stats[q]) + smoothed(*l_stats[l]) - smoothed(*g)
+                    for l in snap.learner_ids
+                ]
+                for q in snap.question_ids
+            ],
+            1e-3,
+            1 - 1e-3,
+        )
+        np.testing.assert_array_equal(snap.values, want)
 
 
 class TestFitRasch:
@@ -86,10 +140,41 @@ class TestFitRasch:
         assert spearmanr(model.theta, theta_true).statistic >= 0.9
         assert spearmanr(model.b, b_true).statistic >= 0.9
 
-    def test_difficulties_centered(self):
+    def test_scale_fixed_by_penalty(self):
         rng = np.random.default_rng(3)
         model = fit_rasch(bernoulli_log(rng.standard_normal(30), rng.standard_normal(12), 3))
-        assert abs(model.b.mean()) < 1e-9
+        assert abs(model.theta.sum() + model.b.sum()) < 1e-9
+
+    def test_penalized_gradient_vanishes(self):
+        rng = np.random.default_rng(11)
+        log = bernoulli_log(rng.standard_normal(80), rng.standard_normal(15), 11)
+        model = fit_rasch(log)
+        assert model.converged and model.iterations < 50
+        grad_theta, grad_b = penalized_gradient(model, log)
+        assert np.abs(grad_theta).max() <= 1e-6
+        assert np.abs(grad_b).max() <= 1e-6
+
+    def test_iteration_cap_reported_unconverged(self):
+        rng = np.random.default_rng(12)
+        model = fit_rasch(
+            bernoulli_log(rng.standard_normal(40), rng.standard_normal(10), 12), max_epochs=2
+        )
+        assert not model.converged
+        assert model.iterations == 2 and len(model.nll_history) == 3
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"reg": 0.0}, "reg must be positive"),
+            ({"reg": -1.0}, "reg must be positive"),
+            ({"max_epochs": 0}, "max_epochs must be at least 1"),
+            ({"tol": 0.0}, "tol must be positive"),
+            ({"tol": -1.0}, "tol must be positive"),
+        ],
+    )
+    def test_rejects_unworkable_settings(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            fit_rasch(make_log([("l0", "q0", 1, 0), ("l1", "q0", 0, 0)]), **setting)
 
     def test_objective_monotone_non_increasing(self):
         rng = np.random.default_rng(5)
@@ -119,28 +204,23 @@ class TestFitRasch:
         t2 = model.theta[model.learner_ids.index("twin2")]
         assert abs(t1 - t2) < 1e-6
 
-    def test_divergent_learning_rate_raises(self):
-        rng = np.random.default_rng(1)
-        log = bernoulli_log(rng.standard_normal(10), rng.standard_normal(5), 1)
-        with pytest.raises(ValueError, match="epoch"):
-            fit_rasch(log, learning_rate=1e200)
-
 
 class TestRaschSnapshot:
-    def make_model(self, theta, b):
-        rng = np.random.default_rng(0)
+    def snapshot(self, theta, b):
         log = bernoulli_log(np.zeros(len(theta)), np.zeros(len(b)), 0)
         model = fit_rasch(log, max_epochs=1)
-        object.__setattr__(model, "theta", np.asarray(theta, dtype=float))
         object.__setattr__(model, "b", np.asarray(b, dtype=float))
-        return model
+        ids = tuple(f"x{j}" for j in range(len(theta)))
+        snap = rasch_snapshot(model, np.asarray(theta, dtype=float), ids)
+        assert snap.question_ids == model.question_ids and snap.learner_ids == ids
+        return snap
 
     def test_matched_ability_and_difficulty(self):
-        snap = rasch_snapshot(self.make_model([1.7], [1.7]))
+        snap = self.snapshot([1.7], [1.7])
         assert snap.values[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_column_means(self):
-        snap = rasch_snapshot(self.make_model([1.0, -1.0], [0.0]))
+        snap = self.snapshot([1.0, -1.0], [0.0])
         np.testing.assert_allclose(
             snap.values.mean(axis=0),
             [0.7310585786300049, 0.2689414213699951],
@@ -149,12 +229,12 @@ class TestRaschSnapshot:
 
     def test_monotone_in_ability(self):
         theta = [-2.0, -0.5, 0.3, 1.9]
-        snap = rasch_snapshot(self.make_model(theta, [0.0, 1.0, -1.0]))
+        snap = self.snapshot(theta, [0.0, 1.0, -1.0])
         for row in snap.values:
             assert np.all(np.diff(row) > 0)
 
     def test_open_interval(self):
-        snap = rasch_snapshot(self.make_model([5.0, -5.0], [0.0]))
+        snap = self.snapshot([5.0, -5.0], [0.0])
         assert np.all((snap.values > 0) & (snap.values < 1))
 
 
@@ -171,6 +251,14 @@ class TestFitAbilities:
         assert set(order) == test_ids
         truth = np.array([theta_true[int(l[1:])] for l in order])
         assert spearmanr(theta, truth).statistic >= 0.85
+
+    def test_refit_reproduces_joint_abilities(self):
+        rng = np.random.default_rng(29)
+        log = bernoulli_log(rng.standard_normal(60), rng.standard_normal(12), 29)
+        model = fit_rasch(log)
+        theta, order = fit_abilities(model, log)
+        assert order == model.learner_ids
+        assert np.abs(theta - model.theta).max() <= 1e-8
 
     def test_difficulties_untouched(self):
         rng = np.random.default_rng(2)
@@ -279,6 +367,17 @@ class TestMeanPerformanceCorrelation:
         shuffled = Snapshot(values[:, perm], qids, tuple(lids[i] for i in perm))
         pearson, _ = mean_performance_correlation(snap, shuffled)
         assert pearson == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("constant_side", ["predicted", "true"])
+    def test_constant_means_rejected(self, constant_side):
+        rng = np.random.default_rng(2)
+        ids = (("q0", "q1"), ("l0", "l1", "l2"))
+        varied = Snapshot(rng.random((2, 3)), *ids)
+        flat = Snapshot(np.full((2, 3), 0.5), *ids)
+        pair = (flat, varied) if constant_side == "predicted" else (varied, flat)
+        message = f"{constant_side} per-learner mean performance is constant"
+        with pytest.raises(ValueError, match=message):
+            mean_performance_correlation(*pair)
 
     def test_requires_common_learners(self):
         a = Snapshot(np.full((1, 2), 0.5), ("q0",), ("l0", "l1"))

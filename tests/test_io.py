@@ -5,8 +5,6 @@ import pytest
 
 from diaggen import (
     CriteriaContext,
-    Interaction,
-    InteractionLog,
     SimConfig,
     Snapshot,
     fitness,
@@ -33,8 +31,10 @@ class TestInteractionsRoundTrip:
         )
         log = read_interactions(path)
         assert len(log) == 2
-        assert log.records[0] == Interaction("l1", "q1", True, 0)
-        assert log.records[1] == Interaction("l1", "q2", False, 1)
+        assert log.learner_ids == ("l1",) and log.question_ids == ("q1", "q2")
+        assert log.learner.tolist() == [0, 0] and log.question.tolist() == [0, 1]
+        assert log.correct.tolist() == [True, False]
+        assert log.order.tolist() == [0, 1]
 
     def test_round_trip_identity(self, tmp_path):
         _, log, _ = simulate(SimConfig(num_learners=8, num_questions=10, seed=3))
@@ -76,6 +76,22 @@ class TestInteractionsRoundTrip:
         with pytest.raises(ValueError, match=r"order.*\(line 2\)"):
             read_interactions(path)
 
+    @pytest.mark.parametrize("order", ["-1", str(2**63)])
+    def test_order_out_of_range(self, tmp_path, order):
+        path = tmp_path / "log.csv"
+        path.write_text(f"learner_id,question_id,correct,order\nl0,q0,1,0\nl1,q1,1,{order}\n")
+        with pytest.raises(ValueError, match=r"order.*\(line 3\)"):
+            read_interactions(path)
+
+    def test_quoted_ids_round_trip_bytes(self, tmp_path):
+        text = 'learner_id,question_id,correct,order\n"a,b",q1,1,0\n"say ""hi""",q1,0,7\n'
+        path = tmp_path / "log.csv"
+        path.write_text(text)
+        log = read_interactions(path)
+        assert log.learner_ids == ("a,b", 'say "hi"')
+        write_interactions(log, tmp_path / "copy.csv")
+        assert (tmp_path / "copy.csv").read_text() == text
+
 
 class TestSnapshotRoundTrip:
     def test_one_by_one_layout(self, tmp_path):
@@ -96,6 +112,13 @@ class TestSnapshotRoundTrip:
         path = tmp_path / "snap.csv"
         path.write_text("question_id,l0\nq0,1.000001\n")
         with pytest.raises(ValueError, match="out of range"):
+            read_snapshot(path)
+
+    def test_nan_cell_rejected(self, tmp_path):
+        path = tmp_path / "snap.csv"
+        path.write_text("question_id,l0,l1\nq0,0.5,0.5\nq1,0.5,nan\n")
+        message = r"value nan out of range \[0, 1\] at line 3, learner 'l1'"
+        with pytest.raises(ValueError, match=message):
             read_snapshot(path)
 
     def test_non_numeric_cell_named(self, tmp_path):

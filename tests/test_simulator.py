@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from diaggen import SimConfig, simulate, solve_probability
+from diaggen.cli import main
 
 
 class TestSolveProbability:
@@ -43,12 +46,11 @@ class TestSimulate:
         cfg = SimConfig(num_learners=7, num_questions=12, num_concepts=3, seed=5)
         _, log, snapshot = simulate(cfg)
         assert len(log) == 7 * 12
-        per_learner: dict[str, list[int]] = {}
-        for rec in log.records:
-            per_learner.setdefault(rec.learner_id, []).append(rec.order)
-            assert rec.question_id == f"q{rec.order}"
-        for orders in per_learner.values():
-            assert orders == list(range(12))
+        question_ids = np.asarray(log.question_ids)[log.question]
+        assert question_ids.tolist() == [f"q{o}" for o in log.order]
+        for j in range(7):
+            assert log.order[log.learner == j].tolist() == list(range(12))
+        assert log.learner_ids == tuple(f"l{j}" for j in range(7))
         assert snapshot.n_questions == 12 and snapshot.n_learners == 7
 
     def test_deterministic(self):
@@ -67,7 +69,7 @@ class TestSimulate:
     def test_forced_success_when_floor_near_one(self):
         cfg = SimConfig(num_learners=5, num_questions=20, slip=1.0 - 1e-12, seed=0)
         world, log, snapshot = simulate(cfg)
-        assert all(rec.correct for rec in log.records)
+        assert log.correct.all()
         # every concept skill ends at initial plus the summed growth of
         # its questions, visible through the snapshot values
         for j in range(5):
@@ -119,13 +121,27 @@ class TestSimulate:
         p = solve_probability(
             world.question_difficulty[0], world.learner_skill[:, 0], cfg.slip
         )
-        rate = np.mean([rec.correct for rec in log.records])
+        rate = np.mean(log.correct)
         assert rate == pytest.approx(float(p.mean()), abs=0.02)
 
     def test_scale(self):
         cfg = SimConfig(num_learners=100, num_questions=50, seed=1)
         _, log, _ = simulate(cfg)
         assert len(log) == 5000
+
+    def test_golden_output_files(self, tmp_path, capsys):
+        """The CLI's simulate output is pinned byte for byte."""
+        inter, truth = tmp_path / "interactions.csv", tmp_path / "truth.csv"
+        assert main([
+            "simulate", "--learners", "50", "--questions", "12", "--concepts", "3",
+            "--seed", "7", "--interactions-out", str(inter), "--snapshot-out", str(truth),
+        ]) == 0
+        assert hashlib.sha256(inter.read_bytes()).hexdigest() == (
+            "71b5a74bb3da71b91b383ddf33d2e86be7822e179a6249bb02cdb8a0940ee020"
+        )
+        assert hashlib.sha256(truth.read_bytes()).hexdigest() == (
+            "d9c0b927bbe400bb724acc5d4396e23047433882e8994e5e63492befcbfa5749"
+        )
 
 
 class TestSimConfigValidation:
