@@ -166,7 +166,6 @@ def _run_algorithm(
             p_m2=args.pm2,
             tournament_fraction=args.tournament_fraction,
             seed=seed,
-            track_best_ever=args.track_best_ever,
         )
         return ga_search(ctx, cfg)
     raise ValueError(f"unknown algorithm {args.algo!r}")
@@ -220,7 +219,6 @@ def cmd_search(args: argparse.Namespace) -> int:
                 "pm1": args.pm1,
                 "pm2": args.pm2,
                 "tournament_fraction": args.tournament_fraction,
-                "track_best_ever": args.track_best_ever,
             }
         runs.append(
             result_record(
@@ -257,23 +255,39 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
+def _result_field(record: Any, path: str, kind: type | tuple[type, ...]) -> Any:
+    """The value at a dotted ``path`` of a result document, of type ``kind``."""
+    value = record
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"result document has no {path!r}")
+        value = value[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"result field {path!r} has the wrong type: {json.dumps(value)}")
+    return value
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     snapshot = read_snapshot(args.snapshot)
     doc: dict[str, Any] = {}
     if args.result is not None:
         with open(args.result, encoding="utf-8") as fh:
             record = json.load(fh)
-        if "runs" in record:
+        if isinstance(record, dict) and "runs" in record:
             # A --repeats document: re-score the run with the highest train
             # fitness, the earliest one on ties.
-            fits = [run["train"]["fitness"] for run in record["runs"]]
-            record = record["runs"][fits.index(max(fits))]
-            doc["sub_seed"] = record["config"]["seed"]
-        config = record["config"]
-        ratio = config["ratio"]
-        split_seed = config["split_seed"]
-        lam = config["lambda"]
-        selected = record["selected_questions"]
+            runs = _result_field(record, "runs", list)
+            if not runs:
+                raise ValueError("result document has no runs")
+            fits = [_result_field(run, "train.fitness", (int, float)) for run in runs]
+            record = runs[fits.index(max(fits))]
+            doc["sub_seed"] = _result_field(record, "config.seed", int)
+        ratio = _result_field(record, "config.ratio", (int, float))
+        split_seed = _result_field(record, "config.split_seed", int)
+        lam = _result_field(record, "config.lambda", (int, float))
+        selected = _result_field(record, "selected_questions", list)
+        if not all(isinstance(q, str) for q in selected):
+            raise ValueError("result field 'selected_questions' must list question ids")
     else:
         if args.genes is None or args.lam is None:
             raise ValueError("evaluate needs either --result or both --genes and --lam")
@@ -289,8 +303,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     genes = [qpos[q] for q in selected]
 
     split = split_learners(range(snapshot.n_learners), ratio, split_seed)
-    train_ctx = CriteriaContext.build(snapshot, split.train, lam=lam)
-    test_ctx = CriteriaContext.build(snapshot, split.test, lam=lam)
+    train_ctx = CriteriaContext.build(snapshot, split.train).with_lambda(lam)
+    test_ctx = CriteriaContext.build(snapshot, split.test).with_lambda(lam)
     doc |= {
         "selected_questions": selected,
         "lambda": lam,
@@ -388,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pm1", type=float, default=0.5)
     p.add_argument("--pm2", type=float, default=0.25)
     p.add_argument("--tournament-fraction", type=float, default=0.10)
-    p.add_argument("--track-best-ever", action="store_true")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("evaluate", help="re-score an existing gene list")

@@ -135,6 +135,12 @@ def _renumber(index: np.ndarray, ids: tuple[str, ...]) -> tuple[tuple[str, ...],
     return tuple(ids[i] for i in used), lookup[index]
 
 
+def sigmoid(x) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-x)), elementwise (0 below -709)."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+
+
 def build_pool(log: InteractionLog) -> tuple[dict[str, int], dict[str, int]]:
     """Assign dense 0-based indices to questions and learners.
 

@@ -89,7 +89,7 @@ class CriteriaContext:
         return cls(lam=lam, gap=gap, spread=spread)
 
     def with_lambda(self, lam: float) -> "CriteriaContext":
-        if lam < 0:
+        if not lam >= 0:
             raise ValueError("lam must be non-negative")
         return dataclasses.replace(self, lam=float(lam))
 
@@ -179,11 +179,12 @@ def batch_criteria(
 def sample_subsets(
     n_questions: int, k: int, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uniform random K-subsets (with replacement across samples)."""
-    draws = np.empty((n_samples, k), dtype=np.intp)
-    for i in range(n_samples):
-        draws[i] = rng.choice(n_questions, size=k, replace=False)
-    return draws
+    """Uniform random K-subsets (with replacement across samples): the
+    first K entries of a uniform random permutation of the questions per
+    sample, from one (n_samples, n_questions) block of uniforms."""
+    order = np.argsort(rng.random((n_samples, n_questions)), axis=1)
+    # Copy, so the full (n_samples, n_questions) block is not kept alive.
+    return order[:, :k].copy()
 
 
 def calibrate_lambda(

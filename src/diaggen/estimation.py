@@ -22,10 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import pearsonr, spearmanr
 
-from .core import InteractionLog, Snapshot, build_pool, to_index_arrays
+from .core import InteractionLog, Snapshot, build_pool, sigmoid, to_index_arrays
 
 _CLIP = 1e-3
 
@@ -90,7 +88,7 @@ def _newton(
     def newton_step(theta, b, on_b):
         """Diagonal Newton step on theta, or on b when ``on_b``."""
         index, value, sign = (q_idx, b, -1.0) if on_b else (l_idx, theta, 1.0)
-        p = expit(theta[l_idx] - b[q_idx])
+        p = sigmoid(theta[l_idx] - b[q_idx])
         grad = sign * np.bincount(index, weights=p - y, minlength=value.size) + reg * value
         return -grad / (np.bincount(index, weights=p * (1.0 - p), minlength=value.size) + reg)
 
@@ -194,7 +192,7 @@ def fit_abilities(model: RaschModel, log: InteractionLog) -> tuple[np.ndarray, t
 def rasch_snapshot(model: RaschModel, theta: np.ndarray, learner_ids: Sequence[str]) -> Snapshot:
     """Predicted snapshot sigmoid(theta - b) for the given abilities."""
     return Snapshot(
-        values=expit(np.asarray(theta)[None, :] - model.b[:, None]),
+        values=sigmoid(np.asarray(theta)[None, :] - model.b[:, None]),
         question_ids=model.question_ids,
         learner_ids=tuple(learner_ids),
     )
@@ -381,4 +379,11 @@ def mean_performance_correlation(
             raise ValueError(
                 f"{name} per-learner mean performance is constant; correlation is undefined"
             )
-    return float(pearsonr(a, b).statistic), float(spearmanr(a, b).statistic)
+    spearman = np.corrcoef(_average_ranks(a), _average_ranks(b))[0, 1]
+    return float(np.corrcoef(a, b)[0, 1]), float(spearman)
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, tied values sharing their average rank."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]

@@ -76,8 +76,9 @@ def write_snapshot(snapshot: Snapshot, path: str | Path) -> None:
     row, probabilities with 6 decimal places."""
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write("question_id," + ",".join(snapshot.learner_ids) + "\n")
+        row_format = ",".join(["%.6f"] * snapshot.n_learners)
         for qid, row in zip(snapshot.question_ids, snapshot.values):
-            fh.write(qid + "," + ",".join(f"{v:.6f}" for v in row) + "\n")
+            fh.write(qid + "," + row_format % tuple(row.tolist()) + "\n")
 
 
 def read_snapshot(path: str | Path) -> Snapshot:

@@ -3,9 +3,9 @@ and an exhaustive oracle for small pools.
 
 All stochastic draws flow from one numpy Generator per run in a fixed,
 documented order, so a (snapshot, config, seed) triple fully determines the
-result. The genetic algorithm's draw order is: production, then per
-generation selection tournaments, crossover pair by pair, mutation
-individual by individual.
+result. The genetic algorithm holds its population as one (P, K) array and
+draws for production (``sample_subsets``), then per generation for
+``select``, ``crossover`` and ``mutate``, each documenting its own draws.
 """
 
 from __future__ import annotations
@@ -13,14 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import Assessment
-from .criteria import CriteriaContext, FitnessReport, _criteria, batch_criteria, fitness
-
-Individual = list[int]
+from .criteria import (
+    CriteriaContext, FitnessReport, _criteria, batch_criteria, fitness, sample_subsets
+)
 
 
 class GenerationStats(NamedTuple):
@@ -47,7 +47,6 @@ class GaConfig:
     p_m2: float = 0.25
     tournament_fraction: float = 0.10
     seed: int = 0
-    track_best_ever: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -84,101 +83,97 @@ def tournament_size(population_size: int, fraction: float) -> int:
 
 
 def select(
-    population: Sequence[Individual],
-    fitnesses: Sequence[float],
+    population: np.ndarray,
+    fitnesses: np.ndarray,
     cfg: GaConfig,
     rng: np.random.Generator,
-) -> list[Individual]:
+) -> np.ndarray:
     """Tournament selection: P tournaments, each over a random fraction of
     the population sampled without replacement; the winner is the member
-    with the highest fitness, ties broken by lower population index."""
+    with the highest fitness, ties broken by lower population index.
+
+    With the population ranked by (fitness descending, index ascending), a
+    tournament of s members is won by its lowest rank, which exceeds j with
+    probability C(P-1-j, s) / C(P, s); each winner's rank is drawn from that
+    distribution with one uniform.
+    """
     p = len(population)
     if p < 1:
         raise ValueError("population is empty")
     size = tournament_size(p, cfg.tournament_fraction)
-    fit = np.asarray(fitnesses, dtype=np.float64)
-    chosen: list[Individual] = []
-    for _ in range(p):
-        members = np.sort(rng.choice(p, size=size, replace=False))
-        winner = int(members[int(np.argmax(fit[members]))])
-        chosen.append(list(population[winner]))
-    return chosen
+    ranked = np.argsort(-np.asarray(fitnesses, dtype=np.float64), kind="stable")
+    j = np.arange(p)
+    survival = np.cumprod(np.maximum(p - j - size, 0) / (p - j))
+    ranks = np.searchsorted(1.0 - survival, rng.random(p), side="right")
+    return population[ranked[ranks]]
 
 
-def _repair(child: Individual, n_questions: int, rng: np.random.Generator) -> Individual:
-    """Replace duplicate genes (left to right, keeping first occurrences)
-    with uniform random questions absent from the offspring; the candidate
-    pool is re-derived after every replacement."""
-    seen: set[int] = set()
-    present = set(child)
-    for i, gene in enumerate(child):
-        if gene in seen:
-            candidates = np.setdiff1d(
-                np.arange(n_questions, dtype=np.intp),
-                np.fromiter(present, dtype=np.intp, count=len(present)),
-            )
-            new = int(candidates[rng.integers(candidates.size)])
-            child[i] = new
-            present.add(new)
-            seen.add(new)
-        else:
-            seen.add(gene)
-    return child
-
-
-def one_point_swap(a: Sequence[int], b: Sequence[int], cut: int) -> tuple[Individual, Individual]:
-    """Exchange tails after position ``cut``; duplicates are not repaired here."""
-    if not 1 <= cut <= len(a) - 1:
-        raise ValueError("cut must lie in [1, K-1]")
-    return list(a[:cut]) + list(b[cut:]), list(b[:cut]) + list(a[cut:])
+def _replace(
+    population: np.ndarray, mask: np.ndarray, n_questions: int, rng: np.random.Generator
+) -> np.ndarray:
+    """A copy of ``population`` whose masked genes are refilled, left to
+    right, with distinct questions drawn uniformly from those missing from
+    the row; when a row has fewer missing questions than masked genes, only
+    its leftmost masked genes change. Draws one uniform per question for
+    each row with a masked gene and takes the missing questions in the
+    order of their draws."""
+    out = population.copy()
+    rows = np.flatnonzero(mask.any(axis=1))
+    genes, masked = out[rows], mask[rows]
+    keys = rng.random((rows.size, n_questions))
+    keys[np.arange(rows.size)[:, None], genes] = 2.0  # present questions sort last
+    missing = np.argsort(keys, axis=1)
+    n_missing = np.count_nonzero(keys < 2.0, axis=1)
+    slot = np.cumsum(masked, axis=1) - 1
+    fill = np.take_along_axis(missing, np.maximum(slot, 0), axis=1)
+    out[rows] = np.where(masked & (slot < n_missing[:, None]), fill, genes)
+    return out
 
 
 def crossover(
-    a: Sequence[int],
-    b: Sequence[int],
+    a: np.ndarray,
+    b: np.ndarray,
     p_c: float,
     n_questions: int,
     rng: np.random.Generator,
-) -> tuple[Individual, Individual]:
-    """Single-point tail swap with probability p_c, followed by duplicate
-    repair so both offspring keep K distinct genes. With K = 1 there is no
-    valid cut point and the parents pass through unchanged (no draws)."""
-    if len(a) != len(b):
-        raise ValueError("parents must have equal length")
-    if len(a) < 2:
-        return list(a), list(b)
-    if rng.random() >= p_c:
-        return list(a), list(b)
-    cut = int(rng.integers(1, len(a)))
-    child1, child2 = one_point_swap(a, b, cut)
-    return _repair(child1, n_questions, rng), _repair(child2, n_questions, rng)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Single-point crossover of each row pair ``a[i]``, ``b[i]``: with
+    probability p_c the tails after a uniform cut in [1, K-1] swap, then
+    every repeat of an earlier gene in an offspring is replaced with a
+    question absent from it. Draws one uniform and one cut per pair, then
+    as ``_replace``. With K = 1 there is no valid cut point and the parents
+    pass through unchanged (no draws)."""
+    if a.shape != b.shape:
+        raise ValueError("parents must have equal shape")
+    n, k = a.shape
+    if k < 2:
+        return a.copy(), b.copy()
+    swap = rng.random(n) < p_c
+    cut = np.where(swap, rng.integers(1, k, size=n), k)
+    tail = np.arange(k) >= cut[:, None]
+    children = np.concatenate([np.where(tail, b, a), np.where(tail, a, b)])
+    earlier = np.tri(k, k, -1, dtype=bool)  # earlier[i, j]: j < i
+    repeated = ((children[:, :, None] == children[:, None, :]) & earlier).any(axis=2)
+    children = _replace(children, repeated, n_questions, rng)
+    return children[:n], children[n:]
 
 
 def mutate(
-    individual: Sequence[int],
+    population: np.ndarray,
     p_m1: float,
     p_m2: float,
     n_questions: int,
     rng: np.random.Generator,
-) -> Individual:
-    """With probability p_m1 the individual is selected; each gene of a
-    selected individual is then independently replaced (probability p_m2)
-    by a uniform random question not currently in the individual. When the
-    pool is exhausted (K equals the pool size) genes stay unchanged."""
-    genes = list(individual)
-    if rng.random() >= p_m1:
-        return genes
-    for i in range(len(genes)):
-        if rng.random() < p_m2:
-            present = set(genes)
-            candidates = np.setdiff1d(
-                np.arange(n_questions, dtype=np.intp),
-                np.fromiter(present, dtype=np.intp, count=len(present)),
-            )
-            if candidates.size == 0:
-                continue
-            genes[i] = int(candidates[rng.integers(candidates.size)])
-    return genes
+) -> np.ndarray:
+    """Each row is selected with probability p_m1 and each gene of a
+    selected row with probability p_m2; the chosen genes get distinct
+    questions missing from the row before mutation. When more genes are
+    chosen than questions are missing (Q - K smaller than the number
+    chosen), only the leftmost that many change. Draws one uniform per row,
+    one per gene of every row, then as ``_replace``."""
+    selected = rng.random(len(population)) < p_m1
+    mask = selected[:, None] & (rng.random(population.shape) < p_m2)
+    return _replace(population, mask, n_questions, rng)
 
 
 def random_search(ctx: CriteriaContext, k: int, seed: int = 0) -> SearchResult:
@@ -228,61 +223,39 @@ def greedy_search(ctx: CriteriaContext, k: int) -> SearchResult:
 
 
 def ga_search(ctx: CriteriaContext, cfg: GaConfig) -> SearchResult:
-    """Evolve a population of K-subsets through selection, crossover and
-    mutation for a fixed number of generations.
+    """Evolve a (P, K) population of K-subsets through selection,
+    crossover of row pairs (0, 1), (2, 3), ... and mutation for a fixed
+    number of generations.
 
-    Returns the best individual of the final population; with
-    ``track_best_ever`` it returns the best individual ever evaluated
-    instead (selection carries no elitism, so the incumbent can be lost).
+    Returns the best individual ever evaluated: selection carries no
+    elitism, so the final population can lose the incumbent.
     """
     lam = _require_lambda(ctx)
     nq = ctx.n_questions
     if cfg.k > nq:
         raise ValueError("k exceeds the number of questions")
     rng = np.random.default_rng(cfg.seed)
-    p = cfg.population_size
-
-    population: list[Individual] = [
-        [int(g) for g in rng.choice(nq, size=cfg.k, replace=False)] for _ in range(p)
-    ]
-
-    evaluations = 0
+    pairs = cfg.population_size // 2 * 2
+    population = sample_subsets(nq, cfg.k, cfg.population_size, rng)
     history: list[GenerationStats] = []
-    best_ever: Individual | None = None
-    best_ever_fit = -np.inf
-
-    def evaluate(pop: list[Individual], generation: int) -> np.ndarray:
-        nonlocal evaluations, best_ever, best_ever_fit
-        rmse, std = batch_criteria(ctx, np.asarray(pop, dtype=np.intp))
-        fits = -rmse + lam * std
-        evaluations += len(pop)
-        i = int(np.argmax(fits))
-        if fits[i] > best_ever_fit:
-            best_ever_fit = float(fits[i])
-            best_ever = list(pop[i])
-        history.append(GenerationStats(generation, float(fits[i]), float(fits.mean())))
-        return fits
-
-    fits = evaluate(population, 0)
-    for generation in range(1, cfg.generations + 1):
-        population = select(population, fits, cfg, rng)
-        for i in range(0, p - 1, 2):
-            population[i], population[i + 1] = crossover(
-                population[i], population[i + 1], cfg.p_c, nq, rng
+    best, best_fit = population[0], -np.inf
+    for generation in range(cfg.generations + 1):
+        if generation:
+            population = select(population, fits, cfg, rng)
+            population[0:pairs:2], population[1:pairs:2] = crossover(
+                population[0:pairs:2], population[1:pairs:2], cfg.p_c, nq, rng
             )
-        population = [
-            mutate(ind, cfg.p_m1, cfg.p_m2, nq, rng) for ind in population
-        ]
-        fits = evaluate(population, generation)
-
-    if cfg.track_best_ever:
-        assert best_ever is not None
-        chosen = best_ever
-    else:
-        chosen = population[int(np.argmax(fits))]
-    report = fitness(ctx, chosen)
+            population = mutate(population, cfg.p_m1, cfg.p_m2, nq, rng)
+        rmse, std = batch_criteria(ctx, population)
+        fits = -rmse + lam * std
+        i = int(np.argmax(fits))
+        if fits[i] > best_fit:
+            best, best_fit = population[i].copy(), fits[i]
+        history.append(GenerationStats(generation, float(fits[i]), float(fits.mean())))
+    genes = tuple(int(g) for g in best)
+    evaluations = cfg.population_size * (cfg.generations + 1)
     return SearchResult(
-        "ga", Assessment(tuple(chosen)), report, tuple(history), evaluations
+        "ga", Assessment(genes), fitness(ctx, genes), tuple(history), evaluations
     )
 
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .core import InteractionLog, Snapshot
+from .core import InteractionLog, Snapshot, sigmoid
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ def solve_probability(alpha, beta, c):
     ``alpha`` is question difficulty, ``beta`` the learner's skill on the
     question's concept, ``c`` the guessing floor. Accepts scalars or arrays.
     """
-    return c + (1.0 - c) * expit(np.asarray(beta) - np.asarray(alpha))
+    return c + (1.0 - c) * sigmoid(np.asarray(beta) - np.asarray(alpha))
 
 
 def simulate(cfg: SimConfig) -> tuple[SimWorld, InteractionLog, Snapshot]:

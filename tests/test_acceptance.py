@@ -170,13 +170,7 @@ def test_criterion_2_oracle_equivalence():
         random_mean = oracle.history[0].mean  # exact mean over all subsets
         ga = ga_search(
             ctx,
-            GaConfig(
-                k=3,
-                population_size=200,
-                generations=50,
-                seed=seed,
-                track_best_ever=True,
-            ),
+            GaConfig(k=3, population_size=200, generations=50, seed=seed),
         )
         greedy = greedy_search(ctx, 3)
         ga_hits += abs(ga.report.fitness - optimum) <= 1e-9
@@ -317,27 +311,28 @@ def test_criterion_5_snapshot_quality():
 # ---------------------------------------------------------------------------
 
 def _operator_sweep(n_applications: int) -> int:
+    """Apply crossover and mutation to random parent arrays; every
+    offspring row counts as one application."""
     rng = np.random.default_rng(314)
     checked = 0
     while checked < n_applications:
         nq = int(rng.integers(4, 30))
         k = int(rng.integers(2, nq + 1))
-        a = [int(g) for g in rng.choice(nq, size=k, replace=False)]
-        b = [int(g) for g in rng.choice(nq, size=k, replace=False)]
+        n = int(rng.integers(1, 9))
+        a = np.array([rng.choice(nq, size=k, replace=False) for _ in range(n)])
+        b = np.array([rng.choice(nq, size=k, replace=False) for _ in range(n)])
         c1, c2 = crossover(a, b, float(rng.random()), nq, rng)
         m1 = mutate(c1, float(rng.random()), float(rng.random()), nq, rng)
         m2 = mutate(c2, float(rng.random()), float(rng.random()), nq, rng)
-        for ind in (c1, c2, m1, m2):
-            assert len(ind) == k
-            assert len(set(ind)) == k
-            assert all(0 <= g < nq for g in ind)
-            checked += 1
-        if checked % 400 == 0:
-            pop = [a, b, c1, c2]
-            fits = [float(rng.random()) for _ in pop]
-            cfg = GaConfig(k=k, population_size=4, tournament_fraction=0.5)
-            for winner in select(pop, fits, cfg, rng):
-                assert len(set(winner)) == k
+        for pop in (c1, c2, m1, m2):
+            assert pop.shape == (n, k)
+            assert all(len(set(row)) == k for row in pop.tolist())
+            assert pop.min() >= 0 and pop.max() < nq
+            checked += n
+        pop = np.concatenate([a, b, c1, c2])
+        cfg = GaConfig(k=k, population_size=len(pop), tournament_fraction=0.5)
+        for winner in select(pop, rng.random(len(pop)), cfg, rng).tolist():
+            assert len(set(winner)) == k and winner in pop.tolist()
     return checked
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,7 +274,7 @@ class TestSearch:
         self.run_search(capsys, truth, brute_path, "--algo", "brute")
         self.run_search(
             capsys, truth, ga_path, "--algo", "ga", "--population", "100",
-            "--generations", "20", "--seed", "0", "--track-best-ever",
+            "--generations", "20", "--seed", "0",
         )
         brute = json.loads(brute_path.read_text())
         ga = json.loads(ga_path.read_text())
@@ -304,6 +308,13 @@ class TestSearch:
         assert code == 0, err
         doc = json.loads(out_path.read_text())
         assert doc["config"]["lambda"] == 0.3
+
+
+# The smallest result document evaluate accepts.
+RESULT = {
+    "config": {"ratio": 0.8, "split_seed": 0, "lambda": 0.5},
+    "selected_questions": ["q0", "q1"],
+}
 
 
 class TestEvaluate:
@@ -411,10 +422,62 @@ class TestEvaluate:
         )
         assert code == 1 and "error:" in err
 
+    def test_smallest_result_accepted(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        res_path = tmp_path / "res.json"
+        res_path.write_text(json.dumps(RESULT))
+        code, out, err = run_cli(
+            capsys, "evaluate", "--snapshot", str(truth), "--result", str(res_path)
+        )
+        assert code == 0, err
+        assert last_json(out)["selected_questions"] == ["q0", "q1"]
+
     def test_needs_genes_or_result(self, small_world, capsys):
         _, truth = small_world
         code, _, err = run_cli(capsys, "evaluate", "--snapshot", str(truth))
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({}, "result document has no 'config.ratio'"),
+            ([1, 2], "result document has no 'config.ratio'"),
+            ({"runs": []}, "result document has no runs"),
+            ({"runs": [{"train": {}}]}, "result document has no 'train.fitness'"),
+            (
+                {**RESULT, "selected_questions": "q1"},
+                "result field 'selected_questions' has the wrong type: \"q1\"",
+            ),
+            (
+                {**RESULT, "selected_questions": [1]},
+                "result field 'selected_questions' must list question ids",
+            ),
+            (
+                {**RESULT, "config": {**RESULT["config"], "lambda": "big"}},
+                "result field 'config.lambda' has the wrong type: \"big\"",
+            ),
+        ],
+        ids=["empty", "not-object", "no-runs", "run-without-fitness", "ids-string",
+             "ids-not-strings", "lambda-string"],
+    )
+    def test_malformed_result_rejected(self, small_world, tmp_path, capsys, document, message):
+        _, truth = small_world
+        res_path = tmp_path / "res.json"
+        res_path.write_text(json.dumps(document))
+        code, out, err = run_cli(
+            capsys, "evaluate", "--snapshot", str(truth), "--result", str(res_path)
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("lam", ["-1", "nan"])
+    def test_unusable_lambda_rejected(self, small_world, capsys, lam):
+        _, truth = small_world
+        code, _, err = run_cli(
+            capsys, "evaluate", "--snapshot", str(truth), "--genes", "q0,q1", "--lam", lam
+        )
+        assert code == 1
+        assert err == "error: lam must be non-negative\n"
 
 
 class TestSufficiency:
@@ -517,11 +580,25 @@ class TestConfigOverride:
 
     def test_store_true_flag_needs_bool(self, small_world, tmp_path, capsys):
         _, truth = small_world
-        code, _, err = self.run_with_config(
-            capsys, tmp_path, truth, {"track_best_ever": "yes"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"per_question": "yes"}))
+        code, _, err = run_cli(
+            capsys,
+            "sufficiency",
+            "--snapshot", str(truth),
+            "--out", str(tmp_path / "c.csv"),
+            "--config", str(cfg_path),
         )
         assert code == 1
-        assert err == "error: config key 'track_best_ever' must be true or false\n"
+        assert err == "error: config key 'per_question' must be true or false\n"
+
+    def test_removed_track_best_ever_key_rejected(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        code, _, err = self.run_with_config(
+            capsys, tmp_path, truth, {"track_best_ever": True}
+        )
+        assert code == 1
+        assert err == "error: unknown config key 'track_best_ever'\n"
 
     def test_choices_enforced(self, small_world, tmp_path, capsys):
         _, truth = small_world
@@ -532,11 +609,24 @@ class TestConfigOverride:
     def test_int_accepted_for_float_flag(self, small_world, tmp_path, capsys):
         _, truth = small_world
         code, _, err = self.run_with_config(
-            capsys, tmp_path, truth, {"lam": 1, "track-best-ever": True}
+            capsys, tmp_path, truth, {"lam": 1, "lambda-seed": 2}
         )
         assert code == 0, err
         doc = json.loads((tmp_path / "res.json").read_text())
         assert doc["config"]["lambda"] == 1.0
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import sys, diaggen.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestErrorReporting:

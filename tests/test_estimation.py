@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy.special import expit
-from scipy.stats import spearmanr
+from scipy.stats import pearsonr, spearmanr
 
 from diaggen import (
     InteractionLog,
@@ -356,6 +356,21 @@ class TestMeanPerformanceCorrelation:
         pearson, spearman = mean_performance_correlation(snap, snap)
         assert pearson == pytest.approx(1.0, abs=1e-12)
         assert spearman == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_scipy_on_tied_means(self):
+        # scores in steps of 1/2 over 3 questions give per-learner means in
+        # steps of 1/6, so 200 learners share 7 values and tie heavily
+        rng = np.random.default_rng(3)
+        qids = tuple(f"q{i}" for i in range(3))
+        lids = tuple(f"l{j}" for j in range(200))
+        predicted = Snapshot(rng.integers(0, 3, (3, 200)) / 2, qids, lids)
+        noise = rng.integers(-1, 2, (3, 200)) / 2
+        truth = Snapshot(np.clip(predicted.values + noise, 0, 1), qids, lids)
+        a, b = predicted.values.mean(axis=0), truth.values.mean(axis=0)
+        assert len(np.unique(a)) < 10 and len(np.unique(b)) < 10
+        pearson, spearman = mean_performance_correlation(predicted, truth)
+        assert abs(pearson - pearsonr(a, b).statistic) <= 1e-12
+        assert abs(spearman - spearmanr(a, b).statistic) <= 1e-12
 
     def test_aligns_by_external_id(self):
         rng = np.random.default_rng(1)

@@ -18,116 +18,160 @@ from diaggen import (
     select,
     simulate,
 )
-from diaggen.search import GaConfig, one_point_swap, tournament_size
+from diaggen.search import GaConfig, tournament_size
 
 from conftest import random_snapshot
 
 
-def distinct(individual):
-    return len(set(individual)) == len(individual)
+def rows(population):
+    return np.asarray(population).tolist()
+
+
+def all_distinct(population):
+    return all(len(set(row)) == len(row) for row in rows(population))
+
+
+def pairs(*individuals):
+    return np.array(individuals, dtype=np.intp)
 
 
 class TestCrossover:
     def test_one_point_swap(self):
-        c1, c2 = one_point_swap([1, 2, 3], [4, 5, 6], cut=1)
-        assert c1 == [1, 5, 6] and c2 == [4, 2, 3]
+        # K = 2 leaves one cut point, so the swap is deterministic
+        rng = np.random.default_rng(0)
+        c1, c2 = crossover(pairs([1, 2]), pairs([4, 5]), p_c=1.0, n_questions=10, rng=rng)
+        assert rows(c1) == [[1, 5]] and rows(c2) == [[4, 2]]
 
     def test_disjoint_parents_need_no_repair(self):
         rng = np.random.default_rng(0)
-        c1, c2 = crossover([1, 2, 3], [4, 5, 6], p_c=1.0, n_questions=10, rng=rng)
-        assert sorted(c1 + c2) == [1, 2, 3, 4, 5, 6]
-        assert distinct(c1) and distinct(c2)
+        a, b = pairs([1, 2, 3]), pairs([4, 5, 6])
+        c1, c2 = crossover(np.repeat(a, 50, 0), np.repeat(b, 50, 0), 1.0, 10, rng)
+        for x, y in zip(rows(c1), rows(c2)):
+            assert sorted(x + y) == [1, 2, 3, 4, 5, 6]
+            assert x[0] == 1 and y[0] == 4
+        assert all_distinct(c1) and all_distinct(c2)
 
     def test_reversed_parents_get_repaired(self):
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            c1, c2 = crossover([1, 2, 3], [3, 2, 1], p_c=1.0, n_questions=8, rng=rng)
-            assert len(c1) == 3 and len(c2) == 3
-            assert distinct(c1) and distinct(c2)
-            assert all(0 <= g < 8 for g in c1 + c2)
+        a, b = np.repeat(pairs([1, 2, 3]), 200, 0), np.repeat(pairs([3, 2, 1]), 200, 0)
+        c1, c2 = crossover(a, b, p_c=1.0, n_questions=8, rng=rng)
+        assert c1.shape == c2.shape == (200, 3)
+        assert all_distinct(c1) and all_distinct(c2)
+        assert c1.min() >= 0 and c2.min() >= 0 and max(c1.max(), c2.max()) < 8
 
     def test_repair_keeps_prefix(self):
         # cut at 2 gives child [5, 2, 2]; the duplicate sits in the
         # swapped-in tail, so repair must leave the prefix alone
-        from diaggen.search import _repair
-
-        child, _ = one_point_swap([5, 2, 9], [7, 1, 2], cut=2)
-        assert child == [5, 2, 2]
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            repaired = _repair(list(child), n_questions=12, rng=rng)
-            assert repaired[:2] == [5, 2]
-            assert repaired[2] not in (5, 2)
-            assert 0 <= repaired[2] < 12
+        a, b = np.repeat(pairs([5, 2, 9]), 200, 0), np.repeat(pairs([7, 1, 2]), 200, 0)
+        c1, c2 = crossover(a, b, p_c=1.0, n_questions=12, rng=rng)
+        cut_at_2 = (c2 == [7, 1, 9]).all(axis=1)
+        assert 50 < cut_at_2.sum() < 150
+        for child in rows(c1[cut_at_2]):
+            assert child[:2] == [5, 2]
+            assert child[2] not in (5, 2)
+            assert 0 <= child[2] < 12
+        assert (c1[~cut_at_2] == [5, 1, 2]).all()
+
+    def test_repair_is_uniform_over_absent_questions(self):
+        # cut at 2 gives child [0, 1, 1, 0]; it keeps its first occurrences
+        # and the two repaired genes are distinct uniform draws from the
+        # absent questions 2..7
+        rng = np.random.default_rng(2)
+        a = np.repeat(pairs([0, 1, 2, 3]), 30_000, 0)
+        b = np.repeat(pairs([4, 5, 1, 0]), 30_000, 0)
+        c1, c2 = crossover(a, b, p_c=1.0, n_questions=8, rng=rng)
+        repaired = c1[(c2 == [4, 5, 2, 3]).all(axis=1)]
+        assert len(repaired) > 9000
+        assert (repaired[:, :2] == [0, 1]).all()
+        assert (repaired[:, 2] != repaired[:, 3]).all()
+        for column in (repaired[:, 2], repaired[:, 3]):
+            freq = np.bincount(column, minlength=8) / len(column)
+            assert freq[:2].sum() == 0
+            assert np.abs(freq[2:] - 1 / 6).max() < 0.02
 
     def test_k1_is_noop(self):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        assert crossover([3], [4], p_c=1.0, n_questions=5, rng=rng) == ([3], [4])
+        c1, c2 = crossover(pairs([3]), pairs([4]), p_c=1.0, n_questions=5, rng=rng)
+        assert rows(c1) == [[3]] and rows(c2) == [[4]]
         assert rng.bit_generator.state == state  # consumed no draws
 
     def test_swap_rate_matches_p_c(self):
         # binomial(10000, 0.75): 3 sigma is about 130, the bound allows 150
         rng = np.random.default_rng(42)
-        fired = 0
-        a, b = [0, 1, 2, 3, 4], [5, 6, 7, 8, 9]
-        for _ in range(10_000):
-            c1, _ = crossover(a, b, p_c=0.75, n_questions=10, rng=rng)
-            fired += c1 != a
+        a = np.repeat(pairs([0, 1, 2, 3, 4]), 10_000, 0)
+        b = np.repeat(pairs([5, 6, 7, 8, 9]), 10_000, 0)
+        c1, _ = crossover(a, b, p_c=0.75, n_questions=10, rng=rng)
+        fired = int((c1 != a).any(axis=1).sum())
         assert abs(fired - 7500) <= 150
 
     def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError, match="equal length"):
-            crossover([1, 2], [3], p_c=1.0, n_questions=5, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="equal shape"):
+            crossover(pairs([1, 2]), pairs([3]), p_c=1.0, n_questions=5, rng=rng)
+        with pytest.raises(ValueError, match="equal shape"):
+            crossover(pairs([1, 2], [3, 4]), pairs([3, 4]), p_c=1.0, n_questions=5, rng=rng)
 
 
 class TestMutate:
     def test_never_selected_is_identity(self):
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            assert mutate([1, 2, 3], 0.0, 1.0, 10, rng) == [1, 2, 3]
+        population = np.repeat(pairs([1, 2, 3]), 100, 0)
+        assert (mutate(population, 0.0, 1.0, 10, rng) == population).all()
 
     def test_exhausted_pool_is_identity(self):
         rng = np.random.default_rng(0)
-        assert mutate([0, 1, 2], 1.0, 1.0, 3, rng) == [0, 1, 2]
+        assert rows(mutate(pairs([0, 1, 2]), 1.0, 1.0, 3, rng)) == [[0, 1, 2]]
 
     def test_replacement_avoids_existing_genes(self):
         rng = np.random.default_rng(3)
-        for _ in range(500):
-            out = mutate([0, 1, 2, 3], 1.0, 0.5, 6, rng)
-            assert distinct(out) and all(0 <= g < 6 for g in out)
+        base = np.repeat(pairs([0, 1, 2, 3]), 500, 0)
+        out = mutate(base, 1.0, 0.5, 6, rng)
+        assert all_distinct(out) and out.min() >= 0 and out.max() < 6
+        # a replaced gene never takes a value the row held before mutation
+        assert not np.isin(np.where(out != base, out, -1), [0, 1, 2, 3]).any()
+
+    def test_more_chosen_than_missing_changes_leftmost(self):
+        # Q - K = 1 missing question and every gene chosen: only the
+        # leftmost gene changes, to the one missing question
+        rng = np.random.default_rng(4)
+        assert rows(mutate(pairs([0, 1, 2]), 1.0, 1.0, 4, rng)) == [[3, 1, 2]]
 
     def test_mean_replacements(self):
         # k=10, p_m2=0.25: mean 2.5 replaced genes, 3 sigma ~ 0.05
         rng = np.random.default_rng(7)
-        base = list(range(10))
-        replaced = 0
-        for _ in range(10_000):
-            out = mutate(base, 1.0, 0.25, 50, rng)
-            replaced += sum(o != b for o, b in zip(out, base))
-        assert abs(replaced / 10_000 - 2.5) <= 0.1
+        base = np.repeat(pairs(list(range(10))), 10_000, 0)
+        out = mutate(base, 1.0, 0.25, 50, rng)
+        assert abs((out != base).sum() / 10_000 - 2.5) <= 0.1
+
+    def test_input_unchanged(self):
+        rng = np.random.default_rng(8)
+        population = np.repeat(pairs([0, 1, 2]), 10, 0)
+        mutate(population, 1.0, 1.0, 9, rng)
+        assert (population == [0, 1, 2]).all()
 
 
 class TestSelect:
     def test_sole_individual_always_wins(self):
         rng = np.random.default_rng(0)
         cfg = GaConfig(k=2, population_size=2, tournament_fraction=0.1)
-        out = select([[1, 2]], [0.5], cfg, rng)
-        assert out == [[1, 2]]
+        out = select(pairs([1, 2]), [0.5], cfg, rng)
+        assert rows(out) == [[1, 2]]
 
     def test_tournament_with_global_best_returns_it(self):
         # fraction 1.0 puts the whole population in every tournament
         rng = np.random.default_rng(0)
         cfg = GaConfig(k=2, population_size=4, tournament_fraction=1.0)
-        pop = [[0, 1], [2, 3], [4, 5], [6, 7]]
+        pop = pairs([0, 1], [2, 3], [4, 5], [6, 7])
         out = select(pop, [0.1, 0.9, 0.4, 0.2], cfg, rng)
-        assert out == [[2, 3]] * 4
+        assert rows(out) == [[2, 3]] * 4
 
     def test_tie_goes_to_lower_index(self):
         rng = np.random.default_rng(0)
         cfg = GaConfig(k=2, population_size=3, tournament_fraction=1.0)
-        out = select([[0, 1], [2, 3], [4, 5]], [0.5, 0.5, 0.5], cfg, rng)
-        assert out == [[0, 1]] * 3
+        out = select(pairs([0, 1], [2, 3], [4, 5]), [0.5, 0.5, 0.5], cfg, rng)
+        assert rows(out) == [[0, 1]] * 3
 
     def test_tournament_size_is_ten_percent(self):
         assert tournament_size(1000, 0.10) == 100
@@ -137,11 +181,31 @@ class TestSelect:
     def test_selection_preserves_individuals(self):
         rng = np.random.default_rng(5)
         cfg = GaConfig(k=3, population_size=20, tournament_fraction=0.1)
-        pop = [sorted(rng.choice(30, 3, replace=False).tolist()) for _ in range(20)]
-        fits = rng.random(20).tolist()
+        pop = pairs(*[sorted(rng.choice(30, 3, replace=False).tolist()) for _ in range(20)])
+        fits = rng.random(20)
         out = select(pop, fits, cfg, rng)
-        assert len(out) == 20
-        assert all(ind in pop for ind in out)
+        assert out.shape == (20, 3)
+        assert all(ind in rows(pop) for ind in rows(out))
+
+    def test_win_frequencies_match_per_tournament_draws(self):
+        # reference: each tournament draws its members with rng.choice and
+        # the fittest member wins, ties to the lower index; fitnesses
+        # rounded to one decimal tie often. Each frequency estimate has a
+        # standard error below 0.0014, the bound is about 5 of them.
+        p, n_rounds = 50, 1000
+        rng = np.random.default_rng(6)
+        fits = np.round(rng.random(p), 1)
+        cfg = GaConfig(k=1, population_size=p, tournament_fraction=0.1)
+        size = tournament_size(p, cfg.tournament_fraction)
+        pop = np.arange(p)[:, None]
+        won = np.concatenate([select(pop, fits, cfg, rng)[:, 0] for _ in range(n_rounds)])
+        reference = []
+        for _ in range(p * n_rounds):
+            members = np.sort(rng.choice(p, size=size, replace=False))
+            reference.append(members[np.argmax(fits[members])])
+        freq = np.bincount(won, minlength=p) / won.size
+        ref_freq = np.bincount(reference, minlength=p) / len(reference)
+        assert np.abs(freq - ref_freq).max() < 0.01
 
 
 class TestGaSearch:
@@ -150,7 +214,6 @@ class TestGaSearch:
         assert (cfg.p_c, cfg.p_m1, cfg.p_m2) == (0.75, 0.5, 0.25)
         assert cfg.population_size == 1000 and cfg.generations == 5
         assert cfg.tournament_fraction == 0.10
-        assert cfg.track_best_ever is False
 
     def test_finds_toy_optimum(self, toy_ctx):
         cfg = GaConfig(k=2, population_size=20, generations=10, seed=0)
@@ -180,21 +243,26 @@ class TestGaSearch:
         result = ga_search(toy_ctx, GaConfig(k=2, population_size=10, generations=3, seed=2))
         assert fitness(toy_ctx, result.best) == result.report
 
-    def test_track_best_ever_monotone_in_generations(self):
+    def test_best_ever_monotone_in_generations(self):
+        # a generation's draws do not depend on how many follow it, so a
+        # longer run extends a shorter one and its best-ever cannot be worse
         snap = random_snapshot(33, n_questions=15, n_learners=25)
         ctx = CriteriaContext.build(snap, range(25), lam=0.3)
         fits = []
         for n_gen in range(1, 7):
-            cfg = GaConfig(
-                k=4, population_size=12, generations=n_gen, seed=5, track_best_ever=True
-            )
+            cfg = GaConfig(k=4, population_size=12, generations=n_gen, seed=5)
             fits.append(ga_search(ctx, cfg).report.fitness)
         assert all(b >= a for a, b in zip(fits, fits[1:]))
+
+    def test_returns_best_individual_ever_evaluated(self, toy_ctx):
+        result = ga_search(toy_ctx, GaConfig(k=2, population_size=6, generations=4, seed=8))
+        best = max(stats.best for stats in result.history)
+        assert result.report.fitness == pytest.approx(best, abs=1e-12)
 
     def test_population_invariants_hold_every_generation(self, toy_ctx):
         # distinct valid genes in every recorded best of every generation
         result = ga_search(toy_ctx, GaConfig(k=2, population_size=8, generations=4, seed=3))
-        assert distinct(result.best.genes)
+        assert all_distinct([result.best.genes])
         assert all(0 <= g < 4 for g in result.best.genes)
 
     def test_k_too_large(self, toy_ctx):
@@ -318,16 +386,17 @@ class TestOperatorInvariants:
     def test_randomized_operator_applications(self):
         # a fast version of the full invariant sweep in the acceptance suite
         rng = np.random.default_rng(99)
-        for _ in range(500):
+        for _ in range(100):
             nq = int(rng.integers(4, 20))
             k = int(rng.integers(2, nq + 1))
-            a = sorted(rng.choice(nq, k, replace=False).tolist())
-            b = sorted(rng.choice(nq, k, replace=False).tolist())
+            n = int(rng.integers(1, 10))
+            a = pairs(*[sorted(rng.choice(nq, k, replace=False).tolist()) for _ in range(n)])
+            b = pairs(*[sorted(rng.choice(nq, k, replace=False).tolist()) for _ in range(n)])
             c1, c2 = crossover(a, b, float(rng.random()), nq, rng)
             m = mutate(c1, float(rng.random()), float(rng.random()), nq, rng)
-            for ind in (c1, c2, m):
-                assert len(ind) == k and distinct(ind)
-                assert all(0 <= g < nq for g in ind)
+            for pop in (c1, c2, m):
+                assert pop.shape == (n, k) and all_distinct(pop)
+                assert pop.min() >= 0 and pop.max() < nq
 
 
 class TestAlgorithmOrdering:
@@ -347,13 +416,7 @@ class TestAlgorithmOrdering:
                     [
                         ga_search(
                             ctx,
-                            GaConfig(
-                                k=5,
-                                population_size=300,
-                                generations=10,
-                                seed=s,
-                                track_best_ever=True,
-                            ),
+                            GaConfig(k=5, population_size=300, generations=10, seed=s),
                         ).report.fitness
                         for s in range(3)
                     ]
