@@ -91,6 +91,8 @@ class CriteriaContext:
     def with_lambda(self, lam: float) -> "CriteriaContext":
         if not lam >= 0:
             raise ValueError("lam must be non-negative")
+        if not np.isfinite(lam):
+            raise ValueError("lam must be finite")
         return dataclasses.replace(self, lam=float(lam))
 
     @property

@@ -10,6 +10,10 @@ sigmoid(ability - difficulty). One Newton solver serves both the joint fit
 (``fit_abilities``); it alternates diagonal Newton steps on the two blocks
 with step halving, and fixes the scale the likelihood leaves free by the
 penalty-minimising shift, so sum(theta) + sum(b) = 0 at every iterate.
+Each trial point costs one pass over the records, which yields both the
+objective and the probabilities sigmoid(theta - b); the accepted trial's
+probabilities drive the next Newton step, and the shift, which leaves
+theta - b alone, re-evaluates only the penalty.
 
 Also implements the learner-count sufficiency analysis: how much the mean
 learner performance of a snapshot moves as learners are added, used to pick
@@ -73,54 +77,82 @@ def _newton(
     objective does not rise. Fitting both blocks, the iteration ends by
     shifting theta and b by the same constant: the likelihood depends only
     on theta - b, so the shift that zeroes sum(theta) + sum(b) minimises the
-    penalty along the one direction the likelihood leaves flat. Converges
-    when no parameter moves by ``tol`` or more in an iteration; stops
-    unconverged after ``max_epochs`` iterations, or when no step size
-    keeps the objective from rising. Returns (theta, b, objective history,
-    converged).
+    penalty along the one direction the likelihood leaves flat, and only the
+    penalty is evaluated again. Converges when no parameter moves by ``tol``
+    or more in an iteration; stops unconverged after ``max_epochs``
+    iterations, or when no step size keeps the objective from rising.
+    Returns (theta, b, objective history, converged).
     """
     flip = 1.0 - 2.0 * y
+    # Record-length work buffers, written in place: a fresh temporary of
+    # this size costs more in page faults than the arithmetic done on it.
+    z, e, p, work = (np.empty(y.size) for _ in range(4))
 
-    def objective(theta: np.ndarray, b: np.ndarray) -> float:
-        nll = np.logaddexp(0.0, flip * (theta[l_idx] - b[q_idx])).sum()
-        return float(nll + 0.5 * reg * (theta @ theta + b @ b))
+    def penalty(theta: np.ndarray, b: np.ndarray) -> float:
+        return 0.5 * reg * float(theta @ theta + b @ b)
+
+    def evaluate(theta: np.ndarray, b: np.ndarray) -> float:
+        """The NLL of the records at (theta, b), leaving sigmoid(theta - b)
+        in ``p``.
+
+        With z = theta - b and e = exp(-|z|), a record's NLL is
+        log1p(e) + max(flip * z, 0), a sum of two non-negative terms, and
+        sigmoid(z) is 1 / (1 + e) for z >= 0 and e / (1 + e) below.
+        """
+        # mode="clip" skips the bounds check; the indices come from the pool.
+        np.take(theta, l_idx, out=z, mode="clip")
+        np.subtract(z, np.take(b, q_idx, out=work, mode="clip"), out=z)
+        np.abs(z, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        nll = float(np.log1p(e, out=work).sum())
+        np.multiply(flip, z, out=work)
+        nll += float(np.maximum(work, 0.0, out=work).sum())
+        # e <= 1, so max(z >= 0, e) is 1 for z >= 0 and e below.
+        np.maximum(np.greater_equal(z, 0.0, out=work), e, out=work)
+        np.divide(work, np.add(e, 1.0, out=p), out=p)
+        return nll
 
     def newton_step(theta, b, on_b):
-        """Diagonal Newton step on theta, or on b when ``on_b``."""
+        """Diagonal Newton step on theta, or on b when ``on_b``, from the
+        probabilities in ``p``."""
         index, value, sign = (q_idx, b, -1.0) if on_b else (l_idx, theta, 1.0)
-        p = sigmoid(theta[l_idx] - b[q_idx])
-        grad = sign * np.bincount(index, weights=p - y, minlength=value.size) + reg * value
-        return -grad / (np.bincount(index, weights=p * (1.0 - p), minlength=value.size) + reg)
+        grad = np.bincount(index, weights=np.subtract(p, y, out=work), minlength=value.size)
+        grad = sign * grad + reg * value
+        np.multiply(np.subtract(1.0, p, out=work), p, out=work)
+        return -grad / (np.bincount(index, weights=work, minlength=value.size) + reg)
 
     def descend(theta, b, d_theta, d_b, nll):
         """The first of t = 1, 1/2, 1/4, ... at which the objective does not
-        rise: (theta + t d_theta, b + t d_b, objective), or None."""
+        rise: (theta + t d_theta, b + t d_b, record NLL, objective), or
+        None. ``p`` is left at the accepted point."""
         t = 1.0
         while t > 1e-12:
             trial = (theta + t * d_theta, b + t * d_b)
-            value = objective(*trial)
+            loss = evaluate(*trial)
+            value = loss + penalty(*trial)
             if value <= nll + 1e-9:
-                return *trial, value
+                return *trial, loss, value
             t /= 2.0
         return None
 
     theta = np.zeros(n_learners)
-    nll = objective(theta, b)
+    nll = evaluate(theta, b) + penalty(theta, b)
     history = [nll]
     for _ in range(max_epochs):
         start_theta, start_b = theta, b
         moved = descend(theta, b, newton_step(theta, b, on_b=False), 0.0, nll)
         if moved is None:
             break
-        theta, b, nll = moved
+        theta, b, loss, nll = moved
         if fit_b:
             moved = descend(theta, b, 0.0, newton_step(theta, b, on_b=True), nll)
             if moved is None:
                 break
-            theta, b, nll = moved
+            theta, b, loss, nll = moved
             shift = -(theta.sum() + b.sum()) / (theta.size + b.size)
             theta, b = theta + shift, b + shift
-            nll = objective(theta, b)
+            nll = loss + penalty(theta, b)
         history.append(nll)
         change = max(np.abs(theta - start_theta).max(), np.abs(b - start_b).max())
         if change < tol:
@@ -276,11 +308,36 @@ def _count_grid(n_learners: int, step: int) -> list[int]:
     return grid
 
 
-def _choose_n(counts: Sequence[int], deltas: np.ndarray, epsilon: float, window: int) -> int | None:
+def _sufficiency(
+    values: np.ndarray, step: int, epsilon: float, window: int, seed: int
+) -> SufficiencyCurve:
+    """The curve of the running means of each row of ``values`` (rows x
+    learners): learners are shuffled once by the seed, and the delta at a
+    grid count is the largest change of any row's mean since the previous
+    grid count."""
+    if step < 1:
+        raise ValueError("step must be at least 1")
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    rng = np.random.default_rng(seed)
+    shuffled = values[:, rng.permutation(values.shape[1])]
+    grid = _count_grid(values.shape[1], step)
+    if len(grid) < 2:
+        return SufficiencyCurve(counts=(), deltas=(), chosen_n=None)
+    csum = np.cumsum(shuffled, axis=1)
+    means = csum[:, np.asarray(grid) - 1] / np.asarray(grid, dtype=float)
+    deltas = np.abs(np.diff(means, axis=1)).max(axis=0)
+    counts = grid[1:]
+    chosen = None
     for i in range(len(deltas) - window + 1):
         if np.all(deltas[i : i + window] < epsilon):
-            return int(counts[i])
-    return None
+            chosen = int(counts[i])
+            break
+    return SufficiencyCurve(
+        counts=tuple(counts), deltas=tuple(float(d) for d in deltas), chosen_n=chosen
+    )
 
 
 def sufficiency_curve(
@@ -295,28 +352,10 @@ def sufficiency_curve(
     Learners are shuffled once by the seed, then the running mean of
     per-learner average performance is computed at each multiple of
     ``step`` (plus the full count). The curve starts at the second grid
-    point, the first one at which a change is defined.
+    point, the first one at which a change is defined. ``step`` and
+    ``window`` must be at least 1 and ``epsilon`` positive.
     """
-    if step < 1:
-        raise ValueError("step must be at least 1")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    rng = np.random.default_rng(seed)
-    perf = snapshot.values.mean(axis=0)
-    shuffled = perf[rng.permutation(perf.size)]
-    grid = _count_grid(perf.size, step)
-    if len(grid) < 2:
-        return SufficiencyCurve(counts=(), deltas=(), chosen_n=None)
-    csum = np.cumsum(shuffled)
-    means = csum[np.asarray(grid) - 1] / np.asarray(grid, dtype=float)
-    deltas = np.abs(np.diff(means))
-    counts = grid[1:]
-    chosen = _choose_n(counts, deltas, epsilon, window)
-    return SufficiencyCurve(
-        counts=tuple(counts), deltas=tuple(float(d) for d in deltas), chosen_n=chosen
-    )
+    return _sufficiency(snapshot.values.mean(axis=0)[None, :], step, epsilon, window, seed)
 
 
 def per_question_sufficiency_curve(
@@ -330,23 +369,10 @@ def per_question_sufficiency_curve(
 
     The delta at each count is the largest per-question mean change, so
     ``chosen_n`` marks the count from which all questions are stable.
+    Learners are shuffled as in ``sufficiency_curve`` and the arguments
+    are checked alike.
     """
-    if step < 1:
-        raise ValueError("step must be at least 1")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(snapshot.n_learners)
-    shuffled = snapshot.values[:, order]
-    grid = _count_grid(snapshot.n_learners, step)
-    if len(grid) < 2:
-        return SufficiencyCurve(counts=(), deltas=(), chosen_n=None)
-    csum = np.cumsum(shuffled, axis=1)
-    means = csum[:, np.asarray(grid) - 1] / np.asarray(grid, dtype=float)
-    deltas = np.abs(np.diff(means, axis=1)).max(axis=0)
-    counts = grid[1:]
-    chosen = _choose_n(counts, deltas, epsilon, window)
-    return SufficiencyCurve(
-        counts=tuple(counts), deltas=tuple(float(d) for d in deltas), chosen_n=chosen
-    )
+    return _sufficiency(snapshot.values, step, epsilon, window, seed)
 
 
 def mean_performance_correlation(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
@@ -83,12 +84,52 @@ def write_snapshot(snapshot: Snapshot, path: str | Path) -> None:
 
 def read_snapshot(path: str | Path) -> Snapshot:
     """Parse a snapshot CSV; rejects ragged rows and out-of-range values,
-    naming the offending cell."""
+    naming the offending cell.
+
+    The body is parsed in one pass by ``np.loadtxt``. When that pass fails
+    or yields anything but a full table of values in [0, 1], the file is
+    read again row by row; that loop decides what is accepted and names
+    the first bad line.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = _snapshot_header(csv.reader(fh))
+        question_ids: list[str] = []
+
+        def question_id(cell: str) -> float:
+            question_ids.append(cell)
+            return 0.0
+
+        try:
+            with warnings.catch_warnings():
+                # An empty body is reported by the row loop instead.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(
+                    fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                    converters={0: question_id},
+                )
+        except ValueError:
+            table = None
+    if table is not None and len(table) and table.shape[1] == len(header):
+        values = table[:, 1:]
+        if values.min() >= 0.0 and values.max() <= 1.0:
+            return Snapshot(
+                values=values, question_ids=tuple(question_ids), learner_ids=tuple(header[1:])
+            )
+    return _read_snapshot_rows(path)
+
+
+def _snapshot_header(reader: Iterator[list[str]]) -> list[str]:
+    header = next(reader, None)
+    if not header or header[0] != "question_id" or len(header) < 2:
+        raise ValueError("bad header: expected question_id,<learner ids>")
+    return header
+
+
+def _read_snapshot_rows(path: str | Path) -> Snapshot:
+    """``read_snapshot`` one row at a time, checking each row as it comes."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "question_id" or len(header) < 2:
-            raise ValueError("bad header: expected question_id,<learner ids>")
+        header = _snapshot_header(reader)
         learner_ids = tuple(header[1:])
         question_ids: list[str] = []
         rows: list[np.ndarray] = []
@@ -126,7 +167,7 @@ def read_snapshot(path: str | Path) -> Snapshot:
 
 
 def _is_number(cell: str) -> bool:
-    """Whether the conversion ``read_snapshot`` uses accepts the cell."""
+    """Whether the conversion the row loop uses accepts the cell."""
     try:
         np.array([cell], dtype=np.float64)
     except ValueError:

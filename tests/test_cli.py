@@ -309,6 +309,15 @@ class TestSearch:
         doc = json.loads(out_path.read_text())
         assert doc["config"]["lambda"] == 0.3
 
+    def test_infinite_lambda_rejected(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        out_path = tmp_path / "res.json"
+        code, out, err = self.run_search(
+            capsys, truth, out_path, "--algo", "greedy", "--lam", "inf",
+        )
+        assert (code, out, err) == (1, "", "error: lam must be finite\n")
+        assert not out_path.exists()
+
 
 # The smallest result document evaluate accepts.
 RESULT = {
@@ -456,9 +465,14 @@ class TestEvaluate:
                 {**RESULT, "config": {**RESULT["config"], "lambda": "big"}},
                 "result field 'config.lambda' has the wrong type: \"big\"",
             ),
+            (
+                # json writes Infinity, which json.load reads back as inf
+                {**RESULT, "config": {**RESULT["config"], "lambda": float("inf")}},
+                "lam must be finite",
+            ),
         ],
         ids=["empty", "not-object", "no-runs", "run-without-fitness", "ids-string",
-             "ids-not-strings", "lambda-string"],
+             "ids-not-strings", "lambda-string", "lambda-infinite"],
     )
     def test_malformed_result_rejected(self, small_world, tmp_path, capsys, document, message):
         _, truth = small_world
@@ -470,14 +484,22 @@ class TestEvaluate:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("lam", ["-1", "nan"])
-    def test_unusable_lambda_rejected(self, small_world, capsys, lam):
+    @pytest.mark.parametrize(
+        "lam, message",
+        [
+            ("-1", "lam must be non-negative"),
+            ("nan", "lam must be non-negative"),
+            ("inf", "lam must be finite"),
+        ],
+        ids=["-1", "nan", "inf"],
+    )
+    def test_unusable_lambda_rejected(self, small_world, capsys, lam, message):
         _, truth = small_world
         code, _, err = run_cli(
             capsys, "evaluate", "--snapshot", str(truth), "--genes", "q0,q1", "--lam", lam
         )
         assert code == 1
-        assert err == "error: lam must be non-negative\n"
+        assert err == f"error: {message}\n"
 
 
 class TestSufficiency:
@@ -510,6 +532,32 @@ class TestSufficiency:
             "--out", str(tmp_path / "c.csv"),
         )
         assert code == 0, err
+
+
+    @pytest.mark.parametrize("per_question", [False, True], ids=["overall", "per-question"])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (("--step", "0"), "step must be at least 1"),
+            (("--window", "0"), "window must be at least 1"),
+            (("--epsilon", "0"), "epsilon must be positive"),
+            (("--epsilon", "-1"), "epsilon must be positive"),
+            (("--epsilon", "nan"), "epsilon must be positive"),
+        ],
+        ids=["step-0", "window-0", "epsilon-0", "epsilon-negative", "epsilon-nan"],
+    )
+    def test_bad_settings_rejected(
+        self, small_world, tmp_path, capsys, per_question, setting, message
+    ):
+        _, truth = small_world
+        out_path = tmp_path / "c.csv"
+        flags = ["--per-question"] if per_question else []
+        code, out, err = run_cli(
+            capsys, "sufficiency", "--snapshot", str(truth), "--out", str(out_path),
+            *setting, *flags,
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_path.exists()
 
 
 class TestConfigOverride:

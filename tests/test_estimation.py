@@ -13,7 +13,8 @@ from diaggen import (
     rasch_snapshot,
     sufficiency_curve,
 )
-from diaggen.estimation import per_question_sufficiency_curve
+from diaggen.core import to_index_arrays
+from diaggen.estimation import _newton, per_question_sufficiency_curve
 
 
 def make_log(triples):
@@ -51,6 +52,13 @@ def penalized_gradient(model, log):
         np.array([grad_theta[l] + model.reg * theta[l] for l in model.learner_ids]),
         np.array([grad_b[q] + model.reg * b[q] for q in model.question_ids]),
     )
+
+
+def reference_objective(theta, b, l_idx, q_idx, y, reg):
+    """The penalized NLL of the records, each term by ``np.logaddexp``."""
+    z = theta[l_idx] - b[q_idx]
+    nll = np.logaddexp(0.0, np.where(y == 1.0, -z, z)).sum()
+    return nll + 0.5 * reg * (theta @ theta + b @ b)
 
 
 class TestCorrectRatioSnapshot:
@@ -181,6 +189,57 @@ class TestFitRasch:
         model = fit_rasch(bernoulli_log(rng.standard_normal(40), rng.standard_normal(15), 5))
         nll = np.asarray(model.nll_history)
         assert np.all(np.diff(nll) <= 1e-9)
+
+    @pytest.mark.parametrize(
+        "answers, reg",
+        [
+            ("mixed", 1e-4),
+            # With a negligible penalty the objective is the records' NLL
+            # alone, about exp(-40) per record, so a cancelling sum shows.
+            ("all right", 1e-30),
+            ("all wrong", 1e-30),
+        ],
+    )
+    def test_objective_matches_logaddexp_far_from_zero(self, answers, reg):
+        # Frozen difficulties put every record at |theta - b| > 40 at the
+        # start, theta = 0.
+        b = np.array([-60.3, -45.1, -41.7, 41.7, 45.1, 60.3])
+        n_learners = 3
+        l_idx = np.repeat(np.arange(n_learners), b.size)
+        q_idx = np.tile(np.arange(b.size), n_learners)
+        if answers == "mixed":
+            # learner 0 answers everything right, learner 1 nothing
+            y = np.concatenate([np.ones(b.size), np.zeros(b.size), np.arange(b.size) % 2.0])
+        else:
+            keep = b < 0 if answers == "all right" else b > 0
+            l_idx, q_idx = l_idx[keep[q_idx]], q_idx[keep[q_idx]]
+            y = np.full(l_idx.size, float(answers == "all right"))
+        theta, _, history, _ = _newton(
+            l_idx, q_idx, y, b,
+            n_learners=n_learners, reg=reg, max_epochs=3, tol=1e-6, fit_b=False,
+        )
+        start = reference_objective(np.zeros(n_learners), b, l_idx, q_idx, y, reg)
+        assert history[0] == pytest.approx(start, rel=1e-12, abs=0)
+        end = reference_objective(theta, b, l_idx, q_idx, y, reg)
+        assert history[-1] == pytest.approx(end, rel=1e-12, abs=0)
+
+    def test_history_ends_at_reference_objective(self):
+        rng = np.random.default_rng(13)
+        triples = [
+            (f"l{l}", f"q{q}", int(rng.random() < 0.5), q) for l in range(40) for q in range(10)
+        ]
+        # one learner gets everything right and one everything wrong
+        triples += [(who, f"q{q}", int(who == "ace"), q) for who in ("ace", "dud") for q in range(10)]
+        log = make_log(triples)
+        model = fit_rasch(log)
+        assert model.converged
+        l_idx, q_idx, y = to_index_arrays(
+            log,
+            {qid: i for i, qid in enumerate(model.question_ids)},
+            {lid: i for i, lid in enumerate(model.learner_ids)},
+        )
+        want = reference_objective(model.theta, model.b, l_idx, q_idx, y, model.reg)
+        assert model.nll_history[-1] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_all_correct_learner_gets_max_theta(self):
         rng = np.random.default_rng(9)
@@ -337,12 +396,32 @@ class TestSufficiencyCurve:
 
     def test_validation(self):
         snap = Snapshot(np.full((1, 4), 0.5), ("q0",), tuple(f"l{j}" for j in range(4)))
-        with pytest.raises(ValueError):
-            sufficiency_curve(snap, step=0)
-        with pytest.raises(ValueError):
-            sufficiency_curve(snap, step=1, epsilon=0.0)
-        with pytest.raises(ValueError):
-            sufficiency_curve(snap, step=1, window=0)
+        for curve in (sufficiency_curve, per_question_sufficiency_curve):
+            with pytest.raises(ValueError, match="step must be at least 1"):
+                curve(snap, step=0)
+            for epsilon in (0.0, -1.0, float("nan")):
+                with pytest.raises(ValueError, match="epsilon must be positive"):
+                    curve(snap, step=1, epsilon=epsilon)
+            with pytest.raises(ValueError, match="window must be at least 1"):
+                curve(snap, step=1, window=0)
+
+    def test_overall_curve_is_running_mean_of_learner_means(self):
+        rng = np.random.default_rng(4)
+        snap = Snapshot(
+            rng.random((7, 503)),
+            tuple(f"q{i}" for i in range(7)),
+            tuple(f"l{j}" for j in range(503)),
+        )
+        curve = sufficiency_curve(snap, step=50, epsilon=2e-3, window=2, seed=9)
+        perf = snap.values.mean(axis=0)
+        shuffled = perf[np.random.default_rng(9).permutation(perf.size)]
+        counts = [*range(50, 503, 50), 503]
+        means = [shuffled[:n].cumsum()[-1] / n for n in counts]
+        deltas = [abs(b - a) for a, b in zip(means, means[1:])]
+        assert curve.counts == tuple(counts[1:])
+        assert curve.deltas == tuple(deltas)
+        settled = (n for i, n in enumerate(counts[1:-1]) if max(deltas[i : i + 2]) < 2e-3)
+        assert curve.chosen_n == next(settled, None)
 
 
 class TestMeanPerformanceCorrelation:

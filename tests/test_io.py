@@ -1,7 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diaggen import (
     CriteriaContext,
@@ -14,6 +17,7 @@ from diaggen import (
 )
 from diaggen.cli import main
 from diaggen.io import (
+    _read_snapshot_rows,
     read_interactions,
     read_snapshot,
     result_record,
@@ -108,36 +112,128 @@ class TestSnapshotRoundTrip:
         assert back.learner_ids == truth.learner_ids
         assert np.abs(back.values - truth.values).max() <= 5e-7
 
-    def test_out_of_range_value_rejected(self, tmp_path):
+    def rejects(self, tmp_path, text, message):
+        """Both the one-pass parse and the row loop raise exactly ``message``."""
         path = tmp_path / "snap.csv"
-        path.write_text("question_id,l0\nq0,1.000001\n")
-        with pytest.raises(ValueError, match="out of range"):
-            read_snapshot(path)
+        path.write_bytes(text.encode())
+        for read in (read_snapshot, _read_snapshot_rows):
+            with pytest.raises(ValueError) as info:
+                read(path)
+            assert str(info.value) == message
+
+    def test_out_of_range_value_rejected(self, tmp_path):
+        self.rejects(
+            tmp_path,
+            "question_id,l0\nq0,1.000001\n",
+            "value 1.000001 out of range [0, 1] at line 2, learner 'l0'",
+        )
 
     def test_nan_cell_rejected(self, tmp_path):
-        path = tmp_path / "snap.csv"
-        path.write_text("question_id,l0,l1\nq0,0.5,0.5\nq1,0.5,nan\n")
-        message = r"value nan out of range \[0, 1\] at line 3, learner 'l1'"
-        with pytest.raises(ValueError, match=message):
-            read_snapshot(path)
+        self.rejects(
+            tmp_path,
+            "question_id,l0,l1\nq0,0.5,0.5\nq1,0.5,nan\n",
+            "value nan out of range [0, 1] at line 3, learner 'l1'",
+        )
 
     def test_non_numeric_cell_named(self, tmp_path):
-        path = tmp_path / "snap.csv"
-        path.write_text("question_id,l0,l1\nq0,0.5,oops\n")
-        with pytest.raises(ValueError, match=r"line 2.*l1"):
-            read_snapshot(path)
+        self.rejects(
+            tmp_path,
+            "question_id,l0,l1\nq0,0.5,oops\n",
+            "non-numeric value 'oops' at line 2, learner 'l1'",
+        )
 
     def test_ragged_row_rejected(self, tmp_path):
-        path = tmp_path / "snap.csv"
-        path.write_text("question_id,l0,l1\nq0,0.5\n")
-        with pytest.raises(ValueError, match="ragged"):
-            read_snapshot(path)
+        self.rejects(
+            tmp_path,
+            "question_id,l0,l1\nq0,0.5\n",
+            "ragged row: expected 3 fields, got 2 (line 2)",
+        )
+
+    def test_whitespace_only_line_is_ragged(self, tmp_path):
+        self.rejects(
+            tmp_path,
+            "question_id,l0\nq0,0.5\n  \nq1,0.5\n",
+            "ragged row: expected 2 fields, got 1 (line 3)",
+        )
+
+    def test_extra_trailing_field_rejected(self, tmp_path):
+        self.rejects(
+            tmp_path,
+            "question_id,l0,l1\nq0,0.5,0.5\nq1,0.5,0.5,\n",
+            "ragged row: expected 3 fields, got 4 (line 3)",
+        )
 
     def test_empty_body_rejected(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.rejects(tmp_path, "question_id,l0\n", "snapshot file has no data rows")
+            self.rejects(tmp_path, "question_id,l0\n\n\r\n", "snapshot file has no data rows")
+
+    def test_bad_header_rejected(self, tmp_path):
+        self.rejects(
+            tmp_path, "question,l0\nq0,0.5\n", "bad header: expected question_id,<learner ids>"
+        )
+
+    def test_hash_in_id_is_data(self, tmp_path):
         path = tmp_path / "snap.csv"
-        path.write_text("question_id,l0\n")
-        with pytest.raises(ValueError, match="no data rows"):
-            read_snapshot(path)
+        path.write_text("question_id,#l0\n#q0,0.25\nq#1,0.5\n")
+        snap = read_snapshot(path)
+        assert snap.question_ids == ("#q0", "q#1") and snap.learner_ids == ("#l0",)
+        assert snap.values.tolist() == [[0.25], [0.5]]
+
+    def test_row_loop_spelling_accepted(self, tmp_path):
+        # Python's float() reads digit-group underscores; the one-pass parse
+        # does not, so the file is read by the row loop.
+        path = tmp_path / "snap.csv"
+        path.write_text("question_id,l0,l1\nq0,0.000_1,1\n")
+        assert read_snapshot(path).values.tolist() == [[0.0001, 1.0]]
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_equals_row_loop(self, tmp_path_factory, data):
+        ids = st.text(alphabet='aZ09 ,"#\n\r\t;.-_é', max_size=6)
+        n_learners = data.draw(st.integers(1, 4), label="learners")
+        n_questions = data.draw(st.integers(1, 4), label="questions")
+        learner_ids = data.draw(st.lists(ids, min_size=n_learners, max_size=n_learners))
+        question_ids = data.draw(st.lists(ids, min_size=n_questions, max_size=n_questions))
+        cell = st.one_of(
+            st.sampled_from(["0", "1", "0.0", "1.0", "1e0", "0e5", "5E-1", " 0.25 ", "-0"]),
+            st.builds(
+                lambda x, fmt: fmt % x,
+                st.floats(0.0, 1.0),
+                st.sampled_from(["%.6f", "%r", "%.17g", "%e", "%.3E", "%g"]),
+            ),
+        )
+        rows = [
+            [qid, *data.draw(st.lists(cell, min_size=n_learners, max_size=n_learners))]
+            for qid in question_ids
+        ]
+        terminator = data.draw(st.sampled_from(["\n", "\r\n"]), label="line end")
+        quote_all = data.draw(st.booleans(), label="quote every field")
+
+        def line(fields):
+            return ",".join(
+                '"' + f.replace('"', '""') + '"'
+                if quote_all or any(c in f for c in ',"\r\n')
+                else f
+                for f in fields
+            ) + terminator
+
+        text = line(["question_id", *learner_ids])
+        for row in rows:
+            if data.draw(st.booleans(), label="blank line before row"):
+                text += terminator
+            text += line(row)
+        path = tmp_path_factory.mktemp("snap") / "snap.csv"
+        path.write_bytes(text.encode())
+
+        want = _read_snapshot_rows(path)
+        assert want.question_ids == tuple(question_ids)
+        assert want.learner_ids == tuple(learner_ids)
+        got = read_snapshot(path)
+        assert got.question_ids == want.question_ids
+        assert got.learner_ids == want.learner_ids
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestResultDocument:
