@@ -4,7 +4,6 @@ learner-performance snapshots."""
 from .core import (
     Assessment,
     InteractionLog,
-    LearnerSplit,
     Snapshot,
     build_pool,
     split_learners,
@@ -14,8 +13,6 @@ from .criteria import (
     FitnessReport,
     calibrate_lambda,
     combined,
-    discrepancy,
-    discrimination,
     fitness,
 )
 from .estimation import (
@@ -39,7 +36,7 @@ from .search import (
     random_search,
     select,
 )
-from .simulator import SimConfig, SimWorld, simulate, solve_probability
+from .simulator import SimConfig, simulate, solve_probability
 
 __version__ = "0.1.0"
 
@@ -49,11 +46,9 @@ __all__ = [
     "FitnessReport",
     "GaConfig",
     "InteractionLog",
-    "LearnerSplit",
     "RaschModel",
     "SearchResult",
     "SimConfig",
-    "SimWorld",
     "Snapshot",
     "SufficiencyCurve",
     "brute_force",
@@ -62,8 +57,6 @@ __all__ = [
     "combined",
     "correct_ratio_snapshot",
     "crossover",
-    "discrepancy",
-    "discrimination",
     "fit_abilities",
     "fit_rasch",
     "fitness",

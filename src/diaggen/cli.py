@@ -188,12 +188,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     snapshot = read_snapshot(args.snapshot)
     split = split_learners(range(snapshot.n_learners), args.ratio, args.split_seed)
     train_ctx = CriteriaContext.build(snapshot, split.train)
-    if args.lam is not None:
-        lam = args.lam
-    else:
-        lam = calibrate_lambda(
-            train_ctx, args.k, n_samples=args.samples, seed=args.lambda_seed
-        )
+    lam = args.lam
+    if lam is None:
+        lam = calibrate_lambda(train_ctx, args.k, n_samples=args.samples, seed=args.lambda_seed)
     train_ctx = train_ctx.with_lambda(lam)
     test_ctx = CriteriaContext.build(snapshot, split.test, lam=lam)
 

@@ -1,27 +1,25 @@
 """Scoring of candidate assessments against a snapshot.
 
-Two criteria are combined into one scalar objective:
+An assessment (a subset of the question pool) has two criteria:
 
-* discrepancy: RMSE across learners between the mean score on the whole
-  question pool and the mean score on the selected subset (lower is
-  better, the subset represents the pool),
-* discrimination: population standard deviation across learners of the
-  subset mean score (higher is better, the subset separates strong from
-  weak learners).
+* rmse: RMSE across learners between the mean score on the whole pool and
+  the mean score on the subset (lower is better: the subset represents the
+  pool),
+* std: population standard deviation across learners of the subset mean
+  score (higher is better: the subset separates strong from weak learners).
 
-fitness = -discrepancy + lam * discrimination, where lam rescales the two
-criteria to comparable magnitude. lam is calibrated as the ratio of the
-average discrepancy to the average discrimination over uniformly random
+``combined`` is the objective, -rmse plus lam times std. lam is calibrated
+as the ratio of the average rmse to the average std over uniformly random
 subsets, which places "no better than a random subset" at fitness zero.
+The two scoring entry points are ``fitness``, which scores one assessment
+on a context with a calibrated lam, and ``batch_criteria``, which gives
+(rmse, std) for many assessments, one per row.
 
 Both criteria are quadratic in the subset indicator, so two Q x Q
 statistics of the training matrix X (Q questions x L learners) are all
 scoring needs. With D = X minus each learner's pool mean and Xc = X minus
 each question's mean, H = D D^T / L and C = Xc Xc^T / L, and for a subset
-S of K questions
-
-    discrepancy^2 = sum(H[S, S]) / K^2,  discrimination^2 = sum(C[S, S]) / K^2.
-
+S of K questions rmse^2 = sum(H[S, S]) / K^2 and std^2 = sum(C[S, S]) / K^2.
 Scoring one subset costs O(K^2), independent of the number of learners.
 """
 
@@ -49,7 +47,7 @@ class FitnessReport:
 
     def __post_init__(self) -> None:
         if abs(self.fitness - combined(self.rmse, self.std, self.lam)) > 1e-12:
-            raise ValueError("fitness does not equal -rmse + lam * std")
+            raise ValueError("fitness does not match rmse, std and lam")
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,8 @@ class CriteriaContext:
         spread = xc @ xc.T / len(learners)
         gap.flags.writeable = False
         spread.flags.writeable = False
-        return cls(lam=lam, gap=gap, spread=spread)
+        ctx = cls(lam=None, gap=gap, spread=spread)
+        return ctx if lam is None else ctx.with_lambda(lam)
 
     def with_lambda(self, lam: float) -> "CriteriaContext":
         if not lam >= 0:
@@ -100,17 +99,38 @@ class CriteriaContext:
         return self.gap.shape[0]
 
 
-def combined(rmse: float, std: float, lam: float) -> float:
-    """The scalar objective: -rmse + lam * std."""
+def combined(
+    rmse: float | np.ndarray, std: float | np.ndarray, lam: float
+) -> float | np.ndarray:
+    """The objective, of one (rmse, std) pair or of arrays of them:
+    -rmse + lam * std."""
     return -rmse + lam * std
 
 
-def _sorted_rows(ctx: CriteriaContext, idx: np.ndarray) -> np.ndarray:
-    """Validated gene rows, each sorted.
+def _lambda(ctx: CriteriaContext) -> float:
+    """The context's lam, which scoring a fitness requires."""
+    if ctx.lam is None:
+        raise ValueError("context has no lam; calibrate it first")
+    return ctx.lam
+
+
+def _check_k(ctx: CriteriaContext, k: int) -> None:
+    """Reject an assessment size the context's question pool cannot hold."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if k > ctx.n_questions:
+        raise ValueError("k exceeds the number of questions")
+
+
+def _sorted_rows(ctx: CriteriaContext, genes_matrix: np.ndarray) -> np.ndarray:
+    """Validated gene rows, one assessment each, each sorted.
 
     Sorting makes the set semantics literal: any permutation of the same
     genes produces bitwise-identical scores.
     """
+    idx = np.asarray(genes_matrix, dtype=np.intp)
+    if idx.ndim != 2 or idx.shape[1] == 0:
+        raise ValueError("genes must give each assessment at least one question index")
     if idx.size and (idx.min() < 0 or idx.max() >= ctx.n_questions):
         raise ValueError("gene index out of range for this snapshot")
     idx = np.sort(idx, axis=1)
@@ -133,49 +153,25 @@ def _criteria(ctx: CriteriaContext, idx: np.ndarray) -> tuple[np.ndarray, np.nda
     return rmse, std
 
 
-def _score(ctx: CriteriaContext, genes: Genes) -> tuple[float, float]:
-    """(rmse, std) of one assessment."""
-    if isinstance(genes, Assessment):
-        genes = genes.genes
-    arr = np.asarray(genes, dtype=np.intp)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("genes must be a non-empty 1-D index sequence")
-    rmse, std = _criteria(ctx, _sorted_rows(ctx, arr[None, :]))
-    return float(rmse[0]), float(std[0])
-
-
-def discrepancy(ctx: CriteriaContext, genes: Genes) -> float:
-    """RMSE across learners between pool means and subset means."""
-    return _score(ctx, genes)[0]
-
-
-def discrimination(ctx: CriteriaContext, genes: Genes) -> float:
-    """Population standard deviation across learners of subset means."""
-    return _score(ctx, genes)[1]
-
-
 def fitness(ctx: CriteriaContext, genes: Genes) -> FitnessReport:
     """Score one assessment; requires a calibrated lam on the context."""
-    if ctx.lam is None:
-        raise ValueError("context has no lam; calibrate it first")
-    rmse, std = _score(ctx, genes)
-    return FitnessReport(
-        rmse=rmse, std=std, fitness=combined(rmse, std, ctx.lam), lam=ctx.lam
-    )
+    lam = _lambda(ctx)
+    if isinstance(genes, Assessment):
+        genes = genes.genes
+    rmse, std = _criteria(ctx, _sorted_rows(ctx, np.asarray(genes)[None]))
+    rmse, std = float(rmse[0]), float(std[0])
+    return FitnessReport(rmse=rmse, std=std, fitness=combined(rmse, std, lam), lam=lam)
 
 
 def batch_criteria(
     ctx: CriteriaContext, genes_matrix: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (rmse, std) for many assessments at once.
+    """Vectorized (rmse, std) for many assessments at once, without lam.
 
     ``genes_matrix`` has one assessment per row; each row costs O(K^2)
     memory and time.
     """
-    idx = np.asarray(genes_matrix, dtype=np.intp)
-    if idx.ndim != 2 or idx.shape[1] == 0:
-        raise ValueError("genes_matrix must be 2-D with at least one gene per row")
-    return _criteria(ctx, _sorted_rows(ctx, idx))
+    return _criteria(ctx, _sorted_rows(ctx, genes_matrix))
 
 
 def sample_subsets(
@@ -199,8 +195,7 @@ def calibrate_lambda(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if not 1 <= k <= ctx.n_questions:
-        raise ValueError("k must lie in [1, number of questions]")
+    _check_k(ctx, k)
     rng = np.random.default_rng(seed)
     draws = sample_subsets(ctx.n_questions, k, n_samples, rng)
     rmse, std = batch_criteria(ctx, draws)

@@ -84,6 +84,10 @@ def _newton(
     Returns (theta, b, objective history, converged).
     """
     flip = 1.0 - 2.0 * y
+    # A gradient is a block's sums of p minus these sums of y, so learners
+    # with the same questions in the same order and equal y sums tie exactly.
+    y_theta = np.bincount(l_idx, weights=y, minlength=n_learners)
+    y_b = np.bincount(q_idx, weights=y, minlength=b.size)
     # Record-length work buffers, written in place: a fresh temporary of
     # this size costs more in page faults than the arithmetic done on it.
     z, e, p, work = (np.empty(y.size) for _ in range(4))
@@ -116,8 +120,8 @@ def _newton(
     def newton_step(theta, b, on_b):
         """Diagonal Newton step on theta, or on b when ``on_b``, from the
         probabilities in ``p``."""
-        index, value, sign = (q_idx, b, -1.0) if on_b else (l_idx, theta, 1.0)
-        grad = np.bincount(index, weights=np.subtract(p, y, out=work), minlength=value.size)
+        index, value, y_sum, sign = (q_idx, b, y_b, -1.0) if on_b else (l_idx, theta, y_theta, 1.0)
+        grad = np.bincount(index, weights=p, minlength=value.size) - y_sum
         grad = sign * grad + reg * value
         np.multiply(np.subtract(1.0, p, out=work), p, out=work)
         return -grad / (np.bincount(index, weights=work, minlength=value.size) + reg)
@@ -172,14 +176,15 @@ def fit_rasch(
 
     ``reg`` is the L2 weight on both blocks, ``max_epochs`` the iteration
     cap and ``tol`` the largest parameter change of an iteration that
-    counts as converged; all three must be positive.
+    counts as converged; all three must be positive and finite.
     """
-    if reg <= 0:
-        raise ValueError("reg must be positive")
+    for name, value in (("reg", reg), ("tol", tol)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        if value <= 0:
+            raise ValueError(f"{name} must be positive")
     if max_epochs < 1:
         raise ValueError("max_epochs must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     q_index, l_index = build_pool(log)
     l_idx, q_idx, y = to_index_arrays(log, q_index, l_index)
     theta, b, history, converged = _newton(
@@ -246,6 +251,8 @@ def correct_ratio_snapshot(
     (per-learner ratios always come from the learner's own records), so a
     held-out split can be kept out of the question statistics.
     """
+    if not np.isfinite(smoothing):
+        raise ValueError("smoothing must be finite")
     if smoothing < 0:
         raise ValueError("smoothing must be non-negative")
     q_index, l_index = build_pool(log)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from io import StringIO
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
@@ -74,12 +75,22 @@ def write_interactions(log: InteractionLog, path: str | Path) -> None:
 
 def write_snapshot(snapshot: Snapshot, path: str | Path) -> None:
     """Snapshot CSV: header `question_id,<learner ids>`, one question per
-    row, probabilities with 6 decimal places."""
+    row, probabilities with 6 decimal places. Ids are quoted as the csv
+    module quotes them, so ids holding a comma, a quote or a line break
+    read back unchanged."""
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("question_id," + ",".join(snapshot.learner_ids) + "\n")
+        fh.write(_csv_record(["question_id", *snapshot.learner_ids]) + "\n")
         row_format = ",".join(["%.6f"] * snapshot.n_learners)
         for qid, row in zip(snapshot.question_ids, snapshot.values):
-            fh.write(qid + "," + row_format % tuple(row.tolist()) + "\n")
+            fh.write(_csv_record([qid]) + "," + row_format % tuple(row.tolist()) + "\n")
+
+
+def _csv_record(cells: Sequence[str]) -> str:
+    """``cells`` as one CSV record without its line end; a CRLF terminator
+    makes the writer quote cells that hold a CR or a LF too."""
+    buffer = StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+    return buffer.getvalue()[:-2]
 
 
 def read_snapshot(path: str | Path) -> Snapshot:

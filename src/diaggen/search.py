@@ -19,7 +19,8 @@ import numpy as np
 
 from .core import Assessment
 from .criteria import (
-    CriteriaContext, FitnessReport, _criteria, batch_criteria, fitness, sample_subsets
+    CriteriaContext, FitnessReport, _check_k, _criteria, _lambda, batch_criteria, combined,
+    fitness, sample_subsets,
 )
 
 
@@ -49,8 +50,6 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
         if self.generations < 1:
@@ -70,12 +69,6 @@ class SearchResult:
     report: FitnessReport
     history: tuple[GenerationStats, ...]
     evaluations: int
-
-
-def _require_lambda(ctx: CriteriaContext) -> float:
-    if ctx.lam is None:
-        raise ValueError("context has no lam; calibrate it first")
-    return ctx.lam
 
 
 def tournament_size(population_size: int, fraction: float) -> int:
@@ -178,9 +171,8 @@ def mutate(
 
 def random_search(ctx: CriteriaContext, k: int, seed: int = 0) -> SearchResult:
     """Baseline: one uniform K-subset drawn without replacement."""
-    _require_lambda(ctx)
-    if k > ctx.n_questions:
-        raise ValueError("k exceeds the number of questions")
+    _lambda(ctx)
+    _check_k(ctx, k)
     rng = np.random.default_rng(seed)
     genes = [int(g) for g in rng.choice(ctx.n_questions, size=k, replace=False)]
     report = fitness(ctx, genes)
@@ -192,10 +184,9 @@ def greedy_search(ctx: CriteriaContext, k: int) -> SearchResult:
     """Add one question at a time, always the one that maximizes the
     objective of the extended subset; ties go to the lowest question
     index. Performs at most K * |pool| fitness evaluations."""
-    lam = _require_lambda(ctx)
+    lam = _lambda(ctx)
+    _check_k(ctx, k)
     nq = ctx.n_questions
-    if k > nq:
-        raise ValueError("k exceeds the number of questions")
     chosen: list[int] = []
     in_set = np.zeros(nq, dtype=bool)
     evaluations = 0
@@ -209,7 +200,7 @@ def greedy_search(ctx: CriteriaContext, k: int) -> SearchResult:
         # identical snapshot rows score bitwise-equal and the tie goes to
         # the lower index; sorting would reorder the sum per candidate.
         rmse, std = _criteria(ctx, rows)
-        fits = -rmse + lam * std
+        fits = combined(rmse, std, lam)
         evaluations += int(cand.size)
         j = int(np.argmax(fits))
         q = int(cand[j])
@@ -230,10 +221,9 @@ def ga_search(ctx: CriteriaContext, cfg: GaConfig) -> SearchResult:
     Returns the best individual ever evaluated: selection carries no
     elitism, so the final population can lose the incumbent.
     """
-    lam = _require_lambda(ctx)
+    lam = _lambda(ctx)
+    _check_k(ctx, cfg.k)
     nq = ctx.n_questions
-    if cfg.k > nq:
-        raise ValueError("k exceeds the number of questions")
     rng = np.random.default_rng(cfg.seed)
     pairs = cfg.population_size // 2 * 2
     population = sample_subsets(nq, cfg.k, cfg.population_size, rng)
@@ -247,7 +237,7 @@ def ga_search(ctx: CriteriaContext, cfg: GaConfig) -> SearchResult:
             )
             population = mutate(population, cfg.p_m1, cfg.p_m2, nq, rng)
         rmse, std = batch_criteria(ctx, population)
-        fits = -rmse + lam * std
+        fits = combined(rmse, std, lam)
         i = int(np.argmax(fits))
         if fits[i] > best_fit:
             best, best_fit = population[i].copy(), fits[i]
@@ -272,10 +262,9 @@ def brute_force(ctx: CriteriaContext, k: int) -> SearchResult:
     The history entry carries the mean fitness over every subset, which
     doubles as the exact random-baseline expectation.
     """
-    lam = _require_lambda(ctx)
+    lam = _lambda(ctx)
+    _check_k(ctx, k)
     nq = ctx.n_questions
-    if k > nq:
-        raise ValueError("k exceeds the number of questions")
     total = math.comb(nq, k)
     if total > BRUTE_FORCE_LIMIT:
         raise ValueError("instance too large for exhaustive search")
@@ -289,7 +278,7 @@ def brute_force(ctx: CriteriaContext, k: int) -> SearchResult:
         if not block:
             break
         rmse, std = batch_criteria(ctx, np.asarray(block, dtype=np.intp))
-        fits = -rmse + lam * std
+        fits = combined(rmse, std, lam)
         fit_sum += float(fits.sum())
         count += len(block)
         i = int(np.argmax(fits))

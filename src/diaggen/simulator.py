@@ -34,6 +34,9 @@ class SimConfig:
             raise ValueError("need num_questions >= num_concepts >= 1")
         if not 0.0 <= self.slip < 1.0:
             raise ValueError("slip must lie in [0, 1)")
+        for name in ("growth_mean", "growth_std"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.growth_std < 0.0:
             raise ValueError("growth_std must be non-negative")
 

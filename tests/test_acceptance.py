@@ -21,8 +21,6 @@ from diaggen import (
     calibrate_lambda,
     combined,
     crossover,
-    discrepancy,
-    discrimination,
     fit_abilities,
     fit_rasch,
     fitness,
@@ -387,15 +385,15 @@ def test_criterion_6_invariant_suites(tmp_path):
     checked = _operator_sweep(10_000)
 
     ctx = _toy_context()
-    zero_ok = discrepancy(ctx, [0, 1, 2, 3]) == 0.0
+    zero_ok = fitness(ctx, [0, 1, 2, 3]).rmse == 0.0
 
     perm_ok = fitness(ctx, [3, 1]) == fitness(ctx, [1, 3])
 
     hand_ok = (
-        abs(discrepancy(ctx, [1, 3]) - 0.1) < 1e-12
-        and abs(discrepancy(ctx, [0, 3]) - 0.35) < 1e-12
-        and abs(discrimination(ctx, [1, 3]) - 0.2) < 1e-12
-        and abs(discrimination(ctx, [0, 3]) - 0.45) < 1e-12
+        abs(fitness(ctx, [1, 3]).rmse - 0.1) < 1e-12
+        and abs(fitness(ctx, [0, 3]).rmse - 0.35) < 1e-12
+        and abs(fitness(ctx, [1, 3]).std - 0.2) < 1e-12
+        and abs(fitness(ctx, [0, 3]).std - 0.45) < 1e-12
         and abs(fitness(ctx, [1, 3]).fitness - 0.0) < 1e-12
         and abs(fitness(ctx, [0, 3]).fitness - (-0.125)) < 1e-12
     )

@@ -82,6 +82,22 @@ class TestSimulate:
         )
         assert code == 0, err
 
+    @pytest.mark.parametrize("flag", ["--growth-mean", "--growth-std"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_growth_rejected(self, tmp_path, capsys, flag, value):
+        inter, snap = tmp_path / "i.csv", tmp_path / "s.csv"
+        code, out, err = run_cli(
+            capsys,
+            "simulate",
+            "--learners", "5",
+            flag, value,
+            "--interactions-out", str(inter),
+            "--snapshot-out", str(snap),
+        )
+        name = flag[2:].replace("-", "_")
+        assert (code, out, err) == (1, "", f"error: {name} must be finite\n")
+        assert not inter.exists() and not snap.exists()
+
 
 class TestEstimate:
     def test_rasch_with_truth_reports_correlation(self, small_world, tmp_path, capsys):
@@ -108,6 +124,10 @@ class TestEstimate:
             ("--reg", "0", "reg must be positive"),
             ("--tol", "-1", "tol must be positive"),
             ("--max-epochs", "0", "max_epochs must be at least 1"),
+            ("--reg", "nan", "reg must be finite"),
+            ("--reg", "inf", "reg must be finite"),
+            ("--tol", "nan", "tol must be finite"),
+            ("--tol", "inf", "tol must be finite"),
         ],
     )
     def test_unworkable_solver_settings_rejected(
@@ -124,6 +144,43 @@ class TestEstimate:
         )
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+        assert not (tmp_path / "est.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_smoothing_rejected(self, small_world, tmp_path, capsys, value):
+        interactions, _ = small_world
+        out_path = tmp_path / "est.csv"
+        code, out, err = run_cli(
+            capsys,
+            "estimate",
+            "--interactions", str(interactions),
+            "--estimator", "ratio",
+            "--out", str(out_path),
+            "--smoothing", value,
+        )
+        assert (code, out, err) == (1, "", "error: smoothing must be finite\n")
+        assert not out_path.exists()
+
+    def test_quoted_learner_ids_survive_calibrate(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(
+            "learner_id,question_id,correct,order\n"
+            + "".join(
+                f"{learner},q{q},{(q + j) % 2},{q}\n"
+                for j, learner in enumerate(['"a,b"', '"say ""hi"""', "c", "d"])
+                for q in range(4)
+            )
+        )
+        est = tmp_path / "est.csv"
+        code, _, err = run_cli(
+            capsys, "estimate", "--interactions", str(log), "--estimator", "ratio",
+            "--out", str(est),
+        )
+        assert code == 0, err
+        assert est.read_text().splitlines()[0] == 'question_id,"a,b","say ""hi""",c,d'
+        code, out, err = run_cli(capsys, "calibrate", "--snapshot", str(est), "--k", "2")
+        assert code == 0, err
+        assert last_json(out)["train_learners"] == 3
 
     def test_constant_truth_rejected(self, small_world, tmp_path, capsys):
         interactions, truth = small_world
@@ -316,6 +373,17 @@ class TestSearch:
             capsys, truth, out_path, "--algo", "greedy", "--lam", "inf",
         )
         assert (code, out, err) == (1, "", "error: lam must be finite\n")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("algo", ["random", "greedy", "ga", "brute"])
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_rejected(self, small_world, tmp_path, capsys, algo, k):
+        _, truth = small_world
+        out_path = tmp_path / "res.json"
+        code, out, err = self.run_search(
+            capsys, truth, out_path, "--algo", algo, "--lam", "1", "--k", k,
+        )
+        assert (code, out, err) == (1, "", "error: k must be at least 1\n")
         assert not out_path.exists()
 
 

@@ -11,8 +11,6 @@ from diaggen import (
     Snapshot,
     calibrate_lambda,
     combined,
-    discrepancy,
-    discrimination,
     fitness,
 )
 from diaggen.criteria import batch_criteria, sample_subsets
@@ -20,38 +18,44 @@ from diaggen.criteria import batch_criteria, sample_subsets
 from conftest import random_snapshot
 
 
+def criteria_of(ctx, genes):
+    """(rmse, std) of one assessment, on a context with or without lam."""
+    rmse, std = batch_criteria(ctx, np.asarray([genes]))
+    return rmse[0], std[0]
+
+
 class TestDiscrepancy:
     def test_full_pool_is_zero(self, toy_ctx):
-        assert discrepancy(toy_ctx, [0, 1, 2, 3]) == 0.0
+        assert fitness(toy_ctx, [0, 1, 2, 3]).rmse == 0.0
 
     def test_hand_values(self, toy_ctx):
         # sqrt((0.01 + 0.01) / 2) = 0.1 and sqrt((0.1225 + 0.1225) / 2) = 0.35
-        assert discrepancy(toy_ctx, [1, 3]) == pytest.approx(0.1, abs=1e-12)
-        assert discrepancy(toy_ctx, [0, 3]) == pytest.approx(0.35, abs=1e-12)
+        assert fitness(toy_ctx, [1, 3]).rmse == pytest.approx(0.1, abs=1e-12)
+        assert fitness(toy_ctx, [0, 3]).rmse == pytest.approx(0.35, abs=1e-12)
 
     def test_full_pool_zero_on_random_snapshots(self):
         for seed in range(3):
             snap = random_snapshot(seed)
             ctx = CriteriaContext.build(snap, range(snap.n_learners))
-            assert discrepancy(ctx, range(snap.n_questions)) == 0.0
+            assert criteria_of(ctx, range(snap.n_questions))[0] == 0.0
 
     def test_rejects_out_of_range_gene(self, toy_ctx):
         with pytest.raises(ValueError, match="out of range"):
-            discrepancy(toy_ctx, [0, 4])
+            fitness(toy_ctx, [0, 4])
 
     def test_rejects_duplicate_genes(self, toy_ctx):
         with pytest.raises(ValueError, match="distinct"):
-            discrepancy(toy_ctx, [1, 1])
+            fitness(toy_ctx, [1, 1])
 
 
 class TestDiscrimination:
     def test_constant_subset_means(self, toy_ctx):
         # rows {0, 2} give every learner a mean of 0.5
-        assert discrimination(toy_ctx, [0, 2]) == 0.0
+        assert fitness(toy_ctx, [0, 2]).std == 0.0
 
     def test_population_std_of_two_points(self, toy_ctx):
-        assert discrimination(toy_ctx, [1, 3]) == pytest.approx(0.2, abs=1e-12)
-        assert discrimination(toy_ctx, [0, 3]) == pytest.approx(0.45, abs=1e-12)
+        assert fitness(toy_ctx, [1, 3]).std == pytest.approx(0.2, abs=1e-12)
+        assert fitness(toy_ctx, [0, 3]).std == pytest.approx(0.45, abs=1e-12)
 
 
 class TestFitness:
@@ -70,6 +74,14 @@ class TestFitness:
         ctx = CriteriaContext.build(toy_snapshot, [0, 1])
         with pytest.raises(ValueError, match="lam"):
             fitness(ctx, [1, 3])
+
+    @pytest.mark.parametrize(
+        "lam, message",
+        [(-1.0, "non-negative"), (float("nan"), "non-negative"), (float("inf"), "finite")],
+    )
+    def test_build_checks_lam_like_with_lambda(self, toy_snapshot, lam, message):
+        with pytest.raises(ValueError, match=f"lam must be {message}"):
+            CriteriaContext.build(toy_snapshot, [0, 1], lam=lam)
 
     def test_report_consistency_enforced(self):
         with pytest.raises(ValueError, match="fitness"):
@@ -114,12 +126,10 @@ class TestFitness:
         ctx_a = CriteriaContext.build(snap_a, range(15))
         ctx_b = CriteriaContext.build(snap_b, range(15))
         genes = [0, 3, 6]
-        assert discrepancy(ctx_a, genes) == pytest.approx(
-            discrepancy(ctx_b, genes), abs=1e-12
-        )
-        assert discrimination(ctx_a, genes) == pytest.approx(
-            discrimination(ctx_b, genes), abs=1e-12
-        )
+        rmse_a, std_a = criteria_of(ctx_a, genes)
+        rmse_b, std_b = criteria_of(ctx_b, genes)
+        assert rmse_a == pytest.approx(rmse_b, abs=1e-12)
+        assert std_a == pytest.approx(std_b, abs=1e-12)
 
 
 class TestBatchCriteria:
@@ -127,12 +137,23 @@ class TestBatchCriteria:
         subsets = list(itertools.combinations(range(4), 2))
         rmse, std = batch_criteria(toy_ctx, np.array(subsets))
         for i, genes in enumerate(subsets):
-            assert rmse[i] == pytest.approx(discrepancy(toy_ctx, genes), abs=1e-14)
-            assert std[i] == pytest.approx(discrimination(toy_ctx, genes), abs=1e-14)
+            report = fitness(toy_ctx, genes)
+            assert rmse[i] == pytest.approx(report.rmse, abs=1e-14)
+            assert std[i] == pytest.approx(report.std, abs=1e-14)
 
     def test_rejects_duplicate_genes_in_a_row(self, toy_ctx):
         with pytest.raises(ValueError, match="distinct"):
             batch_criteria(toy_ctx, np.array([[0, 1], [2, 2]]))
+
+    @pytest.mark.parametrize("genes", [[], 2, [[0, 1]]])
+    def test_fitness_rejects_malformed_genes(self, toy_ctx, genes):
+        with pytest.raises(ValueError, match="at least one question index"):
+            fitness(toy_ctx, genes)
+
+    @pytest.mark.parametrize("genes", [np.zeros((2, 0), dtype=int), np.array([0, 1])])
+    def test_rejects_malformed_rows(self, toy_ctx, genes):
+        with pytest.raises(ValueError, match="at least one question index"):
+            batch_criteria(toy_ctx, genes)
 
 
 def reference_criteria(values, learners, genes):
@@ -184,7 +205,7 @@ class TestReferenceCriteria:
             everything = np.arange(snap.n_questions)
             rmse, _ = batch_criteria(ctx, everything[None, :])
             assert rmse[0] == 0.0
-            assert discrepancy(ctx, everything[::-1]) == 0.0
+            assert criteria_of(ctx, everything[::-1])[0] == 0.0
 
 
 def two_archetype_snapshot():
@@ -209,8 +230,9 @@ class TestCalibrateLambda:
         ctx = CriteriaContext.build(snap, [0, 1])
         # oracle: enumerate all singletons, statistics are constant
         for q in range(4):
-            assert discrepancy(ctx, [q]) == pytest.approx(0.04, abs=1e-12)
-            assert discrimination(ctx, [q]) == pytest.approx(0.2, abs=1e-12)
+            rmse, std = criteria_of(ctx, [q])
+            assert rmse == pytest.approx(0.04, abs=1e-12)
+            assert std == pytest.approx(0.2, abs=1e-12)
         lam = calibrate_lambda(ctx, k=1, n_samples=500, seed=9)
         assert lam == pytest.approx(0.2, abs=1e-12)
 

@@ -263,6 +263,21 @@ class TestFitRasch:
         t2 = model.theta[model.learner_ids.index("twin2")]
         assert abs(t1 - t2) < 1e-6
 
+    def test_equal_raw_scores_give_bitwise_equal_theta(self):
+        # Every learner answers the same questions in the same order, so the
+        # raw score fixes theta: equal scores must tie exactly, not only up
+        # to the rounding of each learner's own sum.
+        rng = np.random.default_rng(31)
+        log = bernoulli_log(rng.standard_normal(200), rng.standard_normal(12), 31)
+        scores = np.bincount(log.learner, weights=log.correct)
+        model = fit_rasch(log)
+        theta, order = fit_abilities(model, log)
+        assert order == model.learner_ids
+        for fitted in (model.theta, theta):
+            for score in np.unique(scores):
+                assert len(set(fitted[scores == score].tolist())) == 1
+            assert len(np.unique(fitted)) == len(np.unique(scores))
+
 
 class TestRaschSnapshot:
     def snapshot(self, theta, b):

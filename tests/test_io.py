@@ -112,6 +112,24 @@ class TestSnapshotRoundTrip:
         assert back.learner_ids == truth.learner_ids
         assert np.abs(back.values - truth.values).max() <= 5e-7
 
+    def test_quoted_ids_round_trip(self, tmp_path):
+        learners = ("a,b", 'say "hi"', "two\nlines", "cr\rid", "plain")
+        questions = ("q,1", 'q"2', "q\r\n3")
+        snap = Snapshot(np.full((3, 5), 0.25), questions, learners)
+        path = tmp_path / "snap.csv"
+        write_snapshot(snap, path)
+        lines = path.read_bytes().split(b",0.250000,0.250000,0.250000,0.250000,0.250000\n")
+        assert lines == [
+            b'question_id,"a,b","say ""hi""","two\nlines","cr\rid",plain\n"q,1"',
+            b'"q""2"',
+            b'"q\r\n3"',
+            b"",
+        ]
+        back = read_snapshot(path)
+        assert back.learner_ids == learners
+        assert back.question_ids == questions
+        assert np.array_equal(back.values, snap.values)
+
     def rejects(self, tmp_path, text, message):
         """Both the one-pass parse and the row loop raise exactly ``message``."""
         path = tmp_path / "snap.csv"
