@@ -13,7 +13,7 @@ import json
 import warnings
 from io import StringIO
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -26,15 +26,153 @@ SCHEMA_VERSION = 1
 
 
 def read_interactions(path: str | Path) -> InteractionLog:
-    """Parse an interaction CSV; raises with a line number on bad rows."""
+    """Parse an interaction CSV; raises with a line number on bad rows.
+
+    A file in the plain form that ``write_interactions`` gives plain ids is
+    parsed in one vectorised pass over its bytes. It qualifies when it
+    starts with the exact header line; holds no ``"``, CR or NUL byte and
+    no blank line; every line has exactly three commas; ``correct`` is the
+    single byte 0 or 1 and ``order`` 1-18 ASCII digits; no field is longer
+    than ``csv.field_size_limit()``; every distinct id is strict UTF-8; and
+    each id column, padded to its longest id, takes no more bytes than the
+    file. Any other file (quoted ids, CRLF line ends, blank lines, an order
+    spelled ``+1`` or ``1_0``, ...) is read again by the row loop, which
+    decides what is accepted and names the first bad line.
+    """
+    with open(path, "rb") as fh:
+        columns = _interaction_columns(fh.read())
+    if columns is None:
+        return _read_interaction_rows(path)
+    return InteractionLog(*columns)
+
+
+_HEADER_LINE = (",".join(INTERACTION_HEADER) + "\n").encode()
+# Where a record's separators fall: three commas, then the line end.
+_RECORD_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
+# Orders of at most 18 digits stay below 2**63.
+_ORDER_DIGITS = 18
+# Bytes searched for separators at a time, which bounds the temporaries.
+_BLOCK_BYTES = 1 << 20
+
+
+def _interaction_columns(data: bytes) -> tuple | None:
+    """The ``InteractionLog`` fields (learner ids, question ids and the four
+    columns) of a file in the form that ``read_interactions`` parses in one
+    pass, or None for any other file."""
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    if not data.startswith(_HEADER_LINE) or any(byte in data for byte in (b'"', b"\r", b"\0")):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # The header line holds the first three commas and the first line end.
+    separators = _separator_positions(buf)[4:]
+    if separators.size == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return (), (), empty, empty, empty.astype(bool), empty
+    if separators.size % 4:
+        return None
+    separators = separators.reshape(-1, 4)
+    if not (buf[separators] == _RECORD_SEPARATORS).all():
+        return None
+    comma0, comma1, comma2, ends = separators.T
+    starts = np.empty_like(ends)
+    starts[0] = len(_HEADER_LINE)
+    starts[1:] = ends[:-1] + 1
+    limit = csv.field_size_limit()
+    order_len = ends - comma2 - 1
+    if (
+        max((comma0 - starts).max(), (comma1 - comma0 - 1).max()) > limit
+        or np.any(comma2 - comma1 != 2)
+        or order_len.min() < 1
+        or order_len.max() > _ORDER_DIGITS
+    ):
+        return None
+    correct = buf[comma1 + 1]
+    if np.any((correct != ord("0")) & (correct != ord("1"))):
+        return None
+    learner = _id_column(buf, starts, comma0)
+    question = _id_column(buf, comma0 + 1, comma1)
+    order = _digits(buf, comma2, ends)
+    if learner is None or question is None or order is None:
+        return None
+    return learner[0], question[0], learner[1], question[1], correct == ord("1"), order
+
+
+def _separator_positions(buf: np.ndarray) -> np.ndarray:
+    """Where ``buf`` holds a comma or a line end, as the narrowest signed
+    integers that can index it."""
+    dtype = np.int32 if buf.size < 2**31 else np.int64
+    found = []
+    for at in range(0, buf.size, _BLOCK_BYTES):
+        block = buf[at : at + _BLOCK_BYTES]
+        positions = np.flatnonzero((block == ord(",")) | (block == ord("\n"))) + at
+        found.append(positions.astype(dtype))
+    return np.concatenate(found)
+
+
+def _digits(buf: np.ndarray, before: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The non-negative integers spelled by ``buf[before + 1:end]``, read
+    right-aligned one digit column at a time; None if a byte is no digit."""
+    value = np.zeros(ends.size, dtype=np.int64)
+    for back in range(int((ends - before).max()) - 1, 0, -1):
+        at = ends - back
+        inside = at > before
+        # Columns before a field's first digit read as the digit 0.
+        byte = np.where(inside, buf[at], ord("0"))
+        if np.any((byte < ord("0")) | (byte > ord("9"))):
+            return None
+        value *= 10
+        value += byte - ord("0")
+    return value
+
+
+def _id_column(
+    buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """The distinct ids ``buf[start:end]`` in order of first appearance and
+    each field's index into them; None when an id is not strict UTF-8 or
+    the padded keys would take more bytes than ``buf``."""
+    lengths = ends - starts
+    width = max(int(lengths.max()), 1)
+    if starts.size * width > buf.size:
+        return None
+    # Zero-padded fixed-width keys: the file has no NUL, so no two ids share one.
+    keys = np.zeros((starts.size, width), dtype=np.uint8)
+    for col in range(width):
+        keys[:, col] = np.where(lengths > col, buf.take(starts + col, mode="clip"), 0)
+    distinct, first, inverse = np.unique(
+        keys.view(f"S{width}").ravel(), return_index=True, return_inverse=True
+    )
+    by_first = np.argsort(first)
+    try:
+        ids = tuple(key.decode("utf-8") for key in distinct[by_first].tolist())
+    except UnicodeDecodeError:
+        return None
+    number = np.empty(distinct.size, dtype=np.intp)
+    number[by_first] = np.arange(distinct.size)
+    return ids, number[inverse]
+
+
+def _read_interaction_rows(path: str | Path) -> InteractionLog:
+    """``read_interactions`` one row at a time, checking each row as it comes."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         header = next(reader, None)
         if header != INTERACTION_HEADER:
             raise ValueError(
                 f"bad header: expected {','.join(INTERACTION_HEADER)}"
             )
         return InteractionLog.from_records(_interaction_rows(reader))
+
+
+def _csv_rows(fh: TextIO) -> Iterator[list[str]]:
+    """The ``csv.reader`` rows of ``fh``; a ``csv.Error``, such as a field
+    over ``csv.field_size_limit()``, becomes a ValueError naming its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{exc} (line {reader.line_num})") from None
 
 
 def _interaction_rows(reader: Iterator[list[str]]) -> Iterator[tuple[str, str, bool, int]]:
@@ -58,15 +196,18 @@ def _interaction_rows(reader: Iterator[list[str]]) -> Iterator[tuple[str, str, b
 
 
 def write_interactions(log: InteractionLog, path: str | Path) -> None:
-    learner_ids = np.asarray(log.learner_ids, dtype=object)
-    question_ids = np.asarray(log.question_ids, dtype=object)
+    """Interaction CSV with ``INTERACTION_HEADER``. Ids are quoted as
+    ``write_snapshot`` quotes them, so ids holding a comma, a quote, a CR
+    or a LF read back unchanged; an empty id is an empty field."""
+    learner_ids = np.array([_csv_field(i) for i in log.learner_ids], dtype=object)
+    question_ids = np.array([_csv_field(i) for i in log.question_ids], dtype=object)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(INTERACTION_HEADER)
-        writer.writerows(
-            zip(
-                learner_ids[log.learner],
-                question_ids[log.question],
+        fh.write(_HEADER_LINE.decode())
+        fh.writelines(
+            map(
+                "{},{},{},{}\n".format,
+                learner_ids[log.learner].tolist(),
+                question_ids[log.question].tolist(),
                 log.correct.view(np.uint8).tolist(),
                 log.order.tolist(),
             )
@@ -93,20 +234,30 @@ def _csv_record(cells: Sequence[str]) -> str:
     return buffer.getvalue()[:-2]
 
 
+def _csv_field(cell: str) -> str:
+    """``cell`` as a field of a longer CSV record: a record of one empty
+    field is written ``""``, an empty field among others as nothing."""
+    return _csv_record([cell]) if cell else ""
+
+
 def read_snapshot(path: str | Path) -> Snapshot:
     """Parse a snapshot CSV; rejects ragged rows and out-of-range values,
     naming the offending cell.
 
-    The body is parsed in one pass by ``np.loadtxt``. When that pass fails
-    or yields anything but a full table of values in [0, 1], the file is
-    read again row by row; that loop decides what is accepted and names
-    the first bad line.
+    The body is parsed in one pass by ``np.loadtxt``. When that pass fails,
+    meets a question id longer than ``csv.field_size_limit()`` or yields
+    anything but a full table of values in [0, 1], the file is read again
+    row by row; that loop decides what is accepted and names the first bad
+    line.
     """
+    limit = csv.field_size_limit()
     with open(path, newline="", encoding="utf-8") as fh:
-        header = _snapshot_header(csv.reader(fh))
+        header = _snapshot_header(_csv_rows(fh))
         question_ids: list[str] = []
 
         def question_id(cell: str) -> float:
+            if len(cell) > limit:
+                raise ValueError("field larger than the csv field limit")
             question_ids.append(cell)
             return 0.0
 
@@ -139,7 +290,7 @@ def _snapshot_header(reader: Iterator[list[str]]) -> list[str]:
 def _read_snapshot_rows(path: str | Path) -> Snapshot:
     """``read_snapshot`` one row at a time, checking each row as it comes."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         header = _snapshot_header(reader)
         learner_ids = tuple(header[1:])
         question_ids: list[str] = []

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -755,3 +756,31 @@ class TestErrorReporting:
         )
         assert code == 1
         assert err.startswith("error:") and "\n" not in err.strip()
+
+    def test_overlong_learner_id_in_log(self, capsys, tmp_path):
+        log = tmp_path / "log.csv"
+        log.write_text(
+            f"learner_id,question_id,correct,order\nl0,q0,1,0\n{'x' * 200_000},q0,1,0\n"
+        )
+        code, out, err = run_cli(
+            capsys, "estimate", "--interactions", str(log), "--out", str(tmp_path / "est.csv")
+        )
+        limit = csv.field_size_limit()
+        assert (code, out, err) == (
+            1, "", f"error: field larger than field limit ({limit}) (line 3)\n"
+        )
+
+    @pytest.mark.parametrize("where", ["header", "question id"])
+    def test_overlong_id_in_snapshot(self, capsys, tmp_path, where):
+        long_id = "x" * 200_000
+        snap = tmp_path / "snap.csv"
+        if where == "header":
+            snap.write_text(f"question_id,l0,{long_id}\nq0,0.5,0.5\nq1,0.5,0.5\n")
+        else:
+            snap.write_text(f"question_id,l0,l1\nq0,0.5,0.5\n{long_id},0.5,0.5\n")
+        code, out, err = run_cli(capsys, "calibrate", "--snapshot", str(snap), "--k", "1")
+        line = 1 if where == "header" else 3
+        limit = csv.field_size_limit()
+        assert (code, out, err) == (
+            1, "", f"error: field larger than field limit ({limit}) (line {line})\n"
+        )

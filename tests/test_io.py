@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from diaggen import (
     CriteriaContext,
+    InteractionLog,
     SimConfig,
     Snapshot,
     fitness,
@@ -17,6 +19,8 @@ from diaggen import (
 )
 from diaggen.cli import main
 from diaggen.io import (
+    _interaction_columns,
+    _read_interaction_rows,
     _read_snapshot_rows,
     read_interactions,
     read_snapshot,
@@ -95,6 +99,175 @@ class TestInteractionsRoundTrip:
         assert log.learner_ids == ("a,b", 'say "hi"')
         write_interactions(log, tmp_path / "copy.csv")
         assert (tmp_path / "copy.csv").read_text() == text
+
+    def test_ids_with_line_breaks_round_trip(self, tmp_path):
+        learners = ["a\rb", "a\nb", "a\r\nb", "a,b", 'say "hi"', "é ü", "", "plain"]
+        questions = ["q\r", "", "q,0", "q\u00e9"]
+        log = InteractionLog.from_records(
+            (learner, questions[i % len(questions)], i % 3 == 0, i)
+            for i, learner in enumerate(learners)
+        )
+        path = tmp_path / "log.csv"
+        write_interactions(log, path)
+        assert path.read_bytes().decode() == (
+            "learner_id,question_id,correct,order\n"
+            '"a\rb","q\r",1,0\n'
+            '"a\nb",,0,1\n'
+            '"a\r\nb","q,0",0,2\n'
+            '"a,b",qé,1,3\n'
+            '"say ""hi""","q\r",0,4\n'
+            "é ü,,0,5\n"
+            ',"q,0",1,6\n'
+            "plain,qé,0,7\n"
+        )
+        assert read_interactions(path) == log
+
+
+def read_outcome(read, path):
+    """What ``read`` makes of ``path``: the log, or the ValueError's type and message."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestInteractionsOnePass:
+    """``read_interactions`` parses plain files in one pass over their
+    bytes; every file must come out as the row loop reads it."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "",
+            "l0,q0,1,0",
+            "l0,q0,1,0\n",
+            "l0,q0,0,000123456789012345\nl0,q1,1,999999999999999999\n",
+            ",,1,7\n",
+            "é,ü q,0,3\nl1,é,1,4\n",
+            "l;0,q 0,1,0\n\tl,q#,0,1\n",
+        ],
+    )
+    def test_plain_files_taken(self, tmp_path, body):
+        path = tmp_path / "log.csv"
+        path.write_bytes(("learner_id,question_id,correct,order\n" + body).encode())
+        assert _interaction_columns(path.read_bytes()) is not None
+        assert read_interactions(path) == _read_interaction_rows(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"learner_id,question_id,correct,order\r\nl0,q0,1,0\r\n",
+            b"learner_id,question_id,correct\nl0,q0,1\n",
+            b"learner_id,question_id,correct,order\n\"l0\",q0,1,0\n",
+            b"learner_id,question_id,correct,order\nl\rx,q0,1,0\n",
+            b"learner_id,question_id,correct,order\nl\0,q0,1,0\n",
+            b"learner_id,question_id,correct,order\nl0,q0,1,0\n\nl0,q1,1,1\n",
+            b"learner_id,question_id,correct,order\nl0,q0,1,0\n\n",
+            b"learner_id,question_id,correct,order\nl0,q0,1\n",
+            b"learner_id,question_id,correct,order\nl0,q0,1,0,\n",
+            b"learner_id,question_id,correct,order\nl0,q0,01,0\n",
+            b"learner_id,question_id,correct,order\nl0,q0, 1,0\n",
+            b"learner_id,question_id,correct,order\nl0,q0,2,0\n",
+            b"learner_id,question_id,correct,order\nl0,q0,1,\n",
+            b"learner_id,question_id,correct,order\nl0,q0,1,+1\n",
+            b"learner_id,question_id,correct,order\nl0,q0,1, 1\n",
+            b"learner_id,question_id,correct,order\nl0,q0,1,1_0\n",
+            b"learner_id,question_id,correct,order\nl0,q0,1,-1\n",
+            b"learner_id,question_id,correct,order\nl0,q0,1,1234567890123456789\n",
+            b"learner_id,question_id,correct,order\nl0,q0,1,\xd9\xa1\n",
+            b"learner_id,question_id,correct,order\nl\xff,q0,1,0\n",
+            b"learner_id,question_id,correct,order\nl0,\xed\xa0\x80,1,0\n",
+            b"\xef\xbb\xbflearner_id,question_id,correct,order\nl0,q0,1,0\n",
+        ],
+    )
+    def test_other_files_left_to_row_loop(self, tmp_path, data):
+        assert _interaction_columns(data) is None
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        assert read_outcome(read_interactions, path) == read_outcome(_read_interaction_rows, path)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_field_size_limit(self, tmp_path, extra):
+        limit = csv.field_size_limit()
+        path = tmp_path / "log.csv"
+        path.write_text(
+            f"learner_id,question_id,correct,order\n{'x' * (limit + extra)},q0,0,1\n"
+        )
+        assert (_interaction_columns(path.read_bytes()) is None) == bool(extra)
+        got = read_outcome(read_interactions, path)
+        assert got == read_outcome(_read_interaction_rows, path)
+        if extra:
+            assert got == (ValueError, f"field larger than field limit ({limit}) (line 2)")
+        else:
+            assert got.learner_ids == ("x" * limit,)
+
+    def test_long_id_among_many_records_left_to_row_loop(self, tmp_path):
+        # Padding 200 records to a 1000-byte key would outgrow the file.
+        text = "learner_id,question_id,correct,order\n" + "".join(
+            f"l,q{i},1,{i}\n" for i in range(200)
+        ) + "x" * 1000 + ",q0,1,0\n"
+        assert _interaction_columns(text.encode()) is None
+        path = tmp_path / "log.csv"
+        path.write_text(text)
+        assert read_interactions(path) == _read_interaction_rows(path)
+
+    def test_simulated_log_read_without_row_loop(self, tmp_path, monkeypatch):
+        _, log, _ = simulate(SimConfig(num_learners=30, num_questions=8, seed=4))
+        path = tmp_path / "log.csv"
+        write_interactions(log, path)
+
+        def row_loop(path):
+            raise AssertionError("the one-pass parse declined a simulated log")
+
+        monkeypatch.setattr("diaggen.io._read_interaction_rows", row_loop)
+        assert read_interactions(path) == log
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_equals_row_loop(self, tmp_path_factory, data):
+        # "~" stands for the byte 0xff, which is not UTF-8.
+        ids = st.text(alphabet='aZ09 ,"\n\r;é~', max_size=4)
+        learner_ids = data.draw(st.lists(ids, min_size=1, max_size=3), label="learners")
+        question_ids = data.draw(st.lists(ids, min_size=1, max_size=3), label="questions")
+        orders = st.one_of(
+            st.just("%d"),
+            st.sampled_from(["+%d", " %d", "0%d", "%d_0", "-%d", "%019d", "%020d", "9%019d"]),
+        )
+        corrects = st.one_of(st.sampled_from("01"), st.sampled_from(["01", " 1", "2", ""]))
+        records = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(learner_ids),
+                    st.sampled_from(question_ids),
+                    corrects,
+                    orders,
+                ),
+                max_size=6,
+            ),
+            label="records",
+        )
+        terminator = data.draw(st.sampled_from(["\n", "\r\n"]), label="line end")
+        quote_all = data.draw(st.booleans(), label="quote every field")
+
+        def line(fields):
+            return ",".join(
+                '"' + f.replace('"', '""') + '"'
+                if quote_all or any(c in f for c in ',"\r\n')
+                else f
+                for f in fields
+            ) + terminator
+
+        text = line(["learner_id", "question_id", "correct", "order"])
+        for position, (learner, question, correct, order) in enumerate(records):
+            if data.draw(st.booleans(), label="blank line before record"):
+                text += terminator
+            text += line([learner, question, correct, order % position])
+        if not data.draw(st.booleans(), label="final line end"):
+            text = text[: -len(terminator)]
+        path = tmp_path_factory.mktemp("log") / "log.csv"
+        path.write_bytes(text.encode().replace("~".encode(), b"\xff"))
+
+        assert read_outcome(read_interactions, path) == read_outcome(_read_interaction_rows, path)
 
 
 class TestSnapshotRoundTrip:
