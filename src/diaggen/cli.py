@@ -109,7 +109,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         )
         theta, ids = fit_abilities(model, log)
         snapshot = rasch_snapshot(model, theta, ids)
-        doc |= {"converged": model.converged, "iterations": model.iterations}
+        doc |= {
+            "converged": model.converged,
+            "iterations": model.iterations,
+            "groups": model.groups,
+        }
     else:
         snapshot = correct_ratio_snapshot(
             log, smoothing=args.smoothing, fit_learners=train_ids

@@ -9,7 +9,7 @@ appear at I/O boundaries.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,11 +35,28 @@ class InteractionLog:
     order: np.ndarray
 
     def __post_init__(self) -> None:
+        self._freeze(np.array)
+
+    @classmethod
+    def _own(cls, *values) -> "InteractionLog":
+        """Log of the given field values, in field order, whose columns a
+        builder has just made and hands over: a column of the right dtype
+        is frozen in place instead of copied."""
+        log = cls.__new__(cls)
+        for field, value in zip(fields(cls), values, strict=True):
+            object.__setattr__(log, field.name, value)
+        log._freeze(np.asarray)
+        return log
+
+    def _freeze(self, convert) -> None:
+        """Convert the columns with ``convert`` (``np.array`` copies, and
+        ``np.asarray`` only when the dtype changes), freeze them and check
+        the log."""
         columns = {
-            "learner": np.array(self.learner, dtype=np.intp),
-            "question": np.array(self.question, dtype=np.intp),
-            "correct": np.array(self.correct, dtype=bool),
-            "order": np.array(self.order, dtype=np.int64),
+            "learner": convert(self.learner, dtype=np.intp),
+            "question": convert(self.question, dtype=np.intp),
+            "correct": convert(self.correct, dtype=bool),
+            "order": convert(self.order, dtype=np.int64),
         }
         if len({column.shape for column in columns.values()}) != 1 or columns["order"].ndim != 1:
             raise ValueError("interaction columns must be 1-D arrays of equal length")
@@ -73,7 +90,7 @@ class InteractionLog:
             question.append(questions.setdefault(question_id, len(questions)))
             correct.append(solved)
             order.append(position)
-        return cls(
+        return cls._own(
             tuple(learners),
             tuple(questions),
             np.asarray(learner),
@@ -107,7 +124,7 @@ class InteractionLog:
         keep = wanted[self.learner]
         learner_ids, learner = _renumber(self.learner[keep], self.learner_ids)
         question_ids, question = _renumber(self.question[keep], self.question_ids)
-        return InteractionLog(
+        return InteractionLog._own(
             learner_ids, question_ids, learner, question, self.correct[keep], self.order[keep]
         )
 

@@ -43,7 +43,7 @@ def read_interactions(path: str | Path) -> InteractionLog:
         columns = _interaction_columns(fh.read())
     if columns is None:
         return _read_interaction_rows(path)
-    return InteractionLog(*columns)
+    return InteractionLog._own(*columns)
 
 
 _HEADER_LINE = (",".join(INTERACTION_HEADER) + "\n").encode()
@@ -51,7 +51,8 @@ _HEADER_LINE = (",".join(INTERACTION_HEADER) + "\n").encode()
 _RECORD_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
 # Orders of at most 18 digits stay below 2**63.
 _ORDER_DIGITS = 18
-# Bytes searched for separators at a time, which bounds the temporaries.
+# Bytes searched for separators, or read ahead while checking snapshot
+# lines, at a time; this bounds the temporaries.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -244,13 +245,17 @@ def read_snapshot(path: str | Path) -> Snapshot:
     """Parse a snapshot CSV; rejects ragged rows and out-of-range values,
     naming the offending cell.
 
-    The body is parsed in one pass by ``np.loadtxt``. When that pass fails,
-    meets a question id longer than ``csv.field_size_limit()`` or yields
+    The body is parsed in one pass by ``np.loadtxt``. When a cell may be
+    longer than ``csv.field_size_limit()``, or that pass fails or yields
     anything but a full table of values in [0, 1], the file is read again
     row by row; that loop decides what is accepted and names the first bad
     line.
     """
     limit = csv.field_size_limit()
+    with open(path, "rb", buffering=_BLOCK_BYTES) as fh:
+        fits = _cells_fit(fh, limit)
+    if not fits:
+        return _read_snapshot_rows(path)
     with open(path, newline="", encoding="utf-8") as fh:
         header = _snapshot_header(_csv_rows(fh))
         question_ids: list[str] = []
@@ -278,6 +283,24 @@ def read_snapshot(path: str | Path) -> Snapshot:
                 values=values, question_ids=tuple(question_ids), learner_ids=tuple(header[1:])
             )
     return _read_snapshot_rows(path)
+
+
+def _cells_fit(lines: Iterator[bytes], limit: int) -> bool:
+    """Whether no value cell of a snapshot file's lines can be longer than
+    ``limit``, which ``np.loadtxt`` does not check.
+
+    A value cell that parses holds no comma, so it is no longer than its
+    line, or than the text between the commas around it, unless it is
+    quoted across lines; a line with an odd number of quotes starts or
+    ends such a cell. Question ids are checked as they are read.
+    """
+    for line in lines:
+        line = line.rstrip(b"\r\n")
+        if (b'"' in line and line.count(b'"') % 2) or (
+            len(line) > limit and max(map(len, line.split(b","))) > limit
+        ):
+            return False
+    return True
 
 
 def _snapshot_header(reader: Iterator[list[str]]) -> list[str]:

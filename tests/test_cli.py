@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from diaggen import split_learners
+from diaggen.io import read_interactions
 from diaggen.cli import derive_seeds, main
 
 
@@ -117,6 +119,22 @@ class TestEstimate:
         assert "pearson" in doc and "spearman" in doc
         assert doc["converged"] is True and 0 < doc["iterations"] < 50
         assert out_path.exists()
+
+    def test_rasch_reports_groups_solved(self, small_world, tmp_path, capsys):
+        interactions, _ = small_world
+        code, out, err = run_cli(
+            capsys,
+            "estimate",
+            "--interactions", str(interactions),
+            "--out", str(tmp_path / "est.csv"),
+        )
+        assert code == 0, err
+        # Every simulated learner answers every question, so the training
+        # learners' distinct raw scores are the groups.
+        log = read_interactions(interactions)
+        train = split_learners(range(len(log.learner_ids)), 0.8, 0).train
+        scores = np.bincount(log.learner, weights=log.correct)[list(train)]
+        assert last_json(out)["groups"] == len(np.unique(scores))
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -66,6 +66,34 @@ class TestInteractionLog:
         with pytest.raises(ValueError):
             log.order[0] = 5
 
+    def test_constructor_copies_caller_columns(self):
+        columns = (np.array([0, 0]), np.array([0, 1]), np.array([True, False]), np.array([3, 4]))
+        log = InteractionLog(("l0",), ("a", "b"), *columns)
+        for name, column in zip(("learner", "question", "correct", "order"), columns):
+            assert column.flags.writeable
+            assert not np.shares_memory(getattr(log, name), column)
+            assert not getattr(log, name).flags.writeable
+
+    def test_builders_hand_over_fresh_columns(self):
+        columns = (
+            np.array([0, 0], dtype=np.intp),
+            np.array([0, 1], dtype=np.intp),
+            np.array([True, False]),
+            np.array([3, 4], dtype=np.int64),
+        )
+        log = InteractionLog._own(("l0",), ("a", "b"), *columns)
+        assert log == InteractionLog(("l0",), ("a", "b"), *columns)
+        for name, column in zip(("learner", "question", "correct", "order"), columns):
+            assert getattr(log, name) is column
+            assert not column.flags.writeable
+
+    def test_handed_over_columns_are_checked(self):
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            InteractionLog._own(
+                ("l0",), ("a",), np.zeros(2, np.intp), np.zeros(2, np.intp),
+                np.ones(2, bool), np.zeros(2, np.int64),
+            )
+
     @pytest.mark.parametrize(
         "learner, question, message",
         [

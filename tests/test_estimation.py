@@ -279,6 +279,18 @@ class TestFitRasch:
             assert len(np.unique(fitted)) == len(np.unique(scores))
 
 
+    def test_groups_of_a_complete_design_are_its_raw_scores(self):
+        rng = np.random.default_rng(37)
+        log = bernoulli_log(rng.standard_normal(300), rng.standard_normal(10), 37)
+        scores = np.bincount(log.learner, weights=log.correct)
+        model = fit_rasch(log)
+        assert model.groups == len(np.unique(scores)) < 300
+
+    def test_groups_of_distinct_designs_are_learners(self):
+        log = make_log([("l0", "q0", 1, 0), ("l1", "q1", 1, 0), ("l2", "q0", 0, 0)])
+        assert fit_rasch(log).groups == 3
+
+
 class TestRaschSnapshot:
     def snapshot(self, theta, b):
         log = bernoulli_log(np.zeros(len(theta)), np.zeros(len(b)), 0)

@@ -17,6 +17,7 @@ from diaggen import (
     simulate,
     split_learners,
 )
+import diaggen.io
 from diaggen.cli import main
 from diaggen.io import (
     _interaction_columns,
@@ -371,6 +372,33 @@ class TestSnapshotRoundTrip:
         snap = read_snapshot(path)
         assert snap.question_ids == ("#q0", "q#1") and snap.learner_ids == ("#l0",)
         assert snap.values.tolist() == [[0.25], [0.5]]
+
+    def test_value_cell_over_field_limit_rejected(self, tmp_path):
+        # np.loadtxt has no field limit; the row loop's csv reader has.
+        limit = csv.field_size_limit()
+        self.rejects(
+            tmp_path,
+            "question_id,l0\nq0,0." + "0" * (limit + 8928) + "1\n",
+            f"field larger than field limit ({limit}) (line 2)",
+        )
+
+    def test_value_cell_at_field_limit_read(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "snap.csv"
+        path.write_text("question_id,l0\nq0,0." + "0" * (limit - 3) + "1\n")
+        assert read_snapshot(path).values.tolist() == [[0.0]]
+        assert _read_snapshot_rows(path).values.tolist() == [[0.0]]
+
+    def test_lines_over_field_limit_read_in_one_pass(self, tmp_path, monkeypatch):
+        # Every line is longer than the field limit, every cell short.
+        n_learners = csv.field_size_limit() // 9 + 1
+        snap = Snapshot(
+            np.full((2, n_learners), 0.5), ("q0", "q1"), tuple(f"l{j}" for j in range(n_learners))
+        )
+        path = tmp_path / "snap.csv"
+        write_snapshot(snap, path)
+        monkeypatch.setattr(diaggen.io, "_read_snapshot_rows", None)
+        assert np.array_equal(read_snapshot(path).values, snap.values)
 
     def test_row_loop_spelling_accepted(self, tmp_path):
         # Python's float() reads digit-group underscores; the one-pass parse

@@ -1,0 +1,174 @@
+"""The grouped Rasch solver against the per-record solver it replaced.
+
+``reference_newton`` iterates over every record: each learner has their own
+theta, and no records are pooled. ``estimation._newton`` pools learners who
+answered the same questions and got the same raw score; in every case here
+both must take the same steps.
+"""
+
+import numpy as np
+import pytest
+
+from diaggen import estimation
+from diaggen.estimation import _newton
+
+
+def reference_newton(l_idx, q_idx, y, b, *, n_learners, reg, max_epochs, tol, fit_b):
+    """Per-record alternating diagonal Newton steps with step halving and
+    the penalty-minimising gauge shift; (theta, b, history, converged)."""
+    flip = 1.0 - 2.0 * y
+    y_theta = np.bincount(l_idx, weights=y, minlength=n_learners)
+    y_b = np.bincount(q_idx, weights=y, minlength=b.size)
+    z, e, p, work = (np.empty(y.size) for _ in range(4))
+
+    def penalty(theta, b):
+        return 0.5 * reg * float(theta @ theta + b @ b)
+
+    def evaluate(theta, b):
+        np.take(theta, l_idx, out=z, mode="clip")
+        np.subtract(z, np.take(b, q_idx, out=work, mode="clip"), out=z)
+        np.abs(z, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        nll = float(np.log1p(e, out=work).sum())
+        np.multiply(flip, z, out=work)
+        nll += float(np.maximum(work, 0.0, out=work).sum())
+        np.maximum(np.greater_equal(z, 0.0, out=work), e, out=work)
+        np.divide(work, np.add(e, 1.0, out=p), out=p)
+        return nll
+
+    def newton_step(theta, b, on_b):
+        index, value, y_sum, sign = (q_idx, b, y_b, -1.0) if on_b else (l_idx, theta, y_theta, 1.0)
+        grad = np.bincount(index, weights=p, minlength=value.size) - y_sum
+        grad = sign * grad + reg * value
+        np.multiply(np.subtract(1.0, p, out=work), p, out=work)
+        return -grad / (np.bincount(index, weights=work, minlength=value.size) + reg)
+
+    def descend(theta, b, d_theta, d_b, nll):
+        t = 1.0
+        while t > 1e-12:
+            trial = (theta + t * d_theta, b + t * d_b)
+            loss = evaluate(*trial)
+            value = loss + penalty(*trial)
+            if value <= nll + 1e-9:
+                return *trial, loss, value
+            t /= 2.0
+        return None
+
+    theta = np.zeros(n_learners)
+    nll = evaluate(theta, b) + penalty(theta, b)
+    history = [nll]
+    for _ in range(max_epochs):
+        start_theta, start_b = theta, b
+        moved = descend(theta, b, newton_step(theta, b, on_b=False), 0.0, nll)
+        if moved is None:
+            break
+        theta, b, loss, nll = moved
+        if fit_b:
+            moved = descend(theta, b, 0.0, newton_step(theta, b, on_b=True), nll)
+            if moved is None:
+                break
+            theta, b, loss, nll = moved
+            shift = -(theta.sum() + b.sum()) / (theta.size + b.size)
+            theta, b = theta + shift, b + shift
+            nll = loss + penalty(theta, b)
+        history.append(nll)
+        change = max(np.abs(theta - start_theta).max(), np.abs(b - start_b).max())
+        if change < tol:
+            return theta, b, history, True
+    return theta, b, history, False
+
+
+def records(n_learners, n_questions, keep, seed, repeat=0.0):
+    """Records of a Bernoulli Rasch world: learner l answers question q with
+    probability ``keep``, and a kept record is answered once more with
+    probability ``repeat``; answers are drawn from sigmoid(theta - b)."""
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal(n_learners)
+    b = rng.standard_normal(n_questions)
+    l_idx, q_idx = np.divmod(np.arange(n_learners * n_questions), n_questions)
+    kept = rng.random(l_idx.size) < keep
+    l_idx, q_idx = l_idx[kept], q_idx[kept]
+    twice = rng.random(l_idx.size) < repeat
+    l_idx = np.concatenate((l_idx, l_idx[twice]))
+    q_idx = np.concatenate((q_idx, q_idx[twice]))
+    order = rng.permutation(l_idx.size)
+    l_idx, q_idx = l_idx[order], q_idx[order]
+    p = 1.0 / (1.0 + np.exp(b[q_idx] - theta[l_idx]))
+    y = (rng.random(l_idx.size) < p).astype(np.float64)
+    # Every learner keeps at least one record.
+    missing = np.setdiff1d(np.arange(n_learners), l_idx)
+    l_idx = np.concatenate((l_idx, missing))
+    q_idx = np.concatenate((q_idx, np.zeros(missing.size, dtype=q_idx.dtype)))
+    y = np.concatenate((y, np.ones(missing.size)))
+    return l_idx, q_idx, y, n_learners, b
+
+
+def assert_same_fit(l_idx, q_idx, y, n_learners, b, *, fit_b, reg=1e-4, max_epochs=500):
+    settings = dict(n_learners=n_learners, reg=reg, max_epochs=max_epochs, tol=1e-6, fit_b=fit_b)
+    start_b = np.zeros(b.size) if fit_b else b
+    want_theta, want_b, want_history, want_converged = reference_newton(
+        l_idx, q_idx, y, start_b, **settings
+    )
+    fit = _newton(l_idx, q_idx, y, start_b, **settings)
+    assert fit.converged == want_converged
+    assert len(fit.history) == len(want_history)
+    np.testing.assert_allclose(fit.history, want_history, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(fit.theta, want_theta, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(fit.b, want_b, rtol=0, atol=1e-9)
+    return fit
+
+
+@pytest.mark.parametrize("fit_b", [True, False])
+class TestParity:
+    def test_complete_design(self, fit_b):
+        fit = assert_same_fit(*records(300, 12, keep=1.0, seed=1), fit_b=fit_b)
+        assert fit.groups <= 13
+
+    @pytest.mark.parametrize("keep", [0.6, 0.2])
+    def test_sparse_design(self, fit_b, keep):
+        assert_same_fit(*records(300, 15, keep=keep, seed=2), fit_b=fit_b)
+
+    def test_duplicate_records(self, fit_b):
+        fit = assert_same_fit(*records(300, 6, keep=1.0, seed=3, repeat=0.2), fit_b=fit_b)
+        assert fit.groups < 300
+
+    def test_pooled_and_lone_learners(self, fit_b):
+        # A complete block, whose learners pool, beside a sparse one.
+        dense = records(200, 8, keep=1.0, seed=4)
+        sparse = records(100, 8, keep=0.5, seed=5)
+        l_idx = np.concatenate((dense[0], sparse[0] + 200))
+        q_idx = np.concatenate((dense[1], sparse[1]))
+        y = np.concatenate((dense[2], sparse[2]))
+        fit = assert_same_fit(l_idx, q_idx, y, 300, dense[4], fit_b=fit_b)
+        assert 9 < fit.groups < 300
+
+    def test_hash_collisions_never_merge_designs(self, fit_b, monkeypatch):
+        # With every key 0, learners with equal record counts and raw
+        # scores share a hash whatever their questions.
+        monkeypatch.setattr(estimation, "_hash_keys", lambda n_questions: np.zeros(n_questions + 1))
+        l_idx, q_idx, y, n_learners, b = records(300, 6, keep=0.5, seed=6, repeat=0.1)
+        assert_same_fit(l_idx, q_idx, y, n_learners, b, fit_b=fit_b)
+        designs = [tuple(sorted(q_idx[l_idx == l].tolist())) for l in range(n_learners)]
+        scores = np.bincount(l_idx, weights=y)
+        keys = {(len(d), s) for d, s in zip(designs, scores)}
+        assert len(keys) < len(set(zip(designs, scores)))
+        groups = estimation._group(l_idx, q_idx, y, n_learners, b.size)
+        assert groups.size.max() > 1
+        for group in range(groups.size.size):
+            members = np.flatnonzero(groups.of == group)
+            assert len({(designs[l], scores[l]) for l in members}) == 1
+
+
+@pytest.mark.parametrize("answers", ["all right", "all wrong"])
+def test_far_from_zero(answers):
+    # Frozen difficulties put every record at |theta - b| > 40 at the start.
+    b = np.array([-60.3, -45.1, -41.7, 41.7, 45.1, 60.3])
+    n_learners = 40
+    l_idx = np.repeat(np.arange(n_learners), b.size)
+    q_idx = np.tile(np.arange(b.size), n_learners)
+    keep = (b < 0 if answers == "all right" else b > 0)[q_idx]
+    l_idx, q_idx = l_idx[keep], q_idx[keep]
+    y = np.full(l_idx.size, float(answers == "all right"))
+    fit = assert_same_fit(l_idx, q_idx, y, n_learners, b, fit_b=False, reg=1e-30, max_epochs=3)
+    assert fit.groups == 1
