@@ -209,6 +209,9 @@ class Snapshot:
                 f"column count {values.shape[1]} does not match "
                 f"{len(self.learner_ids)} learner ids"
             )
+        for name, ids in (("question", self.question_ids), ("learner", self.learner_ids)):
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"duplicate {name} ids")
         if np.isnan(values).any():
             raise ValueError("snapshot contains NaN")
         if values.size and (values.min() < 0.0 or values.max() > 1.0):

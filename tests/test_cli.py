@@ -788,6 +788,16 @@ class TestErrorReporting:
             1, "", f"error: field larger than field limit ({limit}) (line 3)\n"
         )
 
+    def test_duplicate_question_ids_in_snapshot(self, capsys, tmp_path):
+        snap = tmp_path / "snap.csv"
+        snap.write_text("question_id,l0,l1\nq0,0.9,0.1\nq0,0.2,0.8\nq1,0.5,0.5\n")
+        code, out, err = run_cli(
+            capsys, "search", "--snapshot", str(snap), "--algo", "brute", "--k", "2",
+            "--lam", "1", "--ratio", "0.5", "--out", str(tmp_path / "result.json"),
+        )
+        assert (code, out, err) == (1, "", "error: duplicate question ids\n")
+        assert not (tmp_path / "result.json").exists()
+
     @pytest.mark.parametrize("where", ["header", "question id"])
     def test_overlong_id_in_snapshot(self, capsys, tmp_path, where):
         long_id = "x" * 200_000

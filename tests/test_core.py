@@ -125,6 +125,17 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="column count"):
             Snapshot(np.full((1, 2), 0.5), ("q0",), ("l0",))
 
+    @pytest.mark.parametrize(
+        "questions, learners, message",
+        [
+            (("q0", "q0"), ("l0",), "duplicate question ids"),
+            (("q0",), ("l0", "l1", "l0"), "duplicate learner ids"),
+        ],
+    )
+    def test_rejects_duplicate_ids(self, questions, learners, message):
+        with pytest.raises(ValueError, match=message):
+            Snapshot(np.full((len(questions), len(learners)), 0.5), questions, learners)
+
     def test_values_frozen(self):
         snap = Snapshot(np.full((1, 1), 0.5), ("q0",), ("l0",))
         with pytest.raises(ValueError):

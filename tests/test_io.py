@@ -313,6 +313,14 @@ class TestSnapshotRoundTrip:
                 read(path)
             assert str(info.value) == message
 
+    def test_duplicate_question_ids_rejected(self, tmp_path):
+        self.rejects(
+            tmp_path, "question_id,l0\nq0,0.5\nq1,0.5\nq0,0.5\n", "duplicate question ids"
+        )
+
+    def test_duplicate_learner_ids_rejected(self, tmp_path):
+        self.rejects(tmp_path, "question_id,l0,l1,l0\nq0,0.5,0.5,0.5\n", "duplicate learner ids")
+
     def test_out_of_range_value_rejected(self, tmp_path):
         self.rejects(
             tmp_path,
@@ -446,6 +454,15 @@ class TestSnapshotRoundTrip:
         path = tmp_path_factory.mktemp("snap") / "snap.csv"
         path.write_bytes(text.encode())
 
+        if len(set(question_ids)) < n_questions or len(set(learner_ids)) < n_learners:
+            outcomes = []
+            for read in (_read_snapshot_rows, read_snapshot):
+                with pytest.raises(ValueError) as info:
+                    read(path)
+                outcomes.append(str(info.value))
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0] in ("duplicate question ids", "duplicate learner ids")
+            return
         want = _read_snapshot_rows(path)
         assert want.question_ids == tuple(question_ids)
         assert want.learner_ids == tuple(learner_ids)

@@ -172,3 +172,68 @@ def test_far_from_zero(answers):
     y = np.full(l_idx.size, float(answers == "all right"))
     fit = assert_same_fit(l_idx, q_idx, y, n_learners, b, fit_b=False, reg=1e-30, max_epochs=3)
     assert fit.groups == 1
+
+
+CASES = {
+    "complete": dict(n_learners=300, n_questions=12, keep=1.0, seed=1),
+    "sparse 0.6": dict(n_learners=300, n_questions=15, keep=0.6, seed=2),
+    "sparse 0.2": dict(n_learners=300, n_questions=15, keep=0.2, seed=2),
+    "duplicate records": dict(n_learners=300, n_questions=6, keep=1.0, seed=3, repeat=0.2),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+class TestCountedRecords:
+    """Every group, one-member groups included, is held as counted
+    (group, question, correct, count) records."""
+
+    def test_counts_cover_every_record(self, case):
+        l_idx, q_idx, y, n_learners, b = records(**CASES[case])
+        groups = estimation._group(l_idx, q_idx, y, n_learners, b.size)
+        assert groups.count.sum() == l_idx.size
+        assert groups.count.min() >= 1
+
+    def test_right_answers_per_question(self, case):
+        l_idx, q_idx, y, n_learners, b = records(**CASES[case])
+        groups = estimation._group(l_idx, q_idx, y, n_learners, b.size)
+        np.testing.assert_array_equal(
+            np.bincount(groups.question, weights=groups.count * groups.correct, minlength=b.size),
+            np.bincount(q_idx, weights=y, minlength=b.size),
+        )
+
+    def test_right_answers_per_group(self, case):
+        l_idx, q_idx, y, n_learners, b = records(**CASES[case])
+        groups = estimation._group(l_idx, q_idx, y, n_learners, b.size)
+        right = np.bincount(
+            groups.group, weights=groups.count * groups.correct, minlength=groups.size.size
+        )
+        np.testing.assert_array_equal(right, groups.size * groups.score)
+
+    @pytest.mark.parametrize("fit_b", [True, False])
+    def test_record_order_does_not_matter(self, case, fit_b):
+        l_idx, q_idx, y, n_learners, b = records(**CASES[case])
+        settings = dict(n_learners=n_learners, reg=1e-4, max_epochs=500, tol=1e-6, fit_b=fit_b)
+        start_b = np.zeros(b.size) if fit_b else b
+        fit = _newton(l_idx, q_idx, y, start_b, **settings)
+        order = np.random.default_rng(7).permutation(l_idx.size)
+        shuffled = _newton(l_idx[order], q_idx[order], y[order], start_b, **settings)
+        assert shuffled.groups == fit.groups
+        assert len(shuffled.history) == len(fit.history)
+        assert shuffled.converged == fit.converged
+        np.testing.assert_allclose(shuffled.theta, fit.theta, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(shuffled.b, fit.b, rtol=0, atol=1e-9)
+
+
+def test_no_shared_key_keeps_every_learner_apart():
+    # Learner l answers questions 0..l, so no two learners share a design.
+    n_learners = 12
+    l_idx = np.repeat(np.arange(n_learners), np.arange(1, n_learners + 1))
+    q_idx = np.concatenate([np.arange(l + 1) for l in range(n_learners)])
+    y = (np.random.default_rng(8).random(l_idx.size) < 0.5).astype(np.float64)
+    b = np.random.default_rng(9).standard_normal(n_learners)
+    groups = estimation._group(l_idx, q_idx, y, n_learners, b.size)
+    np.testing.assert_array_equal(groups.of, np.arange(n_learners))
+    np.testing.assert_array_equal(groups.count, np.ones(l_idx.size))
+    for fit_b in (True, False):
+        fit = assert_same_fit(l_idx, q_idx, y, n_learners, b, fit_b=fit_b)
+        assert fit.groups == n_learners
