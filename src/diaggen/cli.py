@@ -107,12 +107,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         model = fit_rasch(
             log.restrict_learners(train_ids), reg=args.reg, max_epochs=args.max_epochs, tol=args.tol
         )
-        theta, ids = fit_abilities(model, log)
-        snapshot = rasch_snapshot(model, theta, ids)
+        abilities = fit_abilities(model, log)
+        snapshot = rasch_snapshot(model, abilities.theta, abilities.learner_ids)
         doc |= {
             "converged": model.converged,
             "iterations": model.iterations,
             "groups": model.groups,
+            "abilities_converged": abilities.converged,
+            "abilities_iterations": abilities.iterations,
         }
     else:
         snapshot = correct_ratio_snapshot(
@@ -487,6 +489,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

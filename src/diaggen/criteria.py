@@ -186,7 +186,7 @@ def sample_subsets(
 
 
 def calibrate_lambda(
-    ctx: CriteriaContext, k: int, n_samples: int = 10_000, seed: int = 0
+    ctx: CriteriaContext, k: int, n_samples: int = 10_000, seed: int = 1
 ) -> float:
     """Estimate lam = mean(rmse) / mean(std) over random K-subsets.
 

@@ -20,19 +20,18 @@ is the learners who answered the same multiset of questions and got the
 same raw score: given the questions a learner answered, the Rasch
 likelihood depends on their answers only through the raw score, which is
 a sufficient statistic for ability (Rasch 1960; Fischer and Molenaar,
-*Rasch Models*, 1995). The members of a group share one ability. Every
-group, one-member groups included, is held in one form: one record per
-question of its design and answer, counting the members who gave it,
-which leaves every step and objective value as they are per learner. The
-grouping hashes each learner's questions and sorts the records once, by
-(learner, question), which is nearly log order on a log written learner
-by learner. When every learner answers one fixed test, as in a diagnostic
-assessment, the 300,000 records of 6000 learners and 50 questions become
-about 2,800. On a sparse log, where few learners share their questions,
-nearly every group has one member and there are as many records as in the
-log. There the grouping and the counts cost more than they save: on a
-6000-learner log thinned to 40% and to 10% of its records, the two fits
-took 28% and 2% longer than with a separate path for lone learners.
+*Rasch Models*, 1995). The members of a group share one ability, and the
+answers they gave at one position of their design are binomial in the
+number of right ones. So every group, one-member groups included, is one
+record per position of its design: the group, the question and how many
+of its members answered it rightly, which leaves every step and objective
+value as they are per learner. The grouping hashes each learner's
+questions and sorts the records once, by (learner, question). When every
+learner answers one fixed test, as in a diagnostic assessment, the
+300,000 records of the 6000-learner, 50-question seed-101 log become
+1,500: 30 groups of 50. On a sparse log, where few learners share their
+questions, nearly every group has one member and there are about as many
+records as in the log.
 
 Also implements the learner-count sufficiency analysis: how much the mean
 learner performance of a snapshot moves as learners are added, used to pick
@@ -42,7 +41,7 @@ a practical snapshot size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,25 +78,22 @@ class RaschModel:
         return len(self.nll_history) - 1
 
 
-@dataclass(frozen=True)
-class _Groups:
+class _Groups(NamedTuple):
     """Learners pooled into groups, and the records one solve iterates on.
 
     A learner's design is the multiset of questions they answered; the
     members of a group share their design and their raw score. ``of``
-    gives each learner's group, ``size`` and ``score`` each group's member
-    count and raw score. Record ``i`` stands for ``count[i]`` answers that
-    members of group ``group[i]`` gave to question ``question[i]``, all
-    right or all wrong as ``correct[i]`` is 1 or 0.
+    gives each learner's group and ``size`` each group's member count.
+    Record ``i`` is one position of group ``group[i]``'s design: its
+    ``size[group[i]]`` members answered question ``question[i]`` there,
+    ``right[i]`` of them rightly.
     """
 
     of: np.ndarray
     size: np.ndarray
-    score: np.ndarray
     group: np.ndarray
     question: np.ndarray
-    correct: np.ndarray
-    count: np.ndarray
+    right: np.ndarray
 
 
 def _hash_keys(n_questions: int) -> np.ndarray:
@@ -123,8 +119,7 @@ def _group(
     representative's is a hash collision and becomes their own
     representative, so no two designs are merged. Every group, one-member
     groups included, keeps one record per position of its representative's
-    sorted design and answer: one of its members' wrong answers and one of
-    their right answers, each dropped when it counts none.
+    sorted design, counting the members who answered rightly there.
     """
     counts = np.bincount(l_idx, minlength=n_learners)
     scores = np.bincount(l_idx, weights=y, minlength=n_learners)
@@ -153,44 +148,28 @@ def _group(
     size = np.bincount(of).astype(np.float64)
 
     # A learner who does not match their representative keeps their own
-    # records. Each representative's position that n members answered, s
-    # of them rightly, becomes a record of the n - s wrong answers and one
-    # of the s right answers.
+    # records; every other answer counts at its representative's position.
     own = np.flatnonzero(np.repeat(~ok, counts))
     ref[own] = own
     mine = np.repeat(is_rep, counts)
-    right = np.bincount(ref, weights=sorted_y, minlength=ref.size).compress(mine)
-    del ref, sorted_y
-    group = np.repeat(np.arange(size.size), counts.compress(is_rep))
-    count = np.column_stack((size.take(group) - right, right)).ravel()
-    answered = count > 0
     return _Groups(
         of=of,
         size=size,
-        score=scores.compress(is_rep),
-        group=group.repeat(2).compress(answered),
-        question=sorted_q.compress(mine).repeat(2).compress(answered),
-        correct=np.tile((0.0, 1.0), group.size).compress(answered),
-        count=count.compress(answered),
+        group=np.repeat(np.arange(size.size), counts.compress(is_rep)),
+        question=sorted_q.compress(mine),
+        right=np.bincount(ref, weights=sorted_y, minlength=ref.size).compress(mine),
     )
 
 
-@dataclass(frozen=True)
-class _Solution:
-    """What ``_newton`` found; unpacks as (theta, b, history, converged).
-
-    ``theta`` has one entry per learner, ``groups`` is the number of
-    abilities solved for.
-    """
+class _Solution(NamedTuple):
+    """What ``_newton`` found: ``theta`` has one entry per learner,
+    ``groups`` is the number of abilities solved for."""
 
     theta: np.ndarray
     b: np.ndarray
     history: list[float]
     converged: bool
     groups: int
-
-    def __iter__(self):
-        return iter((self.theta, self.b, self.history, self.converged))
 
 
 def _newton(
@@ -209,8 +188,8 @@ def _newton(
     alternating diagonal Newton steps, starting from theta = 0.
 
     The learners are pooled first (``_group``): the members of a group
-    share one theta, and the iteration runs on the groups' counted
-    records, a record of n answers weighing as n records of one. Each
+    share one theta, and the iteration runs on the groups' records, a
+    record of a group of n members weighing as its n answers. Each
     iteration takes a Newton step on theta and, when ``fit_b``, one on b;
     both block Hessians are diagonal. A step is halved until the objective
     does not rise. Fitting both blocks, the iteration ends by shifting
@@ -223,9 +202,9 @@ def _newton(
     size keeps the objective from rising.
     """
     groups = _group(l_idx, q_idx, y, n_learners, b.size)
-    size, score, g_idx, q_idx, count = (
-        groups.size, groups.score, groups.group, groups.question, groups.count
-    )
+    size, g_idx, q_idx, right = groups.size, groups.group, groups.question, groups.right
+    count = size.take(g_idx)
+    wrong = count - right
     # Record-length work buffers, written in place: a fresh temporary of
     # this size costs more in page faults than the arithmetic done on it.
     z, e, p = (np.empty(count.size) for _ in range(3))
@@ -239,11 +218,9 @@ def _newton(
         uses ``z`` as scratch."""
         return np.bincount(index, weights=np.multiply(count, x, out=z), minlength=n)
 
-    y_b = sums(q_idx, groups.correct, b.size)
-    # n (1 - 2y) for a record of n answers: max(signed * z, 0) is then
-    # n max(z, 0) for wrong answers and n max(-z, 0) for right ones.
-    signed = np.subtract(1.0, 2.0 * groups.correct)
-    signed *= count
+    # Exact: a group's right answers are its size times each member's raw score.
+    y_theta = np.bincount(g_idx, weights=right, minlength=size.size) / size
+    y_b = np.bincount(q_idx, weights=right, minlength=b.size)
 
     def penalty(theta: np.ndarray, b: np.ndarray) -> float:
         return 0.5 * reg * (dot(size * theta, theta) + float(b @ b))
@@ -252,19 +229,19 @@ def _newton(
         """The NLL of the records at (theta, b), leaving sigmoid(theta - b)
         in ``p``.
 
-        With z = theta - b and e = exp(-|z|), a record of n answers adds
-        n log1p(e) + max(signed * z, 0), a sum of two non-negative terms,
-        and sigmoid(z) is 1 / (1 + e) for z >= 0 and e / (1 + e) below.
+        With z = theta - b and e = exp(-|z|), a record of n answers, r of
+        them right, adds n log1p(e) + (n - r) max(z, 0) - r min(z, 0), a
+        sum of non-negative terms, and sigmoid(z) is 1 / (1 + e) for
+        z >= 0 and e / (1 + e) below.
         """
         # mode="clip" skips the bounds check; the indices come from the pool.
         np.take(theta, g_idx, out=z, mode="clip")
         np.subtract(z, np.take(b, q_idx, out=e, mode="clip"), out=z)
-        np.abs(z, out=e)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        nll = dot(count, np.log1p(e, out=p))
-        np.multiply(signed, z, out=p)
-        nll += float(np.maximum(p, 0.0, out=p).sum())
+        above = dot(wrong, np.maximum(z, 0.0, out=p))
+        below = dot(right, np.minimum(z, 0.0, out=e))
+        # min(z, 0) - max(z, 0) = -|z|
+        np.exp(np.subtract(e, p, out=e), out=e)
+        nll = dot(count, np.log1p(e, out=p)) + above - below
         # e <= 1, so max(z >= 0, e) is 1 for z >= 0 and e below.
         np.maximum(np.greater_equal(z, 0.0, out=z), e, out=z)
         np.divide(z, np.add(e, 1.0, out=e), out=p)
@@ -276,7 +253,7 @@ def _newton(
         sums are divided by its size, so its theta step is each member's
         own."""
         index, value, y_sum, sign, members = (
-            (q_idx, b, y_b, -1.0, 1.0) if on_b else (g_idx, theta, score, 1.0, size)
+            (q_idx, b, y_b, -1.0, 1.0) if on_b else (g_idx, theta, y_theta, 1.0, size)
         )
         grad = sums(index, p, value.size) / members - y_sum
         grad = sign * grad + reg * value
@@ -365,13 +342,23 @@ def fit_rasch(
     )
 
 
-def fit_abilities(model: RaschModel, log: InteractionLog) -> tuple[np.ndarray, tuple[str, ...]]:
+class Abilities(NamedTuple):
+    """What ``fit_abilities`` found: one ability per learner, in log order,
+    and whether the solve converged within the model's ``max_epochs``."""
+
+    theta: np.ndarray
+    learner_ids: tuple[str, ...]
+    converged: bool
+    iterations: int
+
+
+def fit_abilities(model: RaschModel, log: InteractionLog) -> Abilities:
     """Estimate the abilities of the log's learners with difficulties frozen.
 
     This is how a fitted model is applied to learners outside the fitting
     split: only their own records are used and the question scale does not
-    move. Questions absent from the model are rejected. Returns the
-    abilities and the learner ids in log order.
+    move. Questions absent from the model are rejected. The solve uses the
+    model's ``reg``, ``max_epochs`` and ``tol``.
     """
     known = {qid: i for i, qid in enumerate(model.question_ids)}
     missing = sorted(set(log.question_ids) - known.keys())
@@ -379,12 +366,12 @@ def fit_abilities(model: RaschModel, log: InteractionLog) -> tuple[np.ndarray, t
         raise ValueError(f"questions not in the fitted model: {missing[:5]}")
     _, l_index = build_pool(log)
     l_idx, q_idx, y = to_index_arrays(log, known, l_index)
-    theta, *_ = _newton(
+    fit = _newton(
         l_idx, q_idx, y, model.b,
         n_learners=len(l_index), reg=model.reg, max_epochs=model.max_epochs,
         tol=model.tol, fit_b=False,
     )
-    return theta, tuple(l_index)
+    return Abilities(fit.theta, tuple(l_index), fit.converged, len(fit.history) - 1)
 
 
 def rasch_snapshot(model: RaschModel, theta: np.ndarray, learner_ids: Sequence[str]) -> Snapshot:
@@ -410,7 +397,8 @@ def correct_ratio_snapshot(
 
     ``fit_learners`` optionally restricts the records used for p_q and g
     (per-learner ratios always come from the learner's own records), so a
-    held-out split can be kept out of the question statistics.
+    held-out split can be kept out of the question statistics. Without
+    smoothing, a question they left unanswered has no ratio and is rejected.
     """
     if not np.isfinite(smoothing):
         raise ValueError("smoothing must be finite")
@@ -431,10 +419,11 @@ def correct_ratio_snapshot(
     def smoothed(correct, count):
         return (correct + smoothing) / (count + 2.0 * smoothing)
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_q = smoothed(
-            np.bincount(q_idx, weights=fit_y, minlength=nq), np.bincount(q_idx, minlength=nq)
-        )
+    q_count = np.bincount(q_idx, minlength=nq)
+    if smoothing == 0 and not q_count.all():
+        missing = [qid for qid, q in q_index.items() if not q_count[q]]
+        raise ValueError(f"no records from the fitting learners for questions: {missing[:5]}")
+    p_q = smoothed(np.bincount(q_idx, weights=fit_y, minlength=nq), q_count)
     a_l = smoothed(np.bincount(l_idx, weights=y, minlength=nl), np.bincount(l_idx, minlength=nl))
     g = smoothed(fit_y.sum(), fit_y.size)
 

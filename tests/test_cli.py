@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diaggen import split_learners
-from diaggen.io import read_interactions
+from diaggen import CriteriaContext, calibrate_lambda, split_learners
+from diaggen.io import read_interactions, read_snapshot
 from diaggen.cli import derive_seeds, main
 
 
@@ -135,6 +135,39 @@ class TestEstimate:
         train = split_learners(range(len(log.learner_ids)), 0.8, 0).train
         scores = np.bincount(log.learner, weights=log.correct)[list(train)]
         assert last_json(out)["groups"] == len(np.unique(scores))
+
+    def test_rasch_reports_ability_fit(self, small_world, tmp_path, capsys):
+        interactions, _ = small_world
+        code, out, err = run_cli(
+            capsys,
+            "estimate",
+            "--interactions", str(interactions),
+            "--out", str(tmp_path / "est.csv"),
+            "--max-epochs", "1",
+        )
+        assert code == 0, err
+        doc = last_json(out)
+        assert (doc["abilities_converged"], doc["abilities_iterations"]) == (False, 1)
+
+    def test_ratio_names_questions_without_fitting_records(self, tmp_path, capsys):
+        # Only learner c answers q2, and c is held out.
+        assert 2 not in split_learners(range(5), 0.4, 1).train
+        log = tmp_path / "log.csv"
+        log.write_text(
+            "learner_id,question_id,correct,order\n"
+            + "".join(
+                f"{l},q{q},{(q + j) % 2},{q}\n" for j, l in enumerate("abcde") for q in range(2)
+            )
+            + "c,q2,1,2\n"
+        )
+        out_path = tmp_path / "est.csv"
+        code, out, err = run_cli(
+            capsys, "estimate", "--interactions", str(log), "--estimator", "ratio",
+            "--smoothing", "0", "--ratio", "0.4", "--split-seed", "1", "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: no records from the fitting learners for questions: ['q2']\n"
+        assert not out_path.exists()
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -276,6 +309,25 @@ class TestCalibrate:
         assert doc["lambda"] > 0
         assert doc["train_learners"] == 32
 
+    def test_library_default_seed_matches_cli(self, small_world, capsys):
+        _, truth = small_world
+        code, out, err = run_cli(capsys, "calibrate", "--snapshot", str(truth), "--k", "3")
+        assert code == 0, err
+        snapshot = read_snapshot(truth)
+        train = split_learners(range(snapshot.n_learners), 0.8, 0).train
+        ctx = CriteriaContext.build(snapshot, train)
+        assert last_json(out)["lambda"] == calibrate_lambda(ctx, 3)
+
+    def test_unallocatable_sample_count_is_one_error_line(self, small_world, capsys):
+        # numpy refuses the (10**13, Q) block of uniforms before allocating.
+        _, truth = small_world
+        code, out, err = run_cli(
+            capsys, "calibrate", "--snapshot", str(truth), "--k", "3",
+            "--samples", "10000000000000",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
 
 class TestSearch:
     def run_search(self, capsys, truth, out_path, *extra):
@@ -403,6 +455,16 @@ class TestSearch:
             capsys, truth, out_path, "--algo", algo, "--lam", "1", "--k", k,
         )
         assert (code, out, err) == (1, "", "error: k must be at least 1\n")
+        assert not out_path.exists()
+
+    def test_unallocatable_population_is_one_error_line(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        out_path = tmp_path / "res.json"
+        code, out, err = self.run_search(
+            capsys, truth, out_path, "--algo", "ga", "--population", "10000000000000",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
         assert not out_path.exists()
 
 

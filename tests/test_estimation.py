@@ -214,7 +214,7 @@ class TestFitRasch:
             keep = b < 0 if answers == "all right" else b > 0
             l_idx, q_idx = l_idx[keep[q_idx]], q_idx[keep[q_idx]]
             y = np.full(l_idx.size, float(answers == "all right"))
-        theta, _, history, _ = _newton(
+        theta, _, history, _, _ = _newton(
             l_idx, q_idx, y, b,
             n_learners=n_learners, reg=reg, max_epochs=3, tol=1e-6, fit_b=False,
         )
@@ -271,9 +271,9 @@ class TestFitRasch:
         log = bernoulli_log(rng.standard_normal(200), rng.standard_normal(12), 31)
         scores = np.bincount(log.learner, weights=log.correct)
         model = fit_rasch(log)
-        theta, order = fit_abilities(model, log)
-        assert order == model.learner_ids
-        for fitted in (model.theta, theta):
+        abilities = fit_abilities(model, log)
+        assert abilities.learner_ids == model.learner_ids
+        for fitted in (model.theta, abilities.theta):
             for score in np.unique(scores):
                 assert len(set(fitted[scores == score].tolist())) == 1
             assert len(np.unique(fitted)) == len(np.unique(scores))
@@ -333,18 +333,25 @@ class TestFitAbilities:
         train_ids = {f"l{l}" for l in range(100)}
         test_ids = {f"l{l}" for l in range(100, 120)}
         model = fit_rasch(log.restrict_learners(train_ids))
-        theta, order = fit_abilities(model, log.restrict_learners(test_ids))
-        assert set(order) == test_ids
-        truth = np.array([theta_true[int(l[1:])] for l in order])
-        assert spearmanr(theta, truth).statistic >= 0.85
+        abilities = fit_abilities(model, log.restrict_learners(test_ids))
+        assert set(abilities.learner_ids) == test_ids
+        truth = np.array([theta_true[int(l[1:])] for l in abilities.learner_ids])
+        assert spearmanr(abilities.theta, truth).statistic >= 0.85
 
     def test_refit_reproduces_joint_abilities(self):
         rng = np.random.default_rng(29)
         log = bernoulli_log(rng.standard_normal(60), rng.standard_normal(12), 29)
         model = fit_rasch(log)
-        theta, order = fit_abilities(model, log)
-        assert order == model.learner_ids
-        assert np.abs(theta - model.theta).max() <= 1e-8
+        abilities = fit_abilities(model, log)
+        assert abilities.learner_ids == model.learner_ids
+        assert np.abs(abilities.theta - model.theta).max() <= 1e-8
+        assert abilities.converged and 0 < abilities.iterations < model.max_epochs
+
+    def test_one_epoch_reports_no_convergence(self):
+        rng = np.random.default_rng(29)
+        log = bernoulli_log(rng.standard_normal(60), rng.standard_normal(12), 29)
+        abilities = fit_abilities(fit_rasch(log, max_epochs=1), log)
+        assert (abilities.converged, abilities.iterations) == (False, 1)
 
     def test_difficulties_untouched(self):
         rng = np.random.default_rng(2)

@@ -184,30 +184,32 @@ CASES = {
 
 @pytest.mark.parametrize("case", CASES)
 class TestCountedRecords:
-    """Every group, one-member groups included, is held as counted
-    (group, question, correct, count) records."""
+    """Every group, one-member groups included, is held as one
+    (group, question, right) record per position of its design."""
 
     def test_counts_cover_every_record(self, case):
         l_idx, q_idx, y, n_learners, b = records(**CASES[case])
         groups = estimation._group(l_idx, q_idx, y, n_learners, b.size)
-        assert groups.count.sum() == l_idx.size
-        assert groups.count.min() >= 1
+        assert groups.size.take(groups.group).sum() == l_idx.size
+        assert groups.right.min() >= 0
+        assert np.all(groups.right <= groups.size.take(groups.group))
 
     def test_right_answers_per_question(self, case):
         l_idx, q_idx, y, n_learners, b = records(**CASES[case])
         groups = estimation._group(l_idx, q_idx, y, n_learners, b.size)
         np.testing.assert_array_equal(
-            np.bincount(groups.question, weights=groups.count * groups.correct, minlength=b.size),
+            np.bincount(groups.question, weights=groups.right, minlength=b.size),
             np.bincount(q_idx, weights=y, minlength=b.size),
         )
 
     def test_right_answers_per_group(self, case):
         l_idx, q_idx, y, n_learners, b = records(**CASES[case])
         groups = estimation._group(l_idx, q_idx, y, n_learners, b.size)
-        right = np.bincount(
-            groups.group, weights=groups.count * groups.correct, minlength=groups.size.size
+        # Every member's raw score is their group's right answers over its size.
+        right = np.bincount(groups.group, weights=groups.right, minlength=groups.size.size)
+        np.testing.assert_array_equal(
+            (right / groups.size).take(groups.of), np.bincount(l_idx, weights=y)
         )
-        np.testing.assert_array_equal(right, groups.size * groups.score)
 
     @pytest.mark.parametrize("fit_b", [True, False])
     def test_record_order_does_not_matter(self, case, fit_b):
@@ -233,7 +235,8 @@ def test_no_shared_key_keeps_every_learner_apart():
     b = np.random.default_rng(9).standard_normal(n_learners)
     groups = estimation._group(l_idx, q_idx, y, n_learners, b.size)
     np.testing.assert_array_equal(groups.of, np.arange(n_learners))
-    np.testing.assert_array_equal(groups.count, np.ones(l_idx.size))
+    np.testing.assert_array_equal(groups.size, np.ones(n_learners))
+    np.testing.assert_array_equal(groups.right, y)
     for fit_b in (True, False):
         fit = assert_same_fit(l_idx, q_idx, y, n_learners, b, fit_b=fit_b)
         assert fit.groups == n_learners
