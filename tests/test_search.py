@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from diaggen import (
     Snapshot,
     brute_force,
     calibrate_lambda,
+    combined,
     crossover,
     fitness,
     ga_search,
@@ -18,6 +21,7 @@ from diaggen import (
     select,
     simulate,
 )
+from diaggen.criteria import batch_criteria
 from diaggen.search import GaConfig, tournament_size
 
 from conftest import random_snapshot
@@ -33,6 +37,50 @@ def all_distinct(population):
 
 def pairs(*individuals):
     return np.array(individuals, dtype=np.intp)
+
+
+def reference_brute_force(ctx, k):
+    """The exhaustive loop the prefix oracle replaced: every K-subset in
+    lexicographic order from ``combinations``, scored 4096 at a time by
+    ``batch_criteria``; a later subset wins only with a strictly higher
+    fitness. Returns (genes, evaluations, mean fitness)."""
+    best_fit, best_genes, fit_sum, count = -np.inf, None, 0.0, 0
+    combos = combinations(range(ctx.n_questions), k)
+    while block := list(islice(combos, 4096)):
+        rmse, std = batch_criteria(ctx, np.asarray(block, dtype=np.intp))
+        fits = combined(rmse, std, ctx.lam)
+        fit_sum += float(fits.sum())
+        count += len(block)
+        i = int(np.argmax(fits))
+        if fits[i] > best_fit:
+            best_fit, best_genes = float(fits[i]), block[i]
+    return best_genes, count, fit_sum / count
+
+
+def all_fitnesses(ctx, k):
+    """Every K-subset in lexicographic order and its fitness."""
+    subsets = np.array(list(combinations(range(ctx.n_questions), k)), dtype=np.intp)
+    return subsets, combined(*batch_criteria(ctx, subsets), ctx.lam)
+
+
+def duplicated_rows_snapshot(seed, n_questions, n_distinct, n_learners=20):
+    """Questions drawn from ``n_distinct`` random rows: subsets that hold
+    copies of the same rows in the same positions score bitwise-equal."""
+    rng = np.random.default_rng(seed)
+    distinct = rng.random((n_distinct, n_learners))
+    return Snapshot(
+        values=distinct[rng.integers(n_distinct, size=n_questions)],
+        question_ids=tuple(f"q{i}" for i in range(n_questions)),
+        learner_ids=tuple(f"l{j}" for j in range(n_learners)),
+    )
+
+
+def all_equal_snapshot(n_questions, n_learners=10):
+    return Snapshot(
+        values=np.full((n_questions, n_learners), 0.3),
+        question_ids=tuple(f"q{i}" for i in range(n_questions)),
+        learner_ids=tuple(f"l{j}" for j in range(n_learners)),
+    )
 
 
 class TestCrossover:
@@ -380,6 +428,71 @@ class TestBruteForce:
             assert best >= random_search(ctx, 3, seed=seed).report.fitness - 1e-12
             ga = ga_search(ctx, GaConfig(k=3, population_size=30, generations=10, seed=seed))
             assert best >= ga.report.fitness - 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_goes_to_lexicographically_smallest(self, seed):
+        # two copies of each of four rows: many subsets tie bitwise, the
+        # optimum among them
+        snap = duplicated_rows_snapshot(seed, n_questions=8, n_distinct=4)
+        ctx = CriteriaContext.build(snap, range(snap.n_learners), lam=0.6)
+        for k in range(2, 7):
+            subsets, fits = all_fitnesses(ctx, k)
+            tied = subsets[fits == fits.max()]
+            assert len(tied) >= 2
+            assert brute_force(ctx, k).best.genes == tuple(tied[0])
+
+    def test_all_equal_snapshot_takes_first_subset(self):
+        snap = all_equal_snapshot(8)
+        ctx = CriteriaContext.build(snap, range(snap.n_learners), lam=0.5)
+        for k in range(1, 9):
+            _, fits = all_fitnesses(ctx, k)
+            assert (fits == fits[0]).all()
+            assert brute_force(ctx, k).best.genes == tuple(range(k))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_on_random_snapshots(self, seed):
+        rng = np.random.default_rng(seed)
+        nq = int(rng.integers(1, 11))
+        snap = random_snapshot(seed + 200, n_questions=nq, n_learners=int(rng.integers(2, 30)))
+        ctx = CriteriaContext.build(snap, range(snap.n_learners), lam=float(rng.random()))
+        for k in range(1, nq + 1):
+            self.assert_matches_reference(ctx, k)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_on_tied_snapshots(self, seed):
+        snap = duplicated_rows_snapshot(seed + 300, n_questions=10, n_distinct=3 + seed % 3)
+        ctx = CriteriaContext.build(snap, range(snap.n_learners), lam=0.2 + 0.2 * seed)
+        for k in range(1, 11):
+            self.assert_matches_reference(ctx, k)
+        ctx = CriteriaContext.build(all_equal_snapshot(10), range(10), lam=0.5)
+        for k in range(1, 11):
+            self.assert_matches_reference(ctx, k)
+
+    @staticmethod
+    def assert_matches_reference(ctx, k):
+        genes, evaluations, mean = reference_brute_force(ctx, k)
+        result = brute_force(ctx, k)
+        assert result.best.genes == genes
+        assert result.evaluations == evaluations == math.comb(ctx.n_questions, k)
+        assert abs(result.history[0].mean - mean) <= 1e-12
+        assert result.report == fitness(ctx, genes)
+
+    @pytest.mark.parametrize(
+        "snap, k",
+        [(random_snapshot(7, n_questions=20, n_learners=30), 8), (all_equal_snapshot(16), 8)],
+        ids=["random-q20-k8", "all-equal-q16-k8"],
+    )
+    def test_memory_stays_bounded(self, snap, k):
+        # every subset of the all-equal snapshot ties: none of them may be
+        # held at once
+        ctx = CriteriaContext.build(snap, range(snap.n_learners), lam=0.5)
+        tracemalloc.start()
+        try:
+            brute_force(ctx, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestOperatorInvariants:
