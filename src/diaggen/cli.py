@@ -52,6 +52,7 @@ from .search import (
     ga_search,
     greedy_search,
     random_search,
+    swap_gain,
 )
 from .simulator import SimConfig, simulate
 
@@ -229,6 +230,7 @@ def cmd_search(args: argparse.Namespace) -> int:
                 question_ids=snapshot.question_ids,
                 train_report=result.report,
                 test_report=fitness(test_ctx, result.best),
+                swap_gain=swap_gain(train_ctx, result.best),
                 config=config,
             )
         )

@@ -143,14 +143,22 @@ def _criteria(ctx: CriteriaContext, idx: np.ndarray) -> tuple[np.ndarray, np.nda
     """The scoring kernel: (rmse, std) for each row of distinct, in-range
     genes. Rows holding the same gene values in the same positions score
     bitwise-equal; callers sort rows to make that hold for equal sets."""
-    k = idx.shape[1]
     rows, cols = idx[:, :, None], idx[:, None, :]
-    std = np.sqrt(np.maximum(ctx.spread[rows, cols].sum(axis=(1, 2)), 0.0) / (k * k))
+    return _from_sums(
+        ctx, idx.shape[1], ctx.gap[rows, cols].sum(axis=(1, 2)),
+        ctx.spread[rows, cols].sum(axis=(1, 2)),
+    )
+
+
+def _from_sums(
+    ctx: CriteriaContext, k: int, gap_sums: np.ndarray, spread_sums: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rmse, std) of K-subsets from their sums of H[S, S] and C[S, S]."""
+    std = np.sqrt(np.maximum(spread_sums, 0.0) / (k * k))
     if k == ctx.n_questions:
         # K distinct genes out of Q = K questions: the subset is the pool.
-        return np.zeros(len(idx)), std
-    rmse = np.sqrt(np.maximum(ctx.gap[rows, cols].sum(axis=(1, 2)), 0.0) / (k * k))
-    return rmse, std
+        return np.zeros_like(std), std
+    return np.sqrt(np.maximum(gap_sums, 0.0) / (k * k)), std
 
 
 def fitness(ctx: CriteriaContext, genes: Genes) -> FitnessReport:

@@ -375,12 +375,14 @@ def result_record(
     question_ids: Sequence[str],
     train_report: FitnessReport,
     test_report: FitnessReport,
+    swap_gain: float,
     config: dict[str, Any],
 ) -> dict[str, Any]:
     """Assemble the result document for one search run.
 
     ``config`` must contain everything needed to reproduce the run,
-    including the seed and the calibrated lambda.
+    including the seed and the calibrated lambda. ``swap_gain`` is the best
+    train-fitness gain of a single swap (``search.swap_gain``).
     """
     return {
         "schema_version": SCHEMA_VERSION,
@@ -391,6 +393,7 @@ def result_record(
         "test": report_dict(test_report),
         "history": [list(entry) for entry in result.history],
         "evaluations": result.evaluations,
+        "swap_gain": swap_gain,
     }
 
 

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .core import Assessment
 from .criteria import (
-    CriteriaContext, FitnessReport, _check_k, _criteria, _lambda, batch_criteria, combined,
-    fitness, sample_subsets,
+    CriteriaContext, FitnessReport, Genes, _check_k, _criteria, _from_sums, _lambda,
+    batch_criteria, combined, fitness, sample_subsets,
 )
 
 
@@ -252,7 +251,74 @@ def ga_search(ctx: CriteriaContext, cfg: GaConfig) -> SearchResult:
 # Largest number of subsets the exhaustive oracle will enumerate.
 BRUTE_FORCE_LIMIT = 10_000_000
 
-_BRUTE_CHUNK = 4096
+# Float64 elements in one of the oracle's working arrays: a block of scored
+# subsets, a chunk of prefix row sums or a batch of re-scored rows.
+_BLOCK = 1 << 16
+
+# Largest error in rmse or lam * std the oracle accepts from a prefix sum
+# instead of the scoring kernel's value.
+_SUM_TOL = 5e-13
+
+
+def _binomials(n: int, m: int) -> np.ndarray:
+    """C(a, b) for a <= n and b <= m, each capped so that no sum of a
+    column overflows; the cap lies far above every rank the oracle draws."""
+    cap = np.iinfo(np.int64).max // (n + 1)
+    table = np.zeros((n + 1, m + 1), dtype=np.int64)
+    table[:, 0] = 1
+    for b in range(1, m + 1):
+        table[1:, b] = np.minimum(np.cumsum(table[:-1, b - 1]), cap)
+    return table
+
+
+def _colex(m: int, start: int, stop: int, binomials: np.ndarray) -> np.ndarray:
+    """Ranks start..stop-1 of the m-subsets of the naturals in colex order
+    (by largest element, then by the next largest, ...), one ascending row
+    each. Rank r is the sum of C(c_b, b) over the b-th smallest elements
+    c_b, so each element, largest first, is one search of a column."""
+    rank = np.arange(start, stop)
+    rows = np.empty((rank.size, m), dtype=np.intp)
+    for b in range(m, 0, -1):
+        c = np.searchsorted(binomials[:, b], rank, side="right") - 1
+        rows[:, b - 1] = c
+        rank = rank - binomials[c, b]
+    return rows
+
+
+def _blocks(nq: int, k: int) -> Iterator[tuple[np.ndarray, Iterator[np.ndarray]]]:
+    """Every K-subset of range(nq) once, as blocks of prefixes and tails.
+
+    A subset is a prefix of K - s questions and a tail of s = min(K, 2)
+    questions after the prefix's last one. Each item is a chunk of prefixes
+    that share their last question p, with the chunks of the tails after p;
+    every prefix meets every tail. The prefixes are the (K - s)-subsets of
+    range(nq - s) in colex order, so those ending in p have ranks
+    C(p, K - s) to C(p + 1, K - s); the tails are mirror images of the
+    first C(nq - 1 - p, s) colex ranks.
+    """
+    s = min(k, 2)
+    m = k - s
+    binomials = _binomials(nq, k)
+    for p in range(m - 1, nq - s) if m else (-1,):
+        first, stop = (math.comb(p, m), math.comb(p + 1, m)) if m else (0, 1)
+        n_tails = math.comb(nq - 1 - p, s)
+        tail_step = min(n_tails, _BLOCK)
+        step = max(1, min(_BLOCK // tail_step, _BLOCK // nq))
+        for lo in range(first, stop, step):
+            yield _colex(m, lo, min(lo + step, stop), binomials), (
+                nq - 1 - _colex(s, t0, min(t0 + tail_step, n_tails), binomials)[:, ::-1]
+                for t0 in range(0, n_tails, tail_step)
+            )
+
+
+def _prefix_sums(x: np.ndarray, prefixes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each prefix row P: the sum of x[P, P] and the row sums x[P, :]."""
+    n = len(prefixes)
+    head, row = np.zeros(n), np.zeros((n, x.shape[0]))
+    for q in prefixes.T:
+        head += 2.0 * row[np.arange(n), q] + x[q, q]
+        row += x[q]
+    return head, row
 
 
 def brute_force(ctx: CriteriaContext, k: int) -> SearchResult:
@@ -261,6 +327,17 @@ def brute_force(ctx: CriteriaContext, k: int) -> SearchResult:
 
     The history entry carries the mean fitness over every subset, which
     doubles as the exact random-baseline expectation.
+
+    Each subset is a prefix P of K - 2 questions and a pair i < j after P's
+    last question (K = 1: one question, no prefix). From the sum of H[P, P]
+    and the row sums h = H[P, :], the subset's sum of H is sum(H[P, P]) +
+    2 (h_i + h_j) + H_ii + H_jj + 2 H_ij, and likewise for C, so a subset
+    costs O(1) and no K x K gather. Prefixes sharing their last question
+    are scored against the pairs after it as one block, in chunks of fixed
+    size. These sums differ from the scoring kernel's only in bounded
+    rounding. The kernel re-scores every subset that may be its block's
+    best under that bound, and every subset whose sums are too small for
+    their square roots to be within _SUM_TOL; the best by the kernel wins.
     """
     lam = _lambda(ctx)
     _check_k(ctx, k)
@@ -268,26 +345,78 @@ def brute_force(ctx: CriteriaContext, k: int) -> SearchResult:
     total = math.comb(nq, k)
     if total > BRUTE_FORCE_LIMIT:
         raise ValueError("instance too large for exhaustive search")
-    best_fit = -np.inf
-    best_genes: tuple[int, ...] | None = None
-    fit_sum = 0.0
-    count = 0
-    combos = combinations(range(nq), k)
-    while True:
-        block = list(islice(combos, _BRUTE_CHUNK))
-        if not block:
-            break
-        rmse, std = batch_criteria(ctx, np.asarray(block, dtype=np.intp))
-        fits = combined(rmse, std, lam)
-        fit_sum += float(fits.sum())
-        count += len(block)
-        i = int(np.argmax(fits))
-        if fits[i] > best_fit:
-            best_fit = float(fits[i])
-            best_genes = block[i]
-    assert best_genes is not None and count == total
+    grams = (ctx.gap, ctx.spread)
+    # A prefix sum and the kernel's sum add the same K*K entries, each at
+    # most max|x|, in different orders, so they differ by at most
+    # K^4 eps max|x| (twice the first-order bound). As |sqrt(a) - sqrt(b)|
+    # <= sqrt(|a - b|), a block's exact best lies within ``margin`` of its
+    # best prefix-sum fitness; a sum above its floor gives rmse, or
+    # lam * std, to within _SUM_TOL.
+    eps = np.finfo(np.float64).eps
+    bounds = [2.0 * k**4 * eps * float(np.abs(x).max()) for x in grams]
+    margin = 2.0 * (math.sqrt(bounds[0]) + lam * math.sqrt(bounds[1])) / k
+    floors = [(d / (k * _SUM_TOL)) ** 2 for d in (bounds[0], lam * bounds[1])]
+    rescore = max(1, _BLOCK // (k * k))
+    best_fit, best_genes = -np.inf, []
+    fit_sum, count = 0.0, 0
+    for prefixes, tail_chunks in _blocks(nq, k):
+        heads = [_prefix_sums(x, prefixes) for x in grams]
+        for tails in tail_chunks:
+            sums = [
+                head[:, None] + 2.0 * row[:, tails].sum(axis=2)
+                + x[tails[:, :, None], tails[:, None, :]].sum(axis=(1, 2))
+                for x, (head, row) in zip(grams, heads)
+            ]
+            fits = combined(*_from_sums(ctx, k, *sums), lam)
+            picked = np.flatnonzero(
+                (fits >= fits.max() - margin) | (sums[0] < floors[0]) | (sums[1] < floors[1])
+            )
+            for c0 in range(0, picked.size, rescore):
+                at = picked[c0:c0 + rescore]
+                i, j = np.divmod(at, len(tails))
+                genes = np.concatenate([prefixes[i], tails[j]], axis=1)
+                exact = combined(*_criteria(ctx, genes), lam)
+                fits.flat[at] = exact
+                top = float(exact.max())
+                if top >= best_fit:
+                    tied = min(genes[exact == top].tolist())
+                    if top > best_fit or tied < best_genes:
+                        best_fit, best_genes = top, tied
+            fit_sum += float(fits.sum())
+            count += fits.size
+    assert count == total
     report = fitness(ctx, best_genes)
     stats = GenerationStats(0, report.fitness, fit_sum / count)
     return SearchResult(
-        "brute", Assessment(best_genes), report, (stats,), count
+        "brute", Assessment(tuple(best_genes)), report, (stats,), count
     )
+
+
+def swap_gain(ctx: CriteriaContext, genes: Genes) -> float:
+    """The largest change in fitness from exchanging one question of the
+    assessment for one outside it, over all K (Q - K) single swaps, or 0.0
+    when the assessment holds every question. A positive gain means the
+    assessment is not 1-swap locally optimal.
+
+    With h = x[S, :] summed over S, swapping s out and t in turns the sum of
+    x[S, S] into sum - 2 h_s + x_ss + 2 (h_t - x_st) + x_tt, for x = H and
+    C; the best swap by these sums is re-scored with ``fitness``.
+    """
+    current = fitness(ctx, genes)
+    chosen = np.asarray(genes.genes if isinstance(genes, Assessment) else genes, dtype=np.intp)
+    inside = np.zeros(ctx.n_questions, dtype=bool)
+    inside[chosen] = True
+    outside = np.flatnonzero(~inside)
+    if not outside.size:
+        return 0.0
+    sums = []
+    for x in (ctx.gap, ctx.spread):
+        h, diag = x[chosen].sum(axis=0), np.diagonal(x)
+        drop = diag[chosen] - 2.0 * h[chosen]
+        add = 2.0 * (h[outside] - x[np.ix_(chosen, outside)]) + diag[outside]
+        sums.append(h[chosen].sum() + drop[:, None] + add)
+    fits = combined(*_from_sums(ctx, len(chosen), *sums), current.lam)
+    i, j = np.unravel_index(np.argmax(fits), fits.shape)
+    swapped = chosen.copy()
+    swapped[i] = outside[j]
+    return fitness(ctx, swapped).fitness - current.fitness

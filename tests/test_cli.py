@@ -11,6 +11,7 @@ import pytest
 from diaggen import CriteriaContext, calibrate_lambda, split_learners
 from diaggen.io import read_interactions, read_snapshot
 from diaggen.cli import derive_seeds, main
+from diaggen.search import swap_gain
 
 
 def run_cli(capsys, *argv):
@@ -410,6 +411,22 @@ class TestSearch:
         assert ga["train"]["fitness"] == pytest.approx(
             brute["train"]["fitness"], abs=1e-9
         )
+        assert brute["swap_gain"] <= 1e-12
+
+    @pytest.mark.parametrize("algo", ["random", "greedy", "brute"])
+    def test_every_record_carries_swap_gain(self, small_world, tmp_path, capsys, algo):
+        _, truth = small_world
+        out_path = tmp_path / "res.json"
+        code, _, err = self.run_search(
+            capsys, truth, out_path, "--algo", algo, "--repeats", "2"
+        )
+        assert code == 0, err
+        snapshot = read_snapshot(truth)
+        split = split_learners(range(snapshot.n_learners), 0.8, 0)
+        for run in json.loads(out_path.read_text())["runs"]:
+            ctx = CriteriaContext.build(snapshot, split.train, lam=run["config"]["lambda"])
+            genes = [snapshot.question_ids.index(q) for q in run["selected_questions"]]
+            assert run["swap_gain"] == swap_gain(ctx, genes)
 
     def test_k_too_large_fails_cleanly(self, small_world, tmp_path, capsys):
         _, truth = small_world

@@ -494,6 +494,7 @@ class TestResultDocument:
             question_ids=snap.question_ids,
             train_report=train_rep,
             test_report=test_rep,
+            swap_gain=0.25,
             config={"seed": 11, "lambda": 0.4},
         )
         write_json(record, path)
@@ -538,7 +539,9 @@ class TestResultDocument:
             question_ids=snap.question_ids,
             train_report=train_rep,
             test_report=test_rep,
+            swap_gain=0.25,
             config={"seed": 11, "lambda": 0.4},
         )
         json.dumps(doc)  # raises if anything is not JSON-safe
         assert doc["evaluations"] == result.evaluations
+        assert doc["swap_gain"] == 0.25

@@ -21,8 +21,9 @@ from diaggen import (
     select,
     simulate,
 )
+from diaggen.core import Assessment, split_learners
 from diaggen.criteria import batch_criteria
-from diaggen.search import GaConfig, tournament_size
+from diaggen.search import GaConfig, swap_gain, tournament_size
 
 from conftest import random_snapshot
 
@@ -429,13 +430,18 @@ class TestBruteForce:
             ga = ga_search(ctx, GaConfig(k=3, population_size=30, generations=10, seed=seed))
             assert best >= ga.report.fitness - 1e-12
 
-    @pytest.mark.parametrize("seed", range(4))
+    @staticmethod
+    def tied_ctx(seed):
+        # ten questions copying two to five distinct rows: many subsets tie
+        # bitwise, the optimum among them, and at K >= 4 some of the tied
+        # optima differ in more than one position
+        snap = duplicated_rows_snapshot(seed, n_questions=10, n_distinct=2 + seed % 4)
+        return CriteriaContext.build(snap, range(snap.n_learners), lam=0.6)
+
+    @pytest.mark.parametrize("seed", range(8))
     def test_tie_goes_to_lexicographically_smallest(self, seed):
-        # two copies of each of four rows: many subsets tie bitwise, the
-        # optimum among them
-        snap = duplicated_rows_snapshot(seed, n_questions=8, n_distinct=4)
-        ctx = CriteriaContext.build(snap, range(snap.n_learners), lam=0.6)
-        for k in range(2, 7):
+        ctx = self.tied_ctx(seed)
+        for k in range(2, 8):
             subsets, fits = all_fitnesses(ctx, k)
             tied = subsets[fits == fits.max()]
             assert len(tied) >= 2
@@ -458,12 +464,28 @@ class TestBruteForce:
         for k in range(1, nq + 1):
             self.assert_matches_reference(ctx, k)
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(8))
     def test_matches_reference_on_tied_snapshots(self, seed):
-        snap = duplicated_rows_snapshot(seed + 300, n_questions=10, n_distinct=3 + seed % 3)
-        ctx = CriteriaContext.build(snap, range(snap.n_learners), lam=0.2 + 0.2 * seed)
+        for k in range(1, 11):
+            self.assert_matches_reference(self.tied_ctx(seed), k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_where_sums_cancel(self, seed):
+        # questions alternate between two rows, so a subset holding as many
+        # of each has rmse 0 in exact arithmetic, and the square root of
+        # its sum of H magnifies rounding; with lam = 4 such subsets lie far
+        # below the optimum
+        rows = np.random.default_rng(seed).random((2, 20))
+        snap = Snapshot(
+            rows[np.arange(10) % 2],
+            tuple(f"q{i}" for i in range(10)),
+            tuple(f"l{j}" for j in range(20)),
+        )
+        ctx = CriteriaContext.build(snap, range(20), lam=4.0)
         for k in range(1, 11):
             self.assert_matches_reference(ctx, k)
+
+    def test_matches_reference_on_all_equal_snapshot(self):
         ctx = CriteriaContext.build(all_equal_snapshot(10), range(10), lam=0.5)
         for k in range(1, 11):
             self.assert_matches_reference(ctx, k)
@@ -493,6 +515,44 @@ class TestBruteForce:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+
+class TestSwapGain:
+    def test_matches_every_single_swap(self):
+        snap = random_snapshot(41, n_questions=9, n_learners=25)
+        ctx = CriteriaContext.build(snap, range(25), lam=0.7)
+        rng = np.random.default_rng(41)
+        for k in range(1, 9):
+            genes = [int(g) for g in rng.choice(9, size=k, replace=False)]
+            base = fitness(ctx, genes).fitness
+            gains = [
+                fitness(ctx, genes[:i] + [t] + genes[i + 1:]).fitness - base
+                for i in range(k)
+                for t in range(9)
+                if t not in genes
+            ]
+            assert swap_gain(ctx, genes) == pytest.approx(max(gains), abs=1e-12)
+            assert swap_gain(ctx, Assessment(tuple(genes))) == swap_gain(ctx, genes)
+
+    def test_full_pool_has_no_swap(self, toy_ctx):
+        assert swap_gain(toy_ctx, [3, 1, 0, 2]) == 0.0
+
+    def test_oracle_optimum_gains_nothing(self):
+        for seed in range(3):
+            snap = random_snapshot(seed + 70, n_questions=11, n_learners=20)
+            ctx = CriteriaContext.build(snap, range(20), lam=0.3 + 0.3 * seed)
+            for k in range(1, 11):
+                assert swap_gain(ctx, brute_force(ctx, k).best) <= 1e-12
+
+    def test_ga_on_seed_101_truth_is_not_swap_optimal(self):
+        # the README pipeline's GA run on world 101's true snapshot (K = 10
+        # of 50) stops short of a 1-swap local optimum
+        _, _, truth = simulate(SimConfig(num_learners=6000, seed=101))
+        split = split_learners(range(truth.n_learners), 0.8, 0)
+        ctx = CriteriaContext.build(truth, split.train)
+        ctx = ctx.with_lambda(calibrate_lambda(ctx, 10))
+        result = ga_search(ctx, GaConfig(k=10, seed=0))
+        assert swap_gain(ctx, result.best) > 0
 
 
 class TestOperatorInvariants:
