@@ -347,8 +347,8 @@ def brute_force(ctx: CriteriaContext, k: int) -> SearchResult:
         raise ValueError("instance too large for exhaustive search")
     grams = (ctx.gap, ctx.spread)
     # A prefix sum and the kernel's sum add the same K*K entries, each at
-    # most max|x|, in different orders, so they differ by at most
-    # K^4 eps max|x| (twice the first-order bound). As |sqrt(a) - sqrt(b)|
+    # most max|x|, in different orders, so to first order they differ by at
+    # most K^4 eps max|x|; ``bounds`` doubles that. As |sqrt(a) - sqrt(b)|
     # <= sqrt(|a - b|), a block's exact best lies within ``margin`` of its
     # best prefix-sum fitness; a sum above its floor gives rmse, or
     # lam * std, to within _SUM_TOL.
