@@ -21,6 +21,8 @@ scoring needs. With D = X minus each learner's pool mean and Xc = X minus
 each question's mean, H = D D^T / L and C = Xc Xc^T / L, and for a subset
 S of K questions rmse^2 = sum(H[S, S]) / K^2 and std^2 = sum(C[S, S]) / K^2.
 Scoring one subset costs O(K^2), independent of the number of learners.
+Every subset score adds those terms in ``_fold``'s one order, so the
+searches, which extend shared prefixes, score bitwise as ``fitness`` does.
 """
 
 from __future__ import annotations
@@ -139,15 +141,33 @@ def _sorted_rows(ctx: CriteriaContext, genes_matrix: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _fold(
+    x: np.ndarray,
+    cols: Sequence[np.ndarray],
+    total: float | np.ndarray = 0.0,
+    row: np.ndarray | None = None,
+) -> np.ndarray:
+    """Sums of x[S, S] in the one order of every subset score: the questions
+    in gene order (``cols``, one index array per position), each question q
+    adding 2 c + x[q, q], where c is x[a, q] summed from left to right over
+    the questions a before it. From a prefix P, pass ``total`` = sum(x[P, P])
+    and ``row`` = x[P, :] added in that order; c then starts at row[..., q].
+    """
+    nq = len(x)
+    for b, q in enumerate(cols):
+        cross = np.zeros(q.shape) if row is None else row[..., q]
+        for a in cols[:b]:
+            cross += x.take(a * nq + q)
+        total = total + (2.0 * cross + x.take(q * (nq + 1)))
+    return total
+
+
 def _criteria(ctx: CriteriaContext, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The scoring kernel: (rmse, std) for each row of distinct, in-range
-    genes. Rows holding the same gene values in the same positions score
+    genes, from ``_fold``'s K (K - 1) / 2 gathers of one element per row.
+    Rows holding the same gene values in the same positions score
     bitwise-equal; callers sort rows to make that hold for equal sets."""
-    rows, cols = idx[:, :, None], idx[:, None, :]
-    return _from_sums(
-        ctx, idx.shape[1], ctx.gap[rows, cols].sum(axis=(1, 2)),
-        ctx.spread[rows, cols].sum(axis=(1, 2)),
-    )
+    return _from_sums(ctx, idx.shape[1], _fold(ctx.gap, idx.T), _fold(ctx.spread, idx.T))
 
 
 def _from_sums(
@@ -177,7 +197,7 @@ def batch_criteria(
     """Vectorized (rmse, std) for many assessments at once, without lam.
 
     ``genes_matrix`` has one assessment per row; each row costs O(K^2)
-    memory and time.
+    time and O(K) memory.
     """
     return _criteria(ctx, _sorted_rows(ctx, genes_matrix))
 

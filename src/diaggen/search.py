@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Assessment
 from .criteria import (
-    CriteriaContext, FitnessReport, Genes, _check_k, _criteria, _from_sums, _lambda,
+    CriteriaContext, FitnessReport, Genes, _check_k, _fold, _from_sums, _lambda,
     batch_criteria, combined, fitness, sample_subsets,
 )
 
@@ -182,29 +182,29 @@ def random_search(ctx: CriteriaContext, k: int, seed: int = 0) -> SearchResult:
 def greedy_search(ctx: CriteriaContext, k: int) -> SearchResult:
     """Add one question at a time, always the one that maximizes the
     objective of the extended subset; ties go to the lowest question
-    index. Performs at most K * |pool| fitness evaluations."""
+    index. Performs at most K * |pool| fitness evaluations. From the chosen
+    questions' sums and row sums, each candidate is one ``_fold`` step, so
+    candidates with identical snapshot rows tie exactly."""
     lam = _lambda(ctx)
     _check_k(ctx, k)
-    nq = ctx.n_questions
+    grams = (ctx.gap, ctx.spread)
+    heads, row_sums = [0.0, 0.0], [np.zeros(ctx.n_questions) for _ in grams]
     chosen: list[int] = []
-    in_set = np.zeros(nq, dtype=bool)
+    in_set = np.zeros(ctx.n_questions, dtype=bool)
     evaluations = 0
     history: list[GenerationStats] = []
     for step in range(1, k + 1):
         cand = np.flatnonzero(~in_set)
-        rows = np.empty((cand.size, step), dtype=np.intp)
-        rows[:, :-1] = chosen
-        rows[:, -1] = cand
-        # Unsorted rows share the prefix ``chosen``, so candidates with
-        # identical snapshot rows score bitwise-equal and the tie goes to
-        # the lower index; sorting would reorder the sum per candidate.
-        rmse, std = _criteria(ctx, rows)
-        fits = combined(rmse, std, lam)
+        sums = [_fold(x, [cand], head, row) for x, head, row in zip(grams, heads, row_sums)]
+        fits = combined(*_from_sums(ctx, step, *sums), lam)
         evaluations += int(cand.size)
         j = int(np.argmax(fits))
         q = int(cand[j])
         chosen.append(q)
         in_set[q] = True
+        heads = [total[j] for total in sums]
+        for x, row in zip(grams, row_sums):
+            row += x[q]
         history.append(GenerationStats(step, float(fits[j]), float(fits.mean())))
     report = fitness(ctx, chosen)
     return SearchResult(
@@ -252,12 +252,8 @@ def ga_search(ctx: CriteriaContext, cfg: GaConfig) -> SearchResult:
 BRUTE_FORCE_LIMIT = 10_000_000
 
 # Float64 elements in one of the oracle's working arrays: a block of scored
-# subsets, a chunk of prefix row sums or a batch of re-scored rows.
+# subsets, a chunk of prefix row sums or a batch of tied subsets' genes.
 _BLOCK = 1 << 16
-
-# Largest error in rmse or lam * std the oracle accepts from a prefix sum
-# instead of the scoring kernel's value.
-_SUM_TOL = 5e-13
 
 
 def _binomials(n: int, m: int) -> np.ndarray:
@@ -311,14 +307,21 @@ def _blocks(nq: int, k: int) -> Iterator[tuple[np.ndarray, Iterator[np.ndarray]]
             )
 
 
-def _prefix_sums(x: np.ndarray, prefixes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each prefix row P: the sum of x[P, P] and the row sums x[P, :]."""
-    n = len(prefixes)
-    head, row = np.zeros(n), np.zeros((n, x.shape[0]))
-    for q in prefixes.T:
-        head += 2.0 * row[np.arange(n), q] + x[q, q]
-        row += x[q]
-    return head, row
+def _subset_fits(ctx: CriteriaContext, k: int, lam: float) -> Iterator[tuple[np.ndarray, ...]]:
+    """Every K-subset's fitness once, in blocks (prefixes, tails, fits):
+    fits[a, b] scores prefixes[a] followed by tails[b], bitwise as the
+    kernel scores that row. ``_fold`` extends each prefix's sum of x[P, P]
+    and row sums x[P, :] by the tail's questions, at O(1) per subset."""
+    grams = (ctx.gap, ctx.spread)
+    for prefixes, tail_chunks in _blocks(ctx.n_questions, k):
+        rows = [np.zeros((len(prefixes), ctx.n_questions)) for _ in grams]
+        for q in prefixes.T:
+            for x, row in zip(grams, rows):
+                row += x[q]
+        heads = [_fold(x, prefixes.T, np.zeros(len(prefixes)))[:, None] for x in grams]
+        for tails in tail_chunks:
+            sums = [_fold(x, tails.T, head, row) for x, head, row in zip(grams, heads, rows)]
+            yield prefixes, tails, combined(*_from_sums(ctx, k, *sums), lam)
 
 
 def brute_force(ctx: CriteriaContext, k: int) -> SearchResult:
@@ -329,62 +332,31 @@ def brute_force(ctx: CriteriaContext, k: int) -> SearchResult:
     doubles as the exact random-baseline expectation.
 
     Each subset is a prefix P of K - 2 questions and a pair i < j after P's
-    last question (K = 1: one question, no prefix). From the sum of H[P, P]
-    and the row sums h = H[P, :], the subset's sum of H is sum(H[P, P]) +
-    2 (h_i + h_j) + H_ii + H_jj + 2 H_ij, and likewise for C, so a subset
-    costs O(1) and no K x K gather. Prefixes sharing their last question
-    are scored against the pairs after it as one block, in chunks of fixed
-    size. These sums differ from the scoring kernel's only in bounded
-    rounding. The kernel re-scores every subset that may be its block's
-    best under that bound, and every subset whose sums are too small for
-    their square roots to be within _SUM_TOL; the best by the kernel wins.
+    last question (K = 1: one question, no prefix). With h = H[P, :], its
+    sum of H is sum(H[P, P]) + (2 h_i + H_ii), then + (2 (h_j + H_ij) +
+    H_jj), and likewise for C: ``_fold``'s order, so each fitness is
+    bitwise the kernel's and the tie rule needs no re-scoring.
     """
     lam = _lambda(ctx)
     _check_k(ctx, k)
-    nq = ctx.n_questions
-    total = math.comb(nq, k)
-    if total > BRUTE_FORCE_LIMIT:
+    if math.comb(ctx.n_questions, k) > BRUTE_FORCE_LIMIT:
         raise ValueError("instance too large for exhaustive search")
-    grams = (ctx.gap, ctx.spread)
-    # A prefix sum and the kernel's sum add the same K*K entries, each at
-    # most max|x|, in different orders, so to first order they differ by at
-    # most K^4 eps max|x|; ``bounds`` doubles that. As |sqrt(a) - sqrt(b)|
-    # <= sqrt(|a - b|), a block's exact best lies within ``margin`` of its
-    # best prefix-sum fitness; a sum above its floor gives rmse, or
-    # lam * std, to within _SUM_TOL.
-    eps = np.finfo(np.float64).eps
-    bounds = [2.0 * k**4 * eps * float(np.abs(x).max()) for x in grams]
-    margin = 2.0 * (math.sqrt(bounds[0]) + lam * math.sqrt(bounds[1])) / k
-    floors = [(d / (k * _SUM_TOL)) ** 2 for d in (bounds[0], lam * bounds[1])]
-    rescore = max(1, _BLOCK // (k * k))
     best_fit, best_genes = -np.inf, []
     fit_sum, count = 0.0, 0
-    for prefixes, tail_chunks in _blocks(nq, k):
-        heads = [_prefix_sums(x, prefixes) for x in grams]
-        for tails in tail_chunks:
-            sums = [
-                head[:, None] + 2.0 * row[:, tails].sum(axis=2)
-                + x[tails[:, :, None], tails[:, None, :]].sum(axis=(1, 2))
-                for x, (head, row) in zip(grams, heads)
-            ]
-            fits = combined(*_from_sums(ctx, k, *sums), lam)
-            picked = np.flatnonzero(
-                (fits >= fits.max() - margin) | (sums[0] < floors[0]) | (sums[1] < floors[1])
-            )
-            for c0 in range(0, picked.size, rescore):
-                at = picked[c0:c0 + rescore]
-                i, j = np.divmod(at, len(tails))
-                genes = np.concatenate([prefixes[i], tails[j]], axis=1)
-                exact = combined(*_criteria(ctx, genes), lam)
-                fits.flat[at] = exact
-                top = float(exact.max())
-                if top >= best_fit:
-                    tied = min(genes[exact == top].tolist())
-                    if top > best_fit or tied < best_genes:
-                        best_fit, best_genes = top, tied
-            fit_sum += float(fits.sum())
-            count += fits.size
-    assert count == total
+    for prefixes, tails, fits in _subset_fits(ctx, k, lam):
+        fit_sum += float(fits.sum())
+        count += fits.size
+        top = float(fits.max())
+        if top < best_fit:
+            continue
+        tied = np.flatnonzero(fits == top)
+        for c0 in range(0, tied.size, _BLOCK // k):
+            i, j = np.divmod(tied[c0:c0 + _BLOCK // k], len(tails))
+            rows = np.concatenate([prefixes[i], tails[j]], axis=1)
+            genes = rows[np.lexsort(rows.T[::-1])[0]].tolist()
+            if top > best_fit or genes < best_genes:
+                best_fit, best_genes = top, genes
+    assert count == math.comb(ctx.n_questions, k)
     report = fitness(ctx, best_genes)
     stats = GenerationStats(0, report.fitness, fit_sum / count)
     return SearchResult(

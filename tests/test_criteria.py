@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,44 @@ class TestReferenceCriteria:
             rmse, _ = batch_criteria(ctx, everything[None, :])
             assert rmse[0] == 0.0
             assert criteria_of(ctx, everything[::-1])[0] == 0.0
+
+
+def gather_criteria(ctx, idx):
+    """(rmse, std) by the kernel's former summation: one (n, K, K) gather
+    per statistic, summed by numpy."""
+    rows, cols = idx[:, :, None], idx[:, None, :]
+    k = idx.shape[1]
+    rmse = np.sqrt(np.maximum(ctx.gap[rows, cols].sum(axis=(1, 2)), 0.0)) / k
+    std = np.sqrt(np.maximum(ctx.spread[rows, cols].sum(axis=(1, 2)), 0.0)) / k
+    return (np.zeros_like(rmse) if k == ctx.n_questions else rmse), std
+
+
+class TestSummationOrder:
+    def test_matches_gathered_sums(self):
+        # the fold adds the same K^2 terms as the gather in another order
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            q = int(rng.integers(2, 51))
+            snap = random_snapshot(int(rng.integers(1 << 30)), q, int(rng.integers(2, 60)))
+            ctx = CriteriaContext.build(snap, range(snap.n_learners))
+            for k in range(1, min(q, 10) + 1):
+                draws = np.sort(sample_subsets(q, k, 50, rng), axis=1)
+                for ours, ref in zip(batch_criteria(ctx, draws), gather_criteria(ctx, draws)):
+                    assert np.abs(ours - ref).max() <= 1e-12
+
+    def test_batch_memory_is_linear_in_rows(self):
+        # 10,000 rows of K = 10 over 50 questions: the former gather held a
+        # 10,000 x 10 x 10 block per statistic, 8 MB each
+        snap = random_snapshot(5, n_questions=50, n_learners=40)
+        ctx = CriteriaContext.build(snap, range(40))
+        draws = sample_subsets(50, 10, 10_000, np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            batch_criteria(ctx, draws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 def two_archetype_snapshot():

@@ -22,8 +22,8 @@ from diaggen import (
     simulate,
 )
 from diaggen.core import Assessment, split_learners
-from diaggen.criteria import batch_criteria
-from diaggen.search import GaConfig, swap_gain, tournament_size
+from diaggen.criteria import _criteria, batch_criteria
+from diaggen.search import GaConfig, _subset_fits, swap_gain, tournament_size
 
 from conftest import random_snapshot
 
@@ -65,12 +65,25 @@ def all_fitnesses(ctx, k):
 
 
 def duplicated_rows_snapshot(seed, n_questions, n_distinct, n_learners=20):
-    """Questions drawn from ``n_distinct`` random rows: subsets that hold
-    copies of the same rows in the same positions score bitwise-equal."""
+    """Questions drawn from ``n_distinct`` random rows, the copies of each
+    row next to each other: two subsets holding the same rows hold them in
+    the same positions, so they score bitwise-equal."""
     rng = np.random.default_rng(seed)
     distinct = rng.random((n_distinct, n_learners))
     return Snapshot(
-        values=distinct[rng.integers(n_distinct, size=n_questions)],
+        values=distinct[np.sort(rng.integers(n_distinct, size=n_questions))],
+        question_ids=tuple(f"q{i}" for i in range(n_questions)),
+        learner_ids=tuple(f"l{j}" for j in range(n_learners)),
+    )
+
+
+def binary_snapshot(seed, n_questions=16, n_learners=8):
+    """Random 0/1 scores. With power-of-two counts, every entry of H and C
+    is a multiple of 2^-11 and every sum of them is exact, so subsets with
+    equal sums tie bitwise whatever the positions of their terms."""
+    rng = np.random.default_rng(seed)
+    return Snapshot(
+        values=(rng.random((n_questions, n_learners)) < 0.5).astype(float),
         question_ids=tuple(f"q{i}" for i in range(n_questions)),
         learner_ids=tuple(f"l{j}" for j in range(n_learners)),
     )
@@ -374,6 +387,22 @@ class TestGreedySearch:
     def test_deterministic(self, toy_ctx):
         assert greedy_search(toy_ctx, 2) == greedy_search(toy_ctx, 2)
 
+    def test_step_fits_are_the_kernels(self):
+        # every step scores the chosen questions, in the order chosen,
+        # followed by each candidate; the kernel gives the same bits on
+        # those unsorted rows (batch_criteria would sort them)
+        snap = random_snapshot(17, n_questions=20, n_learners=40)
+        ctx = CriteriaContext.build(snap, range(40), lam=0.4)
+        result = greedy_search(ctx, 8)
+        chosen = list(result.best.genes)
+        for step, stats in enumerate(result.history, start=1):
+            cand = [q for q in range(20) if q not in chosen[:step - 1]]
+            rows = np.array([chosen[:step - 1] + [c] for c in cand], dtype=np.intp)
+            fits = combined(*_criteria(ctx, rows), ctx.lam)
+            j = int(np.argmax(fits))
+            assert cand[j] == chosen[step - 1]
+            assert stats.best == fits[j] and stats.mean == fits.mean()
+
 
 class TestRandomSearch:
     def test_deterministic(self, toy_ctx):
@@ -447,6 +476,14 @@ class TestBruteForce:
             assert len(tied) >= 2
             assert brute_force(ctx, k).best.genes == tuple(tied[0])
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tie_in_a_later_block_goes_to_lexicographically_smallest(self, seed):
+        # the smallest tied subset is often enumerated after another one
+        ctx = CriteriaContext.build(binary_snapshot(seed), range(8), lam=0.5)
+        for k in range(2, 9):
+            subsets, fits = all_fitnesses(ctx, k)
+            assert brute_force(ctx, k).best.genes == tuple(subsets[fits == fits.max()][0])
+
     def test_all_equal_snapshot_takes_first_subset(self):
         snap = all_equal_snapshot(8)
         ctx = CriteriaContext.build(snap, range(snap.n_learners), lam=0.5)
@@ -484,6 +521,27 @@ class TestBruteForce:
         ctx = CriteriaContext.build(snap, range(20), lam=4.0)
         for k in range(1, 11):
             self.assert_matches_reference(ctx, k)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_reference_near_full_pool(self, seed):
+        # near K = Q the sums of H are small and cancel; every subset is
+        # still scored as the kernel scores it
+        snap = random_snapshot(seed + 300, n_questions=18, n_learners=30)
+        ctx = CriteriaContext.build(snap, range(30), lam=0.5)
+        for k in range(12, 19):
+            self.assert_matches_reference(ctx, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_subset_fits_are_the_kernels(self, k):
+        snap = random_snapshot(k + 400, n_questions=12, n_learners=25)
+        ctx = CriteriaContext.build(snap, range(25), lam=0.8)
+        seen = []
+        for prefixes, tails, fits in _subset_fits(ctx, k, ctx.lam):
+            i, j = np.divmod(np.arange(fits.size), len(tails))
+            genes = np.concatenate([prefixes[i], tails[j]], axis=1)
+            assert (combined(*batch_criteria(ctx, genes), ctx.lam) == fits.ravel()).all()
+            seen += genes.tolist()
+        assert sorted(seen) == [list(c) for c in combinations(range(12), k)]
 
     def test_matches_reference_on_all_equal_snapshot(self):
         ctx = CriteriaContext.build(all_equal_snapshot(10), range(10), lam=0.5)
