@@ -20,9 +20,10 @@ statistics of the training matrix X (Q questions x L learners) are all
 scoring needs. With D = X minus each learner's pool mean and Xc = X minus
 each question's mean, H = D D^T / L and C = Xc Xc^T / L, and for a subset
 S of K questions rmse^2 = sum(H[S, S]) / K^2 and std^2 = sum(C[S, S]) / K^2.
-Scoring one subset costs O(K^2), independent of the number of learners.
-Every subset score adds those terms in ``_fold``'s one order, so the
-searches, which extend shared prefixes, score bitwise as ``fitness`` does.
+The context holds H and C as one (Q, Q, 2) array, summed together. Scoring
+one subset costs O(K^2), independent of the number of learners. Every
+subset score adds those terms in ``_fold``'s one order, so the searches,
+which extend shared prefixes, score bitwise as ``fitness`` does.
 """
 
 from __future__ import annotations
@@ -56,16 +57,15 @@ class FitnessReport:
 class CriteriaContext:
     """The scoring statistics of a snapshot restricted to a learner subset.
 
-    ``gap`` is H = D D^T / L, with D the learners' scores minus each
-    learner's pool mean; ``spread`` is C = Xc Xc^T / L, with Xc the scores
-    minus each question's mean. Both are Q x Q, so a context holds no
-    per-learner data.
+    ``stats`` is one (Q, Q, 2) array: ``stats[..., 0]`` is H = D D^T / L,
+    with D the learners' scores minus each learner's pool mean, and
+    ``stats[..., 1]`` is C = Xc Xc^T / L, with Xc the scores minus each
+    question's mean. A context holds no per-learner data.
     Read-only after construction; safe to score concurrently.
     """
 
     lam: float | None
-    gap: np.ndarray
-    spread: np.ndarray
+    stats: np.ndarray
 
     @classmethod
     def build(
@@ -79,14 +79,14 @@ class CriteriaContext:
             raise ValueError("learner subset is empty")
         if min(learners) < 0 or max(learners) >= snapshot.n_learners:
             raise ValueError("learner index out of range")
+        if len(set(learners)) < len(learners):
+            raise ValueError("learner indices must be distinct")
         x = snapshot.values[:, np.asarray(learners, dtype=np.intp)]
         d = x - x.mean(axis=0)
         xc = x - x.mean(axis=1, keepdims=True)
-        gap = d @ d.T / len(learners)
-        spread = xc @ xc.T / len(learners)
-        gap.flags.writeable = False
-        spread.flags.writeable = False
-        ctx = cls(lam=None, gap=gap, spread=spread)
+        stats = np.stack([d @ d.T, xc @ xc.T], axis=-1) / len(learners)
+        stats.flags.writeable = False
+        ctx = cls(lam=None, stats=stats)
         return ctx if lam is None else ctx.with_lambda(lam)
 
     def with_lambda(self, lam: float) -> "CriteriaContext":
@@ -98,7 +98,7 @@ class CriteriaContext:
 
     @property
     def n_questions(self) -> int:
-        return self.gap.shape[0]
+        return self.stats.shape[0]
 
 
 def combined(
@@ -147,38 +147,40 @@ def _fold(
     total: float | np.ndarray = 0.0,
     row: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Sums of x[S, S] in the one order of every subset score: the questions
-    in gene order (``cols``, one index array per position), each question q
-    adding 2 c + x[q, q], where c is x[a, q] summed from left to right over
-    the questions a before it. From a prefix P, pass ``total`` = sum(x[P, P])
-    and ``row`` = x[P, :] added in that order; c then starts at row[..., q].
+    """Sums of x[S, S] over both statistics of a (Q, Q, 2) ``x``, shape
+    (..., 2), in the one order of every subset score: the questions in gene
+    order (``cols``, one index array per position), each question q adding
+    2 c + x[q, q], where c is x[a, q] summed from left to right over the
+    questions a before it. From a prefix P, pass ``total`` = sum(x[P, P])
+    and ``row`` = x[P, :], shape (..., Q, 2), added in that order; c then
+    starts at row[..., q, :].
     """
     nq = len(x)
+    pairs = x.reshape(nq * nq, 2)
     for b, q in enumerate(cols):
-        cross = np.zeros(q.shape) if row is None else row[..., q]
+        cross = np.zeros(q.shape + (2,)) if row is None else row.take(q, axis=-2)
         for a in cols[:b]:
-            cross += x.take(a * nq + q)
-        total = total + (2.0 * cross + x.take(q * (nq + 1)))
+            cross += pairs.take(a * nq + q, axis=0)
+        total = total + (2.0 * cross + pairs.take(q * (nq + 1), axis=0))
     return total
 
 
 def _criteria(ctx: CriteriaContext, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The scoring kernel: (rmse, std) for each row of distinct, in-range
-    genes, from ``_fold``'s K (K - 1) / 2 gathers of one element per row.
-    Rows holding the same gene values in the same positions score
+    genes, from ``_fold``'s K (K - 1) / 2 gathers of one (H, C) pair per
+    row. Rows holding the same gene values in the same positions score
     bitwise-equal; callers sort rows to make that hold for equal sets."""
-    return _from_sums(ctx, idx.shape[1], _fold(ctx.gap, idx.T), _fold(ctx.spread, idx.T))
+    return _from_sums(ctx, idx.shape[1], _fold(ctx.stats, idx.T))
 
 
-def _from_sums(
-    ctx: CriteriaContext, k: int, gap_sums: np.ndarray, spread_sums: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rmse, std) of K-subsets from their sums of H[S, S] and C[S, S]."""
-    std = np.sqrt(np.maximum(spread_sums, 0.0) / (k * k))
+def _from_sums(ctx: CriteriaContext, k: int, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rmse, std) of K-subsets from their sums of H[S, S] and C[S, S],
+    stacked on the last axis of ``sums`` as in ``stats``."""
+    std = np.sqrt(np.maximum(sums[..., 1], 0.0) / (k * k))
     if k == ctx.n_questions:
         # K distinct genes out of Q = K questions: the subset is the pool.
         return np.zeros_like(std), std
-    return np.sqrt(np.maximum(gap_sums, 0.0) / (k * k)), std
+    return np.sqrt(np.maximum(sums[..., 0], 0.0) / (k * k)), std
 
 
 def fitness(ctx: CriteriaContext, genes: Genes) -> FitnessReport:

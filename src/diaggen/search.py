@@ -187,24 +187,22 @@ def greedy_search(ctx: CriteriaContext, k: int) -> SearchResult:
     candidates with identical snapshot rows tie exactly."""
     lam = _lambda(ctx)
     _check_k(ctx, k)
-    grams = (ctx.gap, ctx.spread)
-    heads, row_sums = [0.0, 0.0], [np.zeros(ctx.n_questions) for _ in grams]
+    head, row = np.zeros(2), np.zeros((ctx.n_questions, 2))
     chosen: list[int] = []
     in_set = np.zeros(ctx.n_questions, dtype=bool)
     evaluations = 0
     history: list[GenerationStats] = []
     for step in range(1, k + 1):
         cand = np.flatnonzero(~in_set)
-        sums = [_fold(x, [cand], head, row) for x, head, row in zip(grams, heads, row_sums)]
-        fits = combined(*_from_sums(ctx, step, *sums), lam)
+        sums = _fold(ctx.stats, [cand], head, row)
+        fits = combined(*_from_sums(ctx, step, sums), lam)
         evaluations += int(cand.size)
         j = int(np.argmax(fits))
         q = int(cand[j])
         chosen.append(q)
         in_set[q] = True
-        heads = [total[j] for total in sums]
-        for x, row in zip(grams, row_sums):
-            row += x[q]
+        head = sums[j]
+        row += ctx.stats[q]
         history.append(GenerationStats(step, float(fits[j]), float(fits.mean())))
     report = fitness(ctx, chosen)
     return SearchResult(
@@ -251,8 +249,8 @@ def ga_search(ctx: CriteriaContext, cfg: GaConfig) -> SearchResult:
 # Largest number of subsets the exhaustive oracle will enumerate.
 BRUTE_FORCE_LIMIT = 10_000_000
 
-# Float64 elements in one of the oracle's working arrays: a block of scored
-# subsets, a chunk of prefix row sums or a batch of tied subsets' genes.
+# Entries in one of the oracle's working arrays: a block of scored subsets,
+# a chunk of prefix (H, C) row-sum pairs or a batch of tied subsets' genes.
 _BLOCK = 1 << 16
 
 
@@ -310,18 +308,16 @@ def _blocks(nq: int, k: int) -> Iterator[tuple[np.ndarray, Iterator[np.ndarray]]
 def _subset_fits(ctx: CriteriaContext, k: int, lam: float) -> Iterator[tuple[np.ndarray, ...]]:
     """Every K-subset's fitness once, in blocks (prefixes, tails, fits):
     fits[a, b] scores prefixes[a] followed by tails[b], bitwise as the
-    kernel scores that row. ``_fold`` extends each prefix's sum of x[P, P]
-    and row sums x[P, :] by the tail's questions, at O(1) per subset."""
-    grams = (ctx.gap, ctx.spread)
+    kernel scores that row. ``_fold`` extends each prefix's (H, C) sums of
+    x[P, P] and row sums x[P, :] by the tail's questions, at O(1) per subset."""
     for prefixes, tail_chunks in _blocks(ctx.n_questions, k):
-        rows = [np.zeros((len(prefixes), ctx.n_questions)) for _ in grams]
+        rows = np.zeros((len(prefixes), ctx.n_questions, 2))
         for q in prefixes.T:
-            for x, row in zip(grams, rows):
-                row += x[q]
-        heads = [_fold(x, prefixes.T, np.zeros(len(prefixes)))[:, None] for x in grams]
+            rows += ctx.stats[q]
+        heads = _fold(ctx.stats, prefixes.T, np.zeros((len(prefixes), 2)))[:, None]
         for tails in tail_chunks:
-            sums = [_fold(x, tails.T, head, row) for x, head, row in zip(grams, heads, rows)]
-            yield prefixes, tails, combined(*_from_sums(ctx, k, *sums), lam)
+            sums = _fold(ctx.stats, tails.T, heads, rows)
+            yield prefixes, tails, combined(*_from_sums(ctx, k, sums), lam)
 
 
 def brute_force(ctx: CriteriaContext, k: int) -> SearchResult:
@@ -372,7 +368,7 @@ def swap_gain(ctx: CriteriaContext, genes: Genes) -> float:
 
     With h = x[S, :] summed over S, swapping s out and t in turns the sum of
     x[S, S] into sum - 2 h_s + x_ss + 2 (h_t - x_st) + x_tt, for x = H and
-    C; the best swap by these sums is re-scored with ``fitness``.
+    C at once; the best swap by these sums is re-scored with ``fitness``.
     """
     current = fitness(ctx, genes)
     chosen = np.asarray(genes.genes if isinstance(genes, Assessment) else genes, dtype=np.intp)
@@ -381,13 +377,13 @@ def swap_gain(ctx: CriteriaContext, genes: Genes) -> float:
     outside = np.flatnonzero(~inside)
     if not outside.size:
         return 0.0
-    sums = []
-    for x in (ctx.gap, ctx.spread):
-        h, diag = x[chosen].sum(axis=0), np.diagonal(x)
-        drop = diag[chosen] - 2.0 * h[chosen]
-        add = 2.0 * (h[outside] - x[np.ix_(chosen, outside)]) + diag[outside]
-        sums.append(h[chosen].sum() + drop[:, None] + add)
-    fits = combined(*_from_sums(ctx, len(chosen), *sums), current.lam)
+    x = ctx.stats
+    h, diag = x[chosen].sum(axis=0), np.diagonal(x).T
+    drop = diag[chosen] - 2.0 * h[chosen]
+    add = 2.0 * (h[outside] - x[np.ix_(chosen, outside)]) + diag[outside]
+    # one contiguous row per statistic, summed pairwise whatever the layout
+    sums = h[chosen].T.copy().sum(axis=1) + drop[:, None] + add
+    fits = combined(*_from_sums(ctx, len(chosen), sums), current.lam)
     i, j = np.unravel_index(np.argmax(fits), fits.shape)
     swapped = chosen.copy()
     swapped[i] = outside[j]

@@ -25,6 +25,37 @@ def criteria_of(ctx, genes):
     return rmse[0], std[0]
 
 
+class TestStatistics:
+    def instances(self):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            snap = random_snapshot(
+                int(rng.integers(1 << 30)), int(rng.integers(1, 30)), int(rng.integers(2, 60))
+            )
+            n = int(rng.integers(1, snap.n_learners + 1))
+            yield snap, rng.choice(snap.n_learners, size=n, replace=False)
+
+    def test_stats_are_h_and_c(self):
+        for snap, learners in self.instances():
+            ctx = CriteriaContext.build(snap, learners)
+            x = snap.values[:, learners]
+            d = x - x.mean(axis=0)
+            assert ctx.stats.shape == (snap.n_questions, snap.n_questions, 2)
+            assert np.abs(ctx.stats[..., 0] - d @ d.T / len(learners)).max() <= 1e-12
+            cov = np.cov(x, bias=True).reshape(snap.n_questions, snap.n_questions)
+            assert np.abs(ctx.stats[..., 1] - cov).max() <= 1e-12
+
+    def test_stats_are_read_only(self, toy_ctx):
+        with pytest.raises(ValueError, match="read-only"):
+            toy_ctx.stats[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            toy_ctx.stats[..., 1] += 1.0
+
+    def test_rejects_repeated_learners(self, toy_snapshot):
+        with pytest.raises(ValueError, match="learner indices must be distinct"):
+            CriteriaContext.build(toy_snapshot, [0, 0, 1])
+
+
 class TestDiscrepancy:
     def test_full_pool_is_zero(self, toy_ctx):
         assert fitness(toy_ctx, [0, 1, 2, 3]).rmse == 0.0
@@ -214,8 +245,8 @@ def gather_criteria(ctx, idx):
     per statistic, summed by numpy."""
     rows, cols = idx[:, :, None], idx[:, None, :]
     k = idx.shape[1]
-    rmse = np.sqrt(np.maximum(ctx.gap[rows, cols].sum(axis=(1, 2)), 0.0)) / k
-    std = np.sqrt(np.maximum(ctx.spread[rows, cols].sum(axis=(1, 2)), 0.0)) / k
+    rmse = np.sqrt(np.maximum(ctx.stats[..., 0][rows, cols].sum(axis=(1, 2)), 0.0)) / k
+    std = np.sqrt(np.maximum(ctx.stats[..., 1][rows, cols].sum(axis=(1, 2)), 0.0)) / k
     return (np.zeros_like(rmse) if k == ctx.n_questions else rmse), std
 
 
