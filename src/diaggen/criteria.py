@@ -74,6 +74,8 @@ class CriteriaContext:
         learners: Sequence[int],
         lam: float | None = None,
     ) -> "CriteriaContext":
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in learners):
+            raise ValueError("learner indices must be integers")
         learners = tuple(int(x) for x in learners)
         if not learners:
             raise ValueError("learner subset is empty")

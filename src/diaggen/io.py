@@ -1,6 +1,8 @@
 """File formats: interaction CSV, snapshot CSV, result JSON.
 
 All readers validate and reject malformed data instead of coercing it.
+Each CSV reader parses the plain form its writer emits in numpy and hands
+any other file to a ``csv`` row loop, the reference for what is accepted.
 Formats are versioned where they carry structure (schema_version in JSON
 documents); snapshots serialize probabilities with 6 decimal digits, so a
 write/read round trip is exact to 5e-7.
@@ -10,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
 from io import StringIO
 from pathlib import Path
 from typing import Any, Iterator, Sequence, TextIO
@@ -51,9 +52,12 @@ _HEADER_LINE = (",".join(INTERACTION_HEADER) + "\n").encode()
 _RECORD_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
 # Orders of at most 18 digits stay below 2**63.
 _ORDER_DIGITS = 18
-# Bytes searched for separators, or read ahead while checking snapshot
-# lines, at a time; this bounds the temporaries.
+# Bytes searched for separators, or buffered while reading snapshot lines,
+# at a time; this bounds the temporaries.
 _BLOCK_BYTES = 1 << 20
+# A snapshot cell "d.dddddd," and the place value, in micro-units, of each byte.
+_CELL_BYTES = 9
+_PLACES = np.array([1e6, 0.0, 1e5, 1e4, 1e3, 1e2, 1e1, 1e0, 0.0])
 
 
 def _interaction_columns(data: bytes) -> tuple | None:
@@ -217,14 +221,33 @@ def write_interactions(log: InteractionLog, path: str | Path) -> None:
 
 def write_snapshot(snapshot: Snapshot, path: str | Path) -> None:
     """Snapshot CSV: header `question_id,<learner ids>`, one question per
-    row, probabilities with 6 decimal places. Ids are quoted as the csv
-    module quotes them, so ids holding a comma, a quote or a line break
-    read back unchanged."""
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(_csv_record(["question_id", *snapshot.learner_ids]) + "\n")
-        row_format = ",".join(["%.6f"] * snapshot.n_learners)
+    row, cells as ``%.6f`` spells them. Ids are quoted as the csv module
+    quotes them, so ids holding a comma, a quote or a line break read back
+    unchanged. The digits come from ``np.rint(row * 1e6)``, whose product
+    errs by under 6e-11 micro-units; a row holding -0.0 or a value within
+    1e-9 of a half micro-unit (such as the exact tie 2**-7) is formatted
+    with ``%.6f`` instead."""
+    n_learners = snapshot.n_learners
+    row_format = ",".join(["%.6f"] * n_learners) + "\n"
+    # One reusable row of cells, the last ending in a line end.
+    cells = np.tile(np.frombuffer(b"0.000000,", dtype=np.uint8), (n_learners, 1))
+    cells[-1:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write((_csv_record(["question_id", *snapshot.learner_ids]) + "\n").encode())
         for qid, row in zip(snapshot.question_ids, snapshot.values):
-            fh.write(_csv_record([qid]) + "," + row_format % tuple(row.tolist()) + "\n")
+            fh.write((_csv_record([qid]) + ",").encode())
+            scaled = row * 1e6
+            micro = np.rint(scaled)
+            near_half = np.abs(scaled - micro) >= 0.5 - 1e-9
+            if not row.size or np.signbit(row).any() or near_half.any():
+                fh.write((row_format % tuple(row.tolist())).encode())
+                continue
+            micro = micro.astype(np.int32)
+            for col in range(_CELL_BYTES - 2, 1, -1):
+                micro, digit = np.divmod(micro, 10)
+                cells[:, col] = digit + ord("0")
+            cells[:, 0] = micro + ord("0")
+            fh.write(cells)
 
 
 def _csv_record(cells: Sequence[str]) -> str:
@@ -245,76 +268,81 @@ def read_snapshot(path: str | Path) -> Snapshot:
     """Parse a snapshot CSV; rejects ragged rows and out-of-range values,
     naming the offending cell.
 
-    The body is parsed in one pass by ``np.loadtxt``. When a cell may be
-    longer than ``csv.field_size_limit()``, or that pass fails or yields
-    anything but a full table of values in [0, 1], the file is read again
-    row by row; that loop decides what is accepted and names the first bad
-    line.
+    The form ``write_snapshot`` gives plain ids is parsed one line at a
+    time in numpy: strict UTF-8 without ``"``, CR or NUL, ids within
+    ``csv.field_size_limit()``, and per learner one cell ``d.dddddd`` of n
+    <= 10**6 micro-units, read as n / 1e6, which is bitwise ``float(cell)``.
+    Any other file (quoted ids, CRLF, ``%.17g``, ...) goes to the row loop,
+    which decides what is accepted and names the first bad line.
     """
+    snapshot = _plain_snapshot(path)
+    return _read_snapshot_rows(path) if snapshot is None else snapshot
+
+
+def _plain_snapshot(path: str | Path) -> Snapshot | None:
+    """The snapshot in a file of the form ``read_snapshot`` parses one line
+    at a time, or None for any other file."""
     limit = csv.field_size_limit()
     with open(path, "rb", buffering=_BLOCK_BYTES) as fh:
-        fits = _cells_fit(fh, limit)
-    if not fits:
-        return _read_snapshot_rows(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = _snapshot_header(_csv_rows(fh))
+        line = fh.readline()
+        header = _plain_fields(line[:-1], limit) if line.endswith(b"\n") else None
+        if header is None or header[0] != "question_id" or len(header) < 2:
+            return None
+        n_learners = len(header) - 1
+        width = n_learners * _CELL_BYTES
+        separators = np.frombuffer(b"," * (n_learners - 1) + b"\n", dtype=np.uint8)
+        # Buffers reused by every line.
+        digits = np.empty((n_learners, _CELL_BYTES), dtype=np.uint8)
+        is_digit = np.empty_like(digits, dtype=bool)
+        micro = np.empty(n_learners)
         question_ids: list[str] = []
-
-        def question_id(cell: str) -> float:
-            if len(cell) > limit:
-                raise ValueError("field larger than the csv field limit")
-            question_ids.append(cell)
-            return 0.0
-
-        try:
-            with warnings.catch_warnings():
-                # An empty body is reported by the row loop instead.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                table = np.loadtxt(
-                    fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
-                    converters={0: question_id},
-                )
-        except ValueError:
-            table = None
-    if table is not None and len(table) and table.shape[1] == len(header):
-        values = table[:, 1:]
-        if values.min() >= 0.0 and values.max() <= 1.0:
-            return Snapshot(
-                values=values, question_ids=tuple(question_ids), learner_ids=tuple(header[1:])
-            )
-    return _read_snapshot_rows(path)
-
-
-def _cells_fit(lines: Iterator[bytes], limit: int) -> bool:
-    """Whether no value cell of a snapshot file's lines can be longer than
-    ``limit``, which ``np.loadtxt`` does not check.
-
-    A value cell that parses holds no comma, so it is no longer than its
-    line, or than the text between the commas around it, unless it is
-    quoted across lines; a line with an odd number of quotes starts or
-    ends such a cell. Question ids are checked as they are read.
-    """
-    for line in lines:
-        line = line.rstrip(b"\r\n")
-        if (b'"' in line and line.count(b'"') % 2) or (
-            len(line) > limit and max(map(len, line.split(b","))) > limit
-        ):
-            return False
-    return True
+        rows: list[np.ndarray] = []
+        for line in fh:
+            qid_end = line.find(b",")
+            qid = _plain_fields(line[:qid_end], limit) if qid_end >= 0 else None
+            if qid is None or len(line) - qid_end - 1 != width:
+                return None
+            cells = np.frombuffer(line, np.uint8, offset=qid_end + 1).reshape(n_learners, -1)
+            np.subtract(cells, np.uint8(ord("0")), out=digits)
+            np.less_equal(digits, 9, out=is_digit)
+            # With both separator columns in place, the other seven hold digits.
+            if not (
+                (cells[:, 1] == ord(".")).all()
+                and (cells[:, -1] == separators).all()
+                and np.count_nonzero(is_digit) == n_learners * (_CELL_BYTES - 2)
+            ):
+                return None
+            np.matmul(digits, _PLACES, out=micro)
+            if micro.max() > 1e6:
+                return None
+            rows.append(micro / 1e6)
+            question_ids.append(qid[0])
+    if not rows:
+        return None
+    values = np.stack(rows)
+    del rows  # Snapshot copies the values: hold two copies at most, not three.
+    return Snapshot(values, tuple(question_ids), tuple(header[1:]))
 
 
-def _snapshot_header(reader: Iterator[list[str]]) -> list[str]:
-    header = next(reader, None)
-    if not header or header[0] != "question_id" or len(header) < 2:
-        raise ValueError("bad header: expected question_id,<learner ids>")
-    return header
+def _plain_fields(text: bytes, limit: int) -> list[str] | None:
+    """The comma-separated fields of ``text``, a line without its end, if it
+    is strict UTF-8 with no ``"``, CR or NUL byte and no field over ``limit``."""
+    if any(byte in text for byte in (b'"', b"\r", b"\0")):
+        return None
+    try:
+        fields = text.decode("utf-8").split(",")
+    except UnicodeDecodeError:
+        return None
+    return fields if max(map(len, fields)) <= limit else None
 
 
 def _read_snapshot_rows(path: str | Path) -> Snapshot:
     """``read_snapshot`` one row at a time, checking each row as it comes."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _csv_rows(fh)
-        header = _snapshot_header(reader)
+        header = next(reader, None)
+        if not header or header[0] != "question_id" or len(header) < 2:
+            raise ValueError("bad header: expected question_id,<learner ids>")
         learner_ids = tuple(header[1:])
         question_ids: list[str] = []
         rows: list[np.ndarray] = []

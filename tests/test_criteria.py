@@ -55,6 +55,21 @@ class TestStatistics:
         with pytest.raises(ValueError, match="learner indices must be distinct"):
             CriteriaContext.build(toy_snapshot, [0, 0, 1])
 
+    @pytest.mark.parametrize(
+        "learners", [[0.9, 1.9, 2.2], [0.2, 0.7], [0, 1.0], [True, 2], [np.bool_(True), 2]]
+    )
+    def test_rejects_non_integer_learners(self, learners):
+        # Fractional indices were truncated to learners 0-2, or to a repeat.
+        with pytest.raises(ValueError, match="^learner indices must be integers$"):
+            CriteriaContext.build(random_snapshot(5, 4, 3), learners)
+
+    def test_accepts_python_and_numpy_integers(self):
+        snap = random_snapshot(5, 4, 3)
+        want = CriteriaContext.build(snap, [0, 1, 2]).stats
+        for learners in ([np.int64(0), np.int32(1), np.uint8(2)], np.arange(3), range(3)):
+            got = CriteriaContext.build(snap, learners).stats
+            assert got.tobytes() == want.tobytes()
+
 
 class TestDiscrepancy:
     def test_full_pool_is_zero(self, toy_ctx):

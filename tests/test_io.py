@@ -1,6 +1,8 @@
 import csv
 import json
+import tracemalloc
 import warnings
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ import diaggen.io
 from diaggen.cli import main
 from diaggen.io import (
     _interaction_columns,
+    _plain_snapshot,
     _read_interaction_rows,
     _read_snapshot_rows,
     read_interactions,
@@ -271,6 +274,171 @@ class TestInteractionsOnePass:
         assert read_outcome(read_interactions, path) == read_outcome(_read_interaction_rows, path)
 
 
+def csv_line(cells):
+    """``cells`` as the csv module writes one record, quoting CR and LF too."""
+    buffer = StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+    return buffer.getvalue()[:-2]
+
+
+def reference_snapshot_bytes(snap):
+    """The bytes ``write_snapshot`` must write: one ``%.6f`` per cell."""
+    lines = [csv_line(["question_id", *snap.learner_ids])]
+    for qid, row in zip(snap.question_ids, snap.values.tolist()):
+        lines.append(",".join([csv_line([qid]), *("%.6f" % v for v in row)]))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def snapshot_outcome(read, path):
+    """What ``read`` makes of ``path``: the values' bytes and the ids, or
+    the ValueError's type and message."""
+    try:
+        snap = read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return snap.values.tobytes(), snap.question_ids, snap.learner_ids
+
+
+def in_rows(values, width=5):
+    """``values`` as the rows of a snapshot with ``width`` learners, the
+    last row padded with 0.5."""
+    values = np.concatenate([values, np.full(-len(values) % width, 0.5)]).reshape(-1, width)
+    return Snapshot(
+        values, tuple(f"q{i}" for i in range(len(values))), tuple(f"l{j}" for j in range(width))
+    )
+
+
+def snapshots(data):
+    """A drawn snapshot of values in [0, 1] whose ids may need quoting."""
+    ids = st.one_of(
+        st.text(alphabet="aZ09_.é", min_size=1, max_size=5),
+        st.text(alphabet='aZ09 ,"#\n\r;.é', max_size=5),
+    )
+    n_learners = data.draw(st.integers(1, 5), label="learners")
+    n_questions = data.draw(st.integers(1, 4), label="questions")
+    learner_ids = data.draw(
+        st.lists(ids, min_size=n_learners, max_size=n_learners, unique=True), label="learner ids"
+    )
+    question_ids = data.draw(
+        st.lists(ids, min_size=n_questions, max_size=n_questions, unique=True),
+        label="question ids",
+    )
+    cell = st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([-0.0, 5e-324, 2**-7, 3 * 2**-8, 0.9999995, 1.0]),
+    )
+    row = st.lists(cell, min_size=n_learners, max_size=n_learners)
+    values = data.draw(st.lists(row, min_size=n_questions, max_size=n_questions), label="values")
+    return Snapshot(np.array(values), tuple(question_ids), tuple(learner_ids))
+
+
+class TestSnapshotWriter:
+    """``write_snapshot`` writes the bytes of one ``%.6f`` per cell."""
+
+    def test_ties_and_their_neighbours(self, tmp_path):
+        # The exact ties at six decimals are the odd multiples of 2**-7.
+        ties = np.arange(1, 128, 2) / 128
+        micro = np.arange(0, 10**6, 997) + 0.5
+        halves = micro / 1e6
+        # Just outside the 1e-9 guard, spelled from the rounded product.
+        outside = [(micro - 2e-9) / 1e6, (micro + 2e-9) / 1e6]
+        values = np.concatenate(
+            [ties, [3 * 2**-8], np.nextafter(halves, 0), halves, np.nextafter(halves, 1), *outside]
+        )
+        snap = in_rows(values)
+        path = tmp_path / "snap.csv"
+        write_snapshot(snap, path)
+        assert path.read_bytes() == reference_snapshot_bytes(snap)
+
+    def test_edge_values(self, tmp_path):
+        snap = in_rows(np.array([0.0, 5e-324, 0.9999995, 1.0, 1e-7, -0.0, 0.5, 1.0]), width=4)
+        path = tmp_path / "snap.csv"
+        write_snapshot(snap, path)
+        assert path.read_bytes() == reference_snapshot_bytes(snap)
+        assert path.read_bytes().split(b"\n")[1:3] == [
+            b"q0,0.000000,0.000000,1.000000,1.000000",
+            b"q1,0.000000,-0.000000,0.500000,1.000000",
+        ]
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_percent_format(self, tmp_path_factory, data):
+        snap = snapshots(data)
+        path = tmp_path_factory.mktemp("snap") / "snap.csv"
+        write_snapshot(snap, path)
+        assert path.read_bytes() == reference_snapshot_bytes(snap)
+
+
+class TestSnapshotOnePass:
+    """``read_snapshot`` parses the plain form one line at a time; every
+    file must come out as the row loop reads it."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_written_files_read_as_row_loop(self, tmp_path_factory, data):
+        snap = snapshots(data)
+        path = tmp_path_factory.mktemp("snap") / "snap.csv"
+        write_snapshot(snap, path)
+        want = snapshot_outcome(_read_snapshot_rows, path)
+        assert want[1:] == (snap.question_ids, snap.learner_ids)
+
+        def no_row_loop(path):
+            raise AssertionError("a plain file went to the row loop")
+
+        with pytest.MonkeyPatch.context() as patch:
+            # Plain ids and no -0.000000 cell: the one-pass form.
+            if not any(byte in path.read_bytes() for byte in (b'"', b"-")):
+                patch.setattr(diaggen.io, "_read_snapshot_rows", no_row_loop)
+            assert snapshot_outcome(read_snapshot, path) == want
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace(b"q0,0.250000", b"q0,1.000001"),
+            lambda text: text.replace(b"q0,0.250000", b"q0,2.000000"),
+            lambda text: text.replace(b"q0,0.250000", b"q0,0.2500001"),
+            lambda text: text.replace(b"q0,0.250000", b"q0,0.25:000"),
+            lambda text: text.replace(b"q0,0.250000", b"q0,0;250000"),
+            lambda text: text.replace(b"q1,", b"q\x001,"),
+            lambda text: text.replace(b"q1,", b"q\xff1,"),
+            lambda text: text.replace(b"q1,", b"q\r1,"),
+            lambda text: text.replace(b"q1,", b"q" * csv.field_size_limit() + b"1,"),
+            lambda text: text.replace(b",l1,", b",l" * csv.field_size_limit() + b"1,"),
+            lambda text: text.replace(b"\n", b"\r\n"),
+            lambda text: text.replace(b"\nq1,", b"\n\nq1,"),
+            lambda text: text.replace(b"\nq1,", b"\n \nq1,"),
+            lambda text: text[:-1],
+        ],
+        ids=["1.000001", "2.000000", "7 decimals", "colon digit", "no dot", "NUL id",
+             "non-UTF-8 id", "CR in id", "long question id", "long learner id", "CRLF",
+             "blank line", "space line", "no final line end"],
+    )
+    def test_other_spellings_go_to_row_loop(self, tmp_path, edit):
+        path = tmp_path / "snap.csv"
+        write_snapshot(in_rows(np.full(10, 0.25)), path)
+        path.write_bytes(edit(path.read_bytes()))
+        assert _plain_snapshot(path) is None
+        assert snapshot_outcome(read_snapshot, path) == snapshot_outcome(_read_snapshot_rows, path)
+
+    def test_memory(self, tmp_path):
+        # 50 x 6000: at most the values, the copy Snapshot keeps and 1 MiB.
+        rng = np.random.default_rng(3)
+        snap = Snapshot(
+            rng.random((50, 6000)),
+            tuple(f"q{i}" for i in range(50)),
+            tuple(f"l{j}" for j in range(6000)),
+        )
+        path = tmp_path / "snap.csv"
+        for step in (lambda: write_snapshot(snap, path), lambda: read_snapshot(path)):
+            tracemalloc.start()
+            try:
+                step()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * snap.values.nbytes + (1 << 20)
+
+
 class TestSnapshotRoundTrip:
     def test_one_by_one_layout(self, tmp_path):
         path = tmp_path / "snap.csv"
@@ -349,6 +517,14 @@ class TestSnapshotRoundTrip:
             "ragged row: expected 3 fields, got 2 (line 2)",
         )
 
+    def test_line_without_id_is_ragged(self, tmp_path):
+        # As long as a one-learner line, but a single field.
+        self.rejects(
+            tmp_path,
+            "question_id,l0\nq0,0.250000\n0.250000\n",
+            "ragged row: expected 2 fields, got 1 (line 3)",
+        )
+
     def test_whitespace_only_line_is_ragged(self, tmp_path):
         self.rejects(
             tmp_path,
@@ -382,7 +558,8 @@ class TestSnapshotRoundTrip:
         assert snap.values.tolist() == [[0.25], [0.5]]
 
     def test_value_cell_over_field_limit_rejected(self, tmp_path):
-        # np.loadtxt has no field limit; the row loop's csv reader has.
+        # A cell longer than "d.dddddd" goes to the row loop, whose csv
+        # reader has the field limit.
         limit = csv.field_size_limit()
         self.rejects(
             tmp_path,
