@@ -6,12 +6,16 @@ documented order, so a (snapshot, config, seed) triple fully determines the
 result. The genetic algorithm holds its population as one (P, K) array and
 draws for production (``sample_subsets``), then per generation for
 ``select``, ``crossover`` and ``mutate``, each documenting its own draws.
+
+The exhaustive oracle scores subsets in blocks in lexicographic order, so
+each block's first maximum is its lexicographically smallest optimum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations, islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -249,34 +253,15 @@ def ga_search(ctx: CriteriaContext, cfg: GaConfig) -> SearchResult:
 # Largest number of subsets the exhaustive oracle will enumerate.
 BRUTE_FORCE_LIMIT = 10_000_000
 
-# Entries in one of the oracle's working arrays: a block of scored subsets,
-# a chunk of prefix (H, C) row-sum pairs or a batch of tied subsets' genes.
+# Entries in a block of the oracle's scored subsets or prefix (H, C) row sums.
 _BLOCK = 1 << 16
 
 
-def _binomials(n: int, m: int) -> np.ndarray:
-    """C(a, b) for a <= n and b <= m, each capped so that no sum of a
-    column overflows; the cap lies far above every rank the oracle draws."""
-    cap = np.iinfo(np.int64).max // (n + 1)
-    table = np.zeros((n + 1, m + 1), dtype=np.int64)
-    table[:, 0] = 1
-    for b in range(1, m + 1):
-        table[1:, b] = np.minimum(np.cumsum(table[:-1, b - 1]), cap)
-    return table
-
-
-def _colex(m: int, start: int, stop: int, binomials: np.ndarray) -> np.ndarray:
-    """Ranks start..stop-1 of the m-subsets of the naturals in colex order
-    (by largest element, then by the next largest, ...), one ascending row
-    each. Rank r is the sum of C(c_b, b) over the b-th smallest elements
-    c_b, so each element, largest first, is one search of a column."""
-    rank = np.arange(start, stop)
-    rows = np.empty((rank.size, m), dtype=np.intp)
-    for b in range(m, 0, -1):
-        c = np.searchsorted(binomials[:, b], rank, side="right") - 1
-        rows[:, b - 1] = c
-        rank = rank - binomials[c, b]
-    return rows
+def _chunks(combos: Iterator[tuple[int, ...]], width: int, rows: int) -> Iterator[np.ndarray]:
+    """``combos``, tuples of ``width`` > 0 questions, as consecutive arrays
+    of at most ``rows`` rows."""
+    while (chunk := np.fromiter(chain.from_iterable(islice(combos, rows)), np.intp)).size:
+        yield chunk.reshape(-1, width)
 
 
 def _blocks(nq: int, k: int) -> Iterator[tuple[np.ndarray, Iterator[np.ndarray]]]:
@@ -285,24 +270,22 @@ def _blocks(nq: int, k: int) -> Iterator[tuple[np.ndarray, Iterator[np.ndarray]]
     A subset is a prefix of K - s questions and a tail of s = min(K, 2)
     questions after the prefix's last one. Each item is a chunk of prefixes
     that share their last question p, with the chunks of the tails after p;
-    every prefix meets every tail. The prefixes are the (K - s)-subsets of
-    range(nq - s) in colex order, so those ending in p have ranks
-    C(p, K - s) to C(p + 1, K - s); the tails are mirror images of the
-    first C(nq - 1 - p, s) colex ranks.
+    every prefix meets every tail. Prefixes and tails both come from
+    ``combinations`` in lexicographic order, so within a block the subsets,
+    prefix-major, are in lexicographic order too.
     """
     s = min(k, 2)
     m = k - s
-    binomials = _binomials(nq, k)
     for p in range(m - 1, nq - s) if m else (-1,):
-        first, stop = (math.comb(p, m), math.comb(p + 1, m)) if m else (0, 1)
-        n_tails = math.comb(nq - 1 - p, s)
-        tail_step = min(n_tails, _BLOCK)
+        tail_step = min(math.comb(nq - 1 - p, s), _BLOCK)
         step = max(1, min(_BLOCK // tail_step, _BLOCK // nq))
-        for lo in range(first, stop, step):
-            yield _colex(m, lo, min(lo + step, stop), binomials), (
-                nq - 1 - _colex(s, t0, min(t0 + tail_step, n_tails), binomials)[:, ::-1]
-                for t0 in range(0, n_tails, tail_step)
-            )
+        if m > 1:
+            firsts = _chunks(combinations(range(p), m - 1), m - 1, step)
+            heads = (np.column_stack([c, np.full(len(c), p)]) for c in firsts)
+        else:
+            heads = (np.full((1, m), p, np.intp),)  # no prefix, or p alone
+        for prefixes in heads:
+            yield prefixes, _chunks(combinations(range(p + 1, nq), s), s, tail_step)
 
 
 def _subset_fits(ctx: CriteriaContext, k: int, lam: float) -> Iterator[tuple[np.ndarray, ...]]:
@@ -331,33 +314,25 @@ def brute_force(ctx: CriteriaContext, k: int) -> SearchResult:
     last question (K = 1: one question, no prefix). With h = H[P, :], its
     sum of H is sum(H[P, P]) + (2 h_i + H_ii), then + (2 (h_j + H_ij) +
     H_jj), and likewise for C: ``_fold``'s order, so each fitness is
-    bitwise the kernel's and the tie rule needs no re-scoring.
+    bitwise the kernel's. Each block is in lexicographic order, so its first
+    maximum is its smallest tied subset, and the smallest (-fitness, genes)
+    of these maxima is the optimum.
     """
     lam = _lambda(ctx)
     _check_k(ctx, k)
     if math.comb(ctx.n_questions, k) > BRUTE_FORCE_LIMIT:
         raise ValueError("instance too large for exhaustive search")
-    best_fit, best_genes = -np.inf, []
+    best = (np.inf, [])
     fit_sum, count = 0.0, 0
     for prefixes, tails, fits in _subset_fits(ctx, k, lam):
         fit_sum += float(fits.sum())
         count += fits.size
-        top = float(fits.max())
-        if top < best_fit:
-            continue
-        tied = np.flatnonzero(fits == top)
-        for c0 in range(0, tied.size, _BLOCK // k):
-            i, j = np.divmod(tied[c0:c0 + _BLOCK // k], len(tails))
-            rows = np.concatenate([prefixes[i], tails[j]], axis=1)
-            genes = rows[np.lexsort(rows.T[::-1])[0]].tolist()
-            if top > best_fit or genes < best_genes:
-                best_fit, best_genes = top, genes
+        i, j = divmod(int(np.argmax(fits)), len(tails))
+        best = min(best, (-float(fits[i, j]), prefixes[i].tolist() + tails[j].tolist()))
     assert count == math.comb(ctx.n_questions, k)
-    report = fitness(ctx, best_genes)
+    report = fitness(ctx, best[1])
     stats = GenerationStats(0, report.fitness, fit_sum / count)
-    return SearchResult(
-        "brute", Assessment(tuple(best_genes)), report, (stats,), count
-    )
+    return SearchResult("brute", Assessment(tuple(best[1])), report, (stats,), count)
 
 
 def swap_gain(ctx: CriteriaContext, genes: Genes) -> float:

@@ -21,6 +21,7 @@ from diaggen import (
     select,
     simulate,
 )
+from diaggen import search
 from diaggen.core import Assessment, split_learners
 from diaggen.criteria import _criteria, batch_criteria
 from diaggen.search import GaConfig, _subset_fits, swap_gain, tournament_size
@@ -540,8 +541,22 @@ class TestBruteForce:
             i, j = np.divmod(np.arange(fits.size), len(tails))
             genes = np.concatenate([prefixes[i], tails[j]], axis=1)
             assert (combined(*batch_criteria(ctx, genes), ctx.lam) == fits.ravel()).all()
+            # the first maximum of a block is its smallest tied subset
+            assert genes.tolist() == sorted(genes.tolist())
             seen += genes.tolist()
         assert sorted(seen) == [list(c) for c in combinations(range(12), k)]
+
+    @pytest.mark.parametrize("block", [16, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_in_small_blocks(self, monkeypatch, seed, block):
+        # small blocks split both prefixes and tails into several chunks and
+        # spread tied optima over several blocks
+        monkeypatch.setattr(search, "_BLOCK", block)
+        tied = self.tied_ctx(seed)
+        binary = CriteriaContext.build(binary_snapshot(seed, n_questions=10), range(8), lam=0.5)
+        for ctx in (tied, binary):
+            for k in range(1, 11):
+                self.assert_matches_reference(ctx, k)
 
     def test_matches_reference_on_all_equal_snapshot(self):
         ctx = CriteriaContext.build(all_equal_snapshot(10), range(10), lam=0.5)
