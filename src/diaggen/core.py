@@ -10,13 +10,28 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, fields
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
 
 
+class _Owned:
+    """A frozen dataclass whose ``__post_init__`` is ``self._freeze(np.array)``."""
+
+    @classmethod
+    def _own(cls, *values):
+        """Instance of the given field values, in field order, whose fresh arrays
+        a builder hands over: one of the right dtype is frozen, not copied."""
+        owned = cls.__new__(cls)
+        for field, value in zip(fields(cls), values, strict=True):
+            object.__setattr__(owned, field.name, value)
+        owned._freeze(np.asarray)
+        return owned
+
+
 @dataclass(frozen=True, eq=False)
-class InteractionLog:
+class InteractionLog(_Owned):
     """Problem-solving records in ingestion order, held as columns.
 
     Record ``i`` says that learner ``learner_ids[learner[i]]`` answered
@@ -36,17 +51,6 @@ class InteractionLog:
 
     def __post_init__(self) -> None:
         self._freeze(np.array)
-
-    @classmethod
-    def _own(cls, *values) -> "InteractionLog":
-        """Log of the given field values, in field order, whose columns a
-        builder has just made and hands over: a column of the right dtype
-        is frozen in place instead of copied."""
-        log = cls.__new__(cls)
-        for field, value in zip(fields(cls), values, strict=True):
-            object.__setattr__(log, field.name, value)
-        log._freeze(np.asarray)
-        return log
 
     def _freeze(self, convert) -> None:
         """Convert the columns with ``convert`` (``np.array`` copies, and
@@ -69,8 +73,8 @@ class InteractionLog:
             object.__setattr__(self, f"{name}_ids", ids)
         learner, order = self.learner, self.order
         by_learner = np.argsort(learner, kind="stable")
-        later, earlier = by_learner[1:], by_learner[:-1]
-        bad = later[(learner[later] == learner[earlier]) & (order[later] <= order[earlier])]
+        learners, orders = learner[by_learner], order[by_learner]
+        bad = by_learner[1:][(learners[1:] == learners[:-1]) & (orders[1:] <= orders[:-1])]
         if bad.size:
             raise ValueError(
                 f"order values for learner {self.learner_ids[learner[bad.min()]]!r} "
@@ -116,14 +120,14 @@ class InteractionLog:
 
     def restrict_learners(self, learner_ids: set[str]) -> "InteractionLog":
         """Sub-log containing only the given learners, order preserved."""
-        wanted = np.fromiter(
-            (lid in learner_ids for lid in self.learner_ids),
-            dtype=bool,
-            count=len(self.learner_ids),
-        )
+        wanted = np.array([lid in learner_ids for lid in self.learner_ids], dtype=bool)
         keep = wanted[self.learner]
-        learner_ids, learner = _renumber(self.learner[keep], self.learner_ids)
-        question_ids, question = _renumber(self.question[keep], self.question_ids)
+        kept = self.question[keep]
+        positions, question = _first_appearances(kept, len(self.question_ids))
+        question_ids = tuple(self.question_ids[q] for q in kept[positions].tolist())
+        # Kept learners keep every record, so a running count numbers them.
+        learner = (np.cumsum(wanted) - 1)[self.learner[keep]]
+        learner_ids = tuple(compress(self.learner_ids, wanted))
         return InteractionLog._own(
             learner_ids, question_ids, learner, question, self.correct[keep], self.order[keep]
         )
@@ -143,13 +147,15 @@ def _check_first_appearance(name: str, index: np.ndarray, ids: tuple[str, ...]) 
         )
 
 
-def _renumber(index: np.ndarray, ids: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Keep the ids ``index`` uses, renumbered in order of first appearance."""
-    used, first = np.unique(index, return_index=True)
-    used = used[np.argsort(first)]
-    lookup = np.empty(len(ids), dtype=np.intp)
-    lookup[used] = np.arange(used.size)
-    return tuple(ids[i] for i in used), lookup[index]
+def _first_appearances(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each value in [0, n) that ``index`` holds first appears, in
+    order of first appearance, and ``index`` renumbered in that order."""
+    first = np.full(n, index.size)
+    np.minimum.at(first, index, np.arange(index.size))
+    by_first = np.argsort(first)[: np.count_nonzero(first < index.size)]
+    lookup = np.empty(n, dtype=np.intp)
+    lookup[by_first] = np.arange(by_first.size)
+    return first[by_first], lookup[index]
 
 
 def sigmoid(x) -> np.ndarray:
@@ -183,7 +189,7 @@ def to_index_arrays(
 
 
 @dataclass(frozen=True)
-class Snapshot:
+class Snapshot(_Owned):
     """Question-by-learner matrix of correct-answer probabilities.
 
     Rows are questions and the second axis runs over learners; every entry lies in [0, 1]
@@ -196,7 +202,12 @@ class Snapshot:
     learner_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        self._freeze(np.array)
+
+    def _freeze(self, convert) -> None:
+        """Convert the values to C-ordered float64 with ``convert`` (as in
+        ``InteractionLog._freeze``), check the snapshot and freeze it."""
+        values = convert(self.values, dtype=np.float64, order="C")
         if values.ndim != 2:
             raise ValueError("snapshot values must be a 2-D matrix")
         if values.shape[0] != len(self.question_ids):
@@ -210,13 +221,13 @@ class Snapshot:
                 f"{len(self.learner_ids)} learner ids"
             )
         for name, ids in (("question", self.question_ids), ("learner", self.learner_ids)):
-            if len(set(ids)) != len(ids):
+            # A dict of the ids peaks at half the memory of a set.
+            if len(dict.fromkeys(ids)) != len(ids):
                 raise ValueError(f"duplicate {name} ids")
         if np.isnan(values).any():
             raise ValueError("snapshot contains NaN")
         if values.size and (values.min() < 0.0 or values.max() > 1.0):
             raise ValueError("snapshot values must lie in [0, 1]")
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "question_ids", tuple(self.question_ids))
@@ -282,7 +293,7 @@ def split_learners(
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
-    pool = sorted(int(x) for x in learners)
+    pool = sorted(map(int, learners))
     n = len(pool)
     if n < 2:
         raise ValueError("need at least 2 learners to split")
@@ -290,6 +301,6 @@ def split_learners(
     n_train = min(max(n_train, 1), n - 1)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(np.asarray(pool, dtype=np.intp))
-    train = tuple(sorted(int(x) for x in perm[:n_train]))
-    test = tuple(sorted(int(x) for x in perm[n_train:]))
+    train = tuple(sorted(perm[:n_train].tolist()))
+    test = tuple(sorted(perm[n_train:].tolist()))
     return LearnerSplit(train=train, test=test, seed=seed, ratio=ratio)

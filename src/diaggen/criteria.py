@@ -37,6 +37,8 @@ import numpy as np
 from .core import Assessment, Snapshot
 
 Genes = Sequence[int] | Assessment
+# Rows of uniforms that ``sample_subsets`` holds at a time.
+_SAMPLE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,10 @@ class CriteriaContext:
         learners: Sequence[int],
         lam: float | None = None,
     ) -> "CriteriaContext":
-        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in learners):
+        kinds = set(map(type, learners))
+        if not all(issubclass(k, (int, np.integer)) and not issubclass(k, bool) for k in kinds):
             raise ValueError("learner indices must be integers")
-        learners = tuple(int(x) for x in learners)
+        learners = tuple(map(int, learners))
         if not learners:
             raise ValueError("learner subset is empty")
         if min(learners) < 0 or max(learners) >= snapshot.n_learners:
@@ -211,10 +214,13 @@ def sample_subsets(
 ) -> np.ndarray:
     """Uniform random K-subsets (with replacement across samples): the
     first K entries of a uniform random permutation of the questions per
-    sample, from one (n_samples, n_questions) block of uniforms."""
-    order = np.argsort(rng.random((n_samples, n_questions)), axis=1)
-    # Copy, so the full (n_samples, n_questions) block is not kept alive.
-    return order[:, :k].copy()
+    sample, from an (n_samples, n_questions) matrix of uniforms drawn
+    ``_SAMPLE_ROWS`` rows at a time, which ``rng.random`` fills as one block."""
+    draws = np.empty((n_samples, min(k, n_questions)), dtype=np.intp)
+    for at in range(0, n_samples, _SAMPLE_ROWS):
+        uniforms = rng.random((min(_SAMPLE_ROWS, n_samples - at), n_questions))
+        draws[at : at + len(uniforms)] = np.argsort(uniforms, axis=1)[:, :k]
+    return draws
 
 
 def calibrate_lambda(

@@ -376,11 +376,8 @@ def fit_abilities(model: RaschModel, log: InteractionLog) -> Abilities:
 
 def rasch_snapshot(model: RaschModel, theta: np.ndarray, learner_ids: Sequence[str]) -> Snapshot:
     """Predicted snapshot sigmoid(theta - b) for the given abilities."""
-    return Snapshot(
-        values=sigmoid(np.asarray(theta)[None, :] - model.b[:, None]),
-        question_ids=model.question_ids,
-        learner_ids=tuple(learner_ids),
-    )
+    values = sigmoid(np.asarray(theta)[None, :] - model.b[:, None])
+    return Snapshot._own(values, model.question_ids, tuple(learner_ids))
 
 
 def correct_ratio_snapshot(
@@ -428,11 +425,7 @@ def correct_ratio_snapshot(
     g = smoothed(fit_y.sum(), fit_y.size)
 
     values = np.clip(p_q[:, None] + a_l[None, :] - g, _CLIP, 1.0 - _CLIP)
-    return Snapshot(
-        values=values,
-        question_ids=tuple(q_index),
-        learner_ids=tuple(l_index),
-    )
+    return Snapshot._own(values, tuple(q_index), tuple(l_index))
 
 
 @dataclass(frozen=True)
@@ -541,15 +534,20 @@ def mean_performance_correlation(
     over the common question set. Raises when either side's means are all
     equal, since no correlation is defined then.
     """
-    truth_l, truth_q = set(truth.learner_ids), set(truth.question_ids)
-    common_l = [l for l in predicted.learner_ids if l in truth_l]
-    common_q = [q for q in predicted.question_ids if q in truth_q]
+    if (predicted.learner_ids, predicted.question_ids) == (truth.learner_ids, truth.question_ids):
+        common_l, common_q = truth.learner_ids, truth.question_ids
+    else:
+        truth_l, truth_q = set(truth.learner_ids), set(truth.question_ids)
+        common_l = tuple(l for l in predicted.learner_ids if l in truth_l)
+        common_q = tuple(q for q in predicted.question_ids if q in truth_q)
     if len(common_l) < 2:
         raise ValueError("need at least 2 common learners to correlate")
     if not common_q:
         raise ValueError("no common questions between snapshots")
 
     def means(snap: Snapshot) -> np.ndarray:
+        if (snap.learner_ids, snap.question_ids) == (common_l, common_q):
+            return snap.values.mean(axis=0)  # No id is dropped or moved.
         qpos = {q: i for i, q in enumerate(snap.question_ids)}
         lpos = {l: i for i, l in enumerate(snap.learner_ids)}
         rows = np.asarray([qpos[q] for q in common_q], dtype=np.intp)

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from io import StringIO
 from pathlib import Path
 from typing import Any, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .core import InteractionLog, Snapshot
+from .core import InteractionLog, Snapshot, _first_appearances
 from .criteria import FitnessReport
 from .search import SearchResult
 
@@ -35,10 +36,10 @@ def read_interactions(path: str | Path) -> InteractionLog:
     no blank line; every line has exactly three commas; ``correct`` is the
     single byte 0 or 1 and ``order`` 1-18 ASCII digits; no field is longer
     than ``csv.field_size_limit()``; every distinct id is strict UTF-8; and
-    each id column, padded to its longest id, takes no more bytes than the
-    file. Any other file (quoted ids, CRLF line ends, blank lines, an order
-    spelled ``+1`` or ``1_0``, ...) is read again by the row loop, which
-    decides what is accepted and names the first bad line.
+    each id column, padded to whole 8-byte words of its longest id, takes no
+    more bytes than the file. Any other file (quoted ids, CRLF line ends, blank
+    lines, an order spelled ``+1`` or ``1_0``, ...) is read again by the row
+    loop, which decides what is accepted and names the first bad line.
     """
     with open(path, "rb") as fh:
         columns = _interaction_columns(fh.read())
@@ -48,16 +49,16 @@ def read_interactions(path: str | Path) -> InteractionLog:
 
 
 _HEADER_LINE = (",".join(INTERACTION_HEADER) + "\n").encode()
-# Where a record's separators fall: three commas, then the line end.
-_RECORD_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
 # Orders of at most 18 digits stay below 2**63.
 _ORDER_DIGITS = 18
-# Bytes searched for separators, or buffered while reading snapshot lines,
-# at a time; this bounds the temporaries.
+# Bytes searched for a separator at a time; this bounds the temporaries.
 _BLOCK_BYTES = 1 << 20
-# A snapshot cell "d.dddddd," and the place value, in micro-units, of each byte.
+# A snapshot cell "d.dddddd," and the place value, in micro-units, of each byte:
+# float32 holds every partial sum of digits times places, all below 2**24, exactly.
 _CELL_BYTES = 9
-_PLACES = np.array([1e6, 0.0, 1e5, 1e4, 1e3, 1e2, 1e1, 1e0, 0.0])
+_PLACES = np.array([1e6, 0.0, 1e5, 1e4, 1e3, 1e2, 1e1, 1e0, 0.0], dtype=np.float32)
+# For k = 0..8, the mask of a uint64's k most significant bytes.
+_KEEP_HIGH = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
 
 
 def _interaction_columns(data: bytes) -> tuple | None:
@@ -70,27 +71,19 @@ def _interaction_columns(data: bytes) -> tuple | None:
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
     # The header line holds the first three commas and the first line end.
-    separators = _separator_positions(buf)[4:]
-    if separators.size == 0:
+    commas, ends = _positions(buf, ord(","))[3:], _positions(buf, ord("\n"))[1:]
+    if ends.size == 0:
         empty = np.zeros(0, dtype=np.int64)
         return (), (), empty, empty, empty.astype(bool), empty
-    if separators.size % 4:
+    if commas.size != 3 * ends.size:
         return None
-    separators = separators.reshape(-1, 4)
-    if not (buf[separators] == _RECORD_SEPARATORS).all():
+    comma0, comma1, comma2 = commas.reshape(-1, 3).T
+    starts = np.insert(ends[:-1] + 1, 0, len(_HEADER_LINE))
+    # Three commas a line in all: each line holds its first and third.
+    if np.any(comma0 < starts) or np.any(comma2 > ends):
         return None
-    comma0, comma1, comma2, ends = separators.T
-    starts = np.empty_like(ends)
-    starts[0] = len(_HEADER_LINE)
-    starts[1:] = ends[:-1] + 1
-    limit = csv.field_size_limit()
-    order_len = ends - comma2 - 1
-    if (
-        max((comma0 - starts).max(), (comma1 - comma0 - 1).max()) > limit
-        or np.any(comma2 - comma1 != 2)
-        or order_len.min() < 1
-        or order_len.max() > _ORDER_DIGITS
-    ):
+    too_long = max((comma0 - starts).max(), (comma1 - comma0 - 1).max()) > csv.field_size_limit()
+    if too_long or np.any(comma2 - comma1 != 2):
         return None
     correct = buf[comma1 + 1]
     if np.any((correct != ord("0")) & (correct != ord("1"))):
@@ -103,31 +96,33 @@ def _interaction_columns(data: bytes) -> tuple | None:
     return learner[0], question[0], learner[1], question[1], correct == ord("1"), order
 
 
-def _separator_positions(buf: np.ndarray) -> np.ndarray:
-    """Where ``buf`` holds a comma or a line end, as the narrowest signed
-    integers that can index it."""
+def _positions(buf: np.ndarray, byte: int) -> np.ndarray:
+    """Where ``buf`` holds ``byte``, as the narrowest signed integers that
+    can index it."""
     dtype = np.int32 if buf.size < 2**31 else np.int64
     found = []
     for at in range(0, buf.size, _BLOCK_BYTES):
-        block = buf[at : at + _BLOCK_BYTES]
-        positions = np.flatnonzero((block == ord(",")) | (block == ord("\n"))) + at
+        positions = np.flatnonzero(buf[at : at + _BLOCK_BYTES] == byte) + at
         found.append(positions.astype(dtype))
     return np.concatenate(found)
 
 
 def _digits(buf: np.ndarray, before: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The non-negative integers spelled by ``buf[before + 1:end]``, read
-    right-aligned one digit column at a time; None if a byte is no digit."""
+    """The non-negative integers spelled by ``buf[before + 1:end]``, read right-aligned
+    a digit column at a time; None if one is empty, too long or holds a non-digit."""
+    lengths = ends - before - 1
+    if lengths.min() < 1 or lengths.max() > _ORDER_DIGITS:
+        return None
     value = np.zeros(ends.size, dtype=np.int64)
-    for back in range(int((ends - before).max()) - 1, 0, -1):
+    for back in range(int(lengths.max()), 0, -1):
         at = ends - back
-        inside = at > before
-        # Columns before a field's first digit read as the digit 0.
-        byte = np.where(inside, buf[at], ord("0"))
-        if np.any((byte < ord("0")) | (byte > ord("9"))):
+        # Bytes below "0" wrap past 9; columns before a field's first digit read as 0.
+        digit = buf[at] - np.uint8(ord("0"))
+        digit[at <= before] = 0
+        if np.any(digit > 9):
             return None
         value *= 10
-        value += byte - ord("0")
+        value += digit
     return value
 
 
@@ -135,27 +130,47 @@ def _id_column(
     buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> tuple[tuple[str, ...], np.ndarray] | None:
     """The distinct ids ``buf[start:end]`` in order of first appearance and
-    each field's index into them; None when an id is not strict UTF-8 or
-    the padded keys would take more bytes than ``buf``."""
+    each field's index into them; None when an id is not strict UTF-8 or the
+    keys, ids zero-padded in front to whole 8-byte words, would take more
+    bytes than ``buf``. The file has no NUL, so no two ids share a key. Only
+    the first field of each run of equal fields is ranked, one uint64 word at
+    a time: a log grouped by learner ranks one key per learner."""
     lengths = ends - starts
-    width = max(int(lengths.max()), 1)
-    if starts.size * width > buf.size:
+    n_words = max(-(-int(lengths.max()) // 8), 1)
+    if starts.size * n_words * 8 > buf.size:
         return None
-    # Zero-padded fixed-width keys: the file has no NUL, so no two ids share one.
-    keys = np.zeros((starts.size, width), dtype=np.uint8)
-    for col in range(width):
-        keys[:, col] = np.where(lengths > col, buf.take(starts + col, mode="clip"), 0)
-    distinct, first, inverse = np.unique(
-        keys.view(f"S{width}").ravel(), return_index=True, return_inverse=True
-    )
-    by_first = np.argsort(first)
+    # Element i is the little-endian word of buf[i:i + 8]. Word j of a field ends
+    # 8 j bytes before it; one that would start before buf is masked to zero.
+    ending = np.ndarray((buf.size - 7,), np.dtype("<u8"), buf, strides=(1,))
+    words = [
+        ending[np.maximum(ends - 8 * j - 8, 0)] & _KEEP_HIGH[np.clip(lengths - 8 * j, 0, 8)]
+        for j in range(n_words)
+    ]
+    heads = np.ones(starts.size, dtype=bool)
+    heads[1:] = np.any([word[1:] != word[:-1] for word in words], axis=0)
+    words = [word[heads] for word in words]
+    code, count = _ranks(words[0])
+    for word in words[1:]:
+        code, count = _ranks(code * starts.size + _ranks(word)[0])
+    positions, code = _first_appearances(code, count)
+    # Each id is followed by a comma: decode "id,id,...,id," in one piece.
+    rows = np.flatnonzero(heads)[positions]
+    spans = lengths[rows] + 1
+    at = np.arange(spans.sum()) + np.repeat(starts[rows] - np.cumsum(spans) + spans, spans)
     try:
-        ids = tuple(key.decode("utf-8") for key in distinct[by_first].tolist())
+        ids = tuple(buf[at].tobytes().decode("utf-8").split(",")[:-1])
     except UnicodeDecodeError:
         return None
-    number = np.empty(distinct.size, dtype=np.intp)
-    number[by_first] = np.arange(distinct.size)
-    return ids, number[inverse]
+    return ids, code[np.cumsum(heads) - 1]
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each value's rank among the distinct ``values``, and their number."""
+    order = np.argsort(values)
+    sizes = np.diff(np.flatnonzero(np.diff(values[order])) + 1, prepend=0, append=values.size)
+    ranks = np.empty(values.size, dtype=np.intp)
+    ranks[order] = np.repeat(np.arange(sizes.size), sizes)
+    return ranks, sizes.size
 
 
 def _read_interaction_rows(path: str | Path) -> InteractionLog:
@@ -275,15 +290,15 @@ def read_snapshot(path: str | Path) -> Snapshot:
     Any other file (quoted ids, CRLF, ``%.17g``, ...) goes to the row loop,
     which decides what is accepted and names the first bad line.
     """
-    snapshot = _plain_snapshot(path)
-    return _read_snapshot_rows(path) if snapshot is None else snapshot
+    fields = _plain_snapshot(path)
+    return _read_snapshot_rows(path) if fields is None else Snapshot._own(*fields)
 
 
-def _plain_snapshot(path: str | Path) -> Snapshot | None:
-    """The snapshot in a file of the form ``read_snapshot`` parses one line
-    at a time, or None for any other file."""
+def _plain_snapshot(path: str | Path) -> tuple | None:
+    """The ``Snapshot`` fields of a file in the form ``read_snapshot`` parses
+    one line at a time, or None for any other file."""
     limit = csv.field_size_limit()
-    with open(path, "rb", buffering=_BLOCK_BYTES) as fh:
+    with open(path, "rb") as fh:
         line = fh.readline()
         header = _plain_fields(line[:-1], limit) if line.endswith(b"\n") else None
         if header is None or header[0] != "question_id" or len(header) < 2:
@@ -295,13 +310,17 @@ def _plain_snapshot(path: str | Path) -> Snapshot | None:
         digits = np.empty((n_learners, _CELL_BYTES), dtype=np.uint8)
         is_digit = np.empty_like(digits, dtype=bool)
         micro = np.empty(n_learners)
+        # A line holds at least a comma and its cells; a pipe's rows grow as they come.
+        rows = max((os.fstat(fh.fileno()).st_size - len(line)) // (width + 1), 0)
+        values = np.empty((rows, n_learners))
         question_ids: list[str] = []
-        rows: list[np.ndarray] = []
         for line in fh:
             qid_end = line.find(b",")
             qid = _plain_fields(line[:qid_end], limit) if qid_end >= 0 else None
             if qid is None or len(line) - qid_end - 1 != width:
                 return None
+            if len(question_ids) == len(values):
+                values.resize((2 * len(values) + 1, n_learners), refcheck=False)
             cells = np.frombuffer(line, np.uint8, offset=qid_end + 1).reshape(n_learners, -1)
             np.subtract(cells, np.uint8(ord("0")), out=digits)
             np.less_equal(digits, 9, out=is_digit)
@@ -315,13 +334,11 @@ def _plain_snapshot(path: str | Path) -> Snapshot | None:
             np.matmul(digits, _PLACES, out=micro)
             if micro.max() > 1e6:
                 return None
-            rows.append(micro / 1e6)
+            np.divide(micro, 1e6, out=values[len(question_ids)])
             question_ids.append(qid[0])
-    if not rows:
+    if not question_ids:
         return None
-    values = np.stack(rows)
-    del rows  # Snapshot copies the values: hold two copies at most, not three.
-    return Snapshot(values, tuple(question_ids), tuple(header[1:]))
+    return values[: len(question_ids)], tuple(question_ids), tuple(header[1:])
 
 
 def _plain_fields(text: bytes, limit: int) -> list[str] | None:
@@ -374,9 +391,7 @@ def _read_snapshot_rows(path: str | Path) -> Snapshot:
             rows.append(values)
     if not rows:
         raise ValueError("snapshot file has no data rows")
-    return Snapshot(
-        values=np.stack(rows), question_ids=tuple(question_ids), learner_ids=learner_ids
-    )
+    return Snapshot._own(np.stack(rows), tuple(question_ids), learner_ids)
 
 
 def _is_number(cell: str) -> bool:

@@ -320,7 +320,7 @@ class TestCalibrate:
         assert last_json(out)["lambda"] == calibrate_lambda(ctx, 3)
 
     def test_unallocatable_sample_count_is_one_error_line(self, small_world, capsys):
-        # numpy refuses the (10**13, Q) block of uniforms before allocating.
+        # numpy refuses the (10**13, K) array of draws before allocating.
         _, truth = small_world
         code, out, err = run_cli(
             capsys, "calibrate", "--snapshot", str(truth), "--k", "3",

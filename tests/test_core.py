@@ -61,6 +61,22 @@ class TestInteractionLog:
         assert sub.question_ids == ("b", "c", "a")
         assert sub.learner.tolist() == [0, 0, 1]
 
+    @pytest.mark.parametrize(
+        "kept", [{"l1"}, {"l2", "l4"}, {"l0", "l3"}, {"l0", "l2", "l4"}, set(), {"l9"}]
+    )
+    def test_restrict_learners_equals_filtered_records(self, kept):
+        # "c" first appears in l0's record and "a" in l1's; l0 and l2 need
+        # not be kept together, so the kept learners are not contiguous.
+        records = [
+            ("l0", "c", 1, 0), ("l1", "a", 0, 0), ("l2", "b", 1, 5), ("l0", "a", 0, 1),
+            ("l3", "c", 1, 2), ("l2", "c", 0, 6), ("l4", "a", 1, 0), ("l1", "b", 1, 3),
+            ("l4", "d", 0, 1), ("l3", "b", 1, 3),
+        ]
+        sub = make_log(records).restrict_learners(kept)
+        assert sub == make_log([r for r in records if r[0] in kept])
+        for name in ("learner", "question", "correct", "order"):
+            assert not getattr(sub, name).flags.writeable
+
     def test_columns_frozen(self):
         log = make_log([("l1", "a", 1, 0)])
         with pytest.raises(ValueError):
@@ -141,6 +157,39 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             snap.values[0, 0] = 0.9
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_constructor_copies_caller_values(self, order):
+        values = np.asarray(np.arange(6.0).reshape(2, 3) / 8, order=order)
+        snap = Snapshot(values, ("q0", "q1"), ("l0", "l1", "l2"))
+        assert not np.shares_memory(snap.values, values) and values.flags.writeable
+        assert snap.values.flags.c_contiguous and np.array_equal(snap.values, values)
+
+    def test_builders_hand_over_fresh_values(self):
+        values = np.full((2, 3), 0.25)
+        snap = Snapshot._own(values, ["q0", "q1"], ["l0", "l1", "l2"])
+        assert snap.values is values and not values.flags.writeable
+        assert snap.question_ids == ("q0", "q1") and snap.learner_ids == ("l0", "l1", "l2")
+        # Another dtype or memory order is converted, as the constructor does.
+        for other in (np.ones((2, 3), dtype=np.float32), np.full((3, 2), 0.5).T):
+            owned = Snapshot._own(other, ("q0", "q1"), ("l0", "l1", "l2"))
+            assert owned.values.dtype == np.float64 and owned.values.flags.c_contiguous
+            assert owned.values.tobytes() == np.ascontiguousarray(other, np.float64).tobytes()
+
+    @pytest.mark.parametrize(
+        "values, questions, learners, message",
+        [
+            (np.array([[0.5, np.nan]]), ("q0",), ("l0", "l1"), "NaN"),
+            (np.array([[1.2]]), ("q0",), ("l0",), r"\[0, 1\]"),
+            (np.full(2, 0.5), ("q0",), ("l0", "l1"), "2-D"),
+            (np.full((2, 2), 0.5), ("q0",), ("l0", "l1"), "row count"),
+            (np.full((1, 2), 0.5), ("q0",), ("l0",), "column count"),
+            (np.full((1, 2), 0.5), ("q0",), ("l0", "l0"), "duplicate learner ids"),
+        ],
+    )
+    def test_handed_over_values_are_checked(self, values, questions, learners, message):
+        with pytest.raises(ValueError, match=message):
+            Snapshot._own(values, questions, learners)
+
 
 class TestAssessment:
     def test_rejects_duplicates(self):
@@ -155,7 +204,33 @@ class TestAssessment:
         assert Assessment((3, 1, 2)).genes == (3, 1, 2)
 
 
+def reference_split(learners, ratio, seed):
+    """``split_learners`` as it was written with per-learner generators."""
+    pool = sorted(int(x) for x in learners)
+    n_train = min(max(int(round(ratio * len(pool))), 1), len(pool) - 1)
+    perm = np.random.default_rng(seed).permutation(np.asarray(pool, dtype=np.intp))
+    train = tuple(sorted(int(x) for x in perm[:n_train]))
+    test = tuple(sorted(int(x) for x in perm[n_train:]))
+    return train, test
+
+
 class TestSplitLearners:
+    @pytest.mark.parametrize(
+        "learners",
+        [
+            range(6000),
+            [5, 3, 9, 1, 7, 2],
+            [40, 2, 17, 3, 99, 58, 61, 7],
+            np.arange(0, 300, 7)[::-1],
+        ],
+    )
+    @pytest.mark.parametrize("ratio", [0.1, 0.5, 0.8, 0.97])
+    def test_equals_reference(self, learners, ratio):
+        for seed in (0, 1, 12345):
+            split = split_learners(learners, ratio, seed)
+            assert (split.train, split.test) == reference_split(learners, ratio, seed)
+            assert all(type(x) is int for x in split.train + split.test)
+
     def test_cardinalities(self):
         split = split_learners(range(10), 0.8, seed=7)
         assert len(split.train) == 8 and len(split.test) == 2

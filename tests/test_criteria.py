@@ -63,6 +63,28 @@ class TestStatistics:
         with pytest.raises(ValueError, match="^learner indices must be integers$"):
             CriteriaContext.build(random_snapshot(5, 4, 3), learners)
 
+    @pytest.mark.parametrize(
+        "learners, message",
+        [
+            ([0.0, 1.0], "^learner indices must be integers$"),
+            (np.array([0.0, 1.0]), "^learner indices must be integers$"),
+            ((True, False), "^learner indices must be integers$"),
+            (np.array([True, False]), "^learner indices must be integers$"),
+            ([0, 1, np.int64(1)], "^learner indices must be distinct$"),
+            (np.array([2, 0, 2]), "^learner indices must be distinct$"),
+            ([], "^learner subset is empty$"),
+            (np.array([], dtype=np.intp), "^learner subset is empty$"),
+            (range(0), "^learner subset is empty$"),
+            ([0, 3], "^learner index out of range$"),
+            ([-1, 0], "^learner index out of range$"),
+            ([0, 2**70], "^learner index out of range$"),
+            (np.array([0, 3], dtype=np.uint8), "^learner index out of range$"),
+        ],
+    )
+    def test_rejections_keep_their_messages(self, learners, message):
+        with pytest.raises(ValueError, match=message):
+            CriteriaContext.build(random_snapshot(5, 4, 3), learners)
+
     def test_accepts_python_and_numpy_integers(self):
         snap = random_snapshot(5, 4, 3)
         want = CriteriaContext.build(snap, [0, 1, 2]).stats
@@ -307,6 +329,35 @@ def two_archetype_snapshot():
         tuple(f"q{i}" for i in range(4)),
         ("strong", "weak"),
     )
+
+
+class TestSampleSubsets:
+    @pytest.mark.parametrize("n_samples", [0, 1, 1023, 1024, 1025, 3000])
+    def test_draws_of_one_block(self, n_samples):
+        # Generator.random fills row by row, so drawing in row chunks gives
+        # the subsets of one (n_samples, Q) block, and leaves the generator
+        # where one block would.
+        for q, k in ((50, 10), (7, 7), (5, 1)):
+            rng, ref_rng = np.random.default_rng(n_samples), np.random.default_rng(n_samples)
+            want = np.argsort(ref_rng.random((n_samples, q)), axis=1)[:, :k]
+            got = sample_subsets(q, k, n_samples, rng)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.shape == (n_samples, k)
+            assert rng.random() == ref_rng.random()
+
+    def test_calibrate_memory(self):
+        # 10,000 subsets of K = 10 out of 50: the draws, batch_criteria's
+        # sorted copy of them and the fold's columns, 0.76 MiB each; the
+        # former (10,000, 50) block of uniforms alone took 3.8 MiB.
+        snap = random_snapshot(8, n_questions=50, n_learners=40)
+        ctx = CriteriaContext.build(snap, range(40))
+        tracemalloc.start()
+        try:
+            calibrate_lambda(ctx, k=10, n_samples=10_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20
 
 
 class TestCalibrateLambda:

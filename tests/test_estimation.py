@@ -458,7 +458,49 @@ class TestSufficiencyCurve:
         assert curve.chosen_n == next(settled, None)
 
 
+def reference_correlation(predicted, truth):
+    """``mean_performance_correlation`` as it was written, with id
+    dictionaries for both snapshots whether or not their ids line up."""
+    truth_l, truth_q = set(truth.learner_ids), set(truth.question_ids)
+    common_l = [l for l in predicted.learner_ids if l in truth_l]
+    common_q = [q for q in predicted.question_ids if q in truth_q]
+
+    def means(snap):
+        qpos = {q: i for i, q in enumerate(snap.question_ids)}
+        lpos = {l: i for i, l in enumerate(snap.learner_ids)}
+        rows = np.asarray([qpos[q] for q in common_q], dtype=np.intp)
+        cols = np.asarray([lpos[l] for l in common_l], dtype=np.intp)
+        return snap.values[np.ix_(rows, cols)].mean(axis=0)
+
+    a, b = means(predicted), means(truth)
+    ranks = [np.unique(m, return_inverse=True, return_counts=True) for m in (a, b)]
+    ranks = [(np.cumsum(c) - (c - 1) / 2.0)[i] for _, i, c in ranks]
+    return float(np.corrcoef(a, b)[0, 1]), float(np.corrcoef(*ranks)[0, 1])
+
+
 class TestMeanPerformanceCorrelation:
+    def test_equals_reference_aligned_and_permuted(self):
+        rng = np.random.default_rng(7)
+        qids = tuple(f"q{i}" for i in range(12))
+        lids = tuple(f"l{j}" for j in range(300))
+        truth = Snapshot(rng.random((12, 300)), qids, lids)
+        noisy = np.clip(truth.values + rng.normal(0, 0.2, (12, 300)), 0, 1)
+        predicted = Snapshot(noisy, qids, lids)
+        aligned = mean_performance_correlation(predicted, truth)
+        assert aligned == reference_correlation(predicted, truth)
+        rows, cols = rng.permutation(12), rng.permutation(300)
+        permuted = Snapshot(
+            predicted.values[np.ix_(rows, cols)],
+            tuple(qids[i] for i in rows),
+            tuple(lids[j] for j in cols),
+        )
+        for pair in ((permuted, truth), (truth, permuted), (permuted, permuted)):
+            assert mean_performance_correlation(*pair) == reference_correlation(*pair)
+        assert np.allclose(mean_performance_correlation(permuted, truth), aligned, atol=1e-12)
+        # Extra ids on one side drop out of the common sets.
+        wider = Snapshot(np.vstack([truth.values, rng.random((1, 300))]), qids + ("extra",), lids)
+        assert mean_performance_correlation(predicted, wider) == aligned
+
     def test_perfect_on_identical(self):
         rng = np.random.default_rng(0)
         snap = Snapshot(

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import threading
 import tracemalloc
 import warnings
 from io import StringIO
@@ -169,6 +171,8 @@ class TestInteractionsOnePass:
             b"learner_id,question_id,correct,order\nl0,q0,1,0\n\n",
             b"learner_id,question_id,correct,order\nl0,q0,1\n",
             b"learner_id,question_id,correct,order\nl0,q0,1,0,\n",
+            # Six commas in two records, four of them in the first.
+            b"learner_id,question_id,correct,order\nl0,q0,1,0,\nq1,1,0\n",
             b"learner_id,question_id,correct,order\nl0,q0,01,0\n",
             b"learner_id,question_id,correct,order\nl0,q0, 1,0\n",
             b"learner_id,question_id,correct,order\nl0,q0,2,0\n",
@@ -225,6 +229,71 @@ class TestInteractionsOnePass:
 
         monkeypatch.setattr("diaggen.io._read_interaction_rows", row_loop)
         assert read_interactions(path) == log
+
+    def assert_one_pass_equals_row_loop(self, path):
+        assert _interaction_columns(path.read_bytes()) is not None
+        assert read_interactions(path) == _read_interaction_rows(path)
+
+    def test_time_ordered_log(self, tmp_path):
+        # Records sorted by order, then by learner: no run of equal learners.
+        _, log, _ = simulate(SimConfig(num_learners=40, num_questions=9, seed=6))
+        path = tmp_path / "log.csv"
+        write_interactions(log, path)
+        header, *lines = path.read_text().splitlines(keepends=True)
+        by_time = np.lexsort((log.learner, log.order))
+        path.write_text(header + "".join(lines[i] for i in by_time))
+        self.assert_one_pass_equals_row_loop(path)
+        timed = read_interactions(path)
+        assert timed.learner_ids[:3] == ("l0", "l1", "l2")
+        assert timed.learner[:3].tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("width", [7, 8, 9, 16, 17])
+    def test_ids_around_word_widths(self, tmp_path, width):
+        # Ids differing only in their first, middle or last byte, next to
+        # ids of every shorter width, with runs and interleaving.
+        ids = ["a" * width, "b" + "a" * (width - 1), "a" * (width - 1) + "b",
+               "a" * (width // 2) + "c" + "a" * (width - width // 2 - 1), "a", "a" * (width - 1)]
+        rng = np.random.default_rng(width)
+        learners, questions = rng.integers(0, 6, (2, 60))
+        learners[1:4] = learners[0]
+        records = [
+            (ids[l], ids[q], bool(o % 3), o) for o, (l, q) in enumerate(zip(learners, questions))
+        ]
+        path = tmp_path / "log.csv"
+        write_interactions(InteractionLog.from_records(records), path)
+        self.assert_one_pass_equals_row_loop(path)
+
+    def test_ids_that_prefix_each_other(self, tmp_path):
+        text = "learner_id,question_id,correct,order\n" + "".join(
+            f"{l},{q},1,{o}\n"
+            for o, (l, q) in enumerate(
+                [("l1", "q"), ("l10", "q0"), ("l100", "q00"), ("l1", "q0"), ("l10", "q"),
+                 ("l100", "q"), ("l10", "q00"), ("l", "q000"), ("l1", "q00")]
+            )
+        )
+        path = tmp_path / "log.csv"
+        path.write_text(text)
+        self.assert_one_pass_equals_row_loop(path)
+        assert read_interactions(path).learner_ids == ("l1", "l10", "l100", "l")
+
+    def test_multibyte_and_invalid_utf8_ids(self, tmp_path):
+        path = tmp_path / "log.csv"
+        text = (
+            "learner_id,question_id,correct,order\n"
+            "é,ü,0,0\n学生,ü,1,1\né,問題一,1,2\n😀,é,0,0\n"
+        )
+        path.write_text(text, encoding="utf-8")
+        self.assert_one_pass_equals_row_loop(path)
+        # One id whose second byte is cut off: the row loop decides.
+        path.write_bytes(text.encode() + "学".encode()[:2] + b",q,1,0\n")
+        assert _interaction_columns(path.read_bytes()) is None
+        assert read_outcome(read_interactions, path) == read_outcome(_read_interaction_rows, path)
+
+    def test_last_record_without_line_end(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("learner_id,question_id,correct,order\nl0,q0,1,0\nl1,q10,0,12")
+        self.assert_one_pass_equals_row_loop(path)
+        assert read_interactions(path).order.tolist() == [0, 12]
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -437,6 +506,42 @@ class TestSnapshotOnePass:
             finally:
                 tracemalloc.stop()
             assert peak <= 2 * snap.values.nbytes + (1 << 20)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_plain_read_from_a_pipe(self, tmp_path):
+        # A pipe has no size to bound the rows by: they grow as lines come.
+        path, pipe = tmp_path / "snap.csv", tmp_path / "pipe"
+        write_snapshot(in_rows(np.linspace(0.0, 1.0, 37), width=4), path)
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
+        writer.start()
+        # The one-pass parse itself: the row loop would open the pipe again.
+        values, question_ids, learner_ids = _plain_snapshot(pipe)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        want = _read_snapshot_rows(path)
+        assert values.tobytes() == want.values.tobytes()
+        assert (question_ids, learner_ids) == (want.question_ids, want.learner_ids)
+
+    def test_plain_read_keeps_one_copy(self, tmp_path):
+        # The parsed rows are the snapshot's values: at most them and 1 MiB.
+        rng = np.random.default_rng(4)
+        snap = Snapshot(
+            rng.random((50, 6000)),
+            tuple(f"q{i}" for i in range(50)),
+            tuple(f"l{j}" for j in range(6000)),
+        )
+        path = tmp_path / "snap.csv"
+        write_snapshot(snap, path)
+        assert _plain_snapshot(path) is not None
+        tracemalloc.start()
+        try:
+            got = read_snapshot(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= snap.values.nbytes + (1 << 20)
+        assert got.values.tobytes() == _read_snapshot_rows(path).values.tobytes()
 
 
 class TestSnapshotRoundTrip:
