@@ -133,13 +133,16 @@ def _sorted_rows(ctx: CriteriaContext, genes_matrix: np.ndarray) -> np.ndarray:
     """Validated gene rows, one assessment each, each sorted.
 
     Sorting makes the set semantics literal: any permutation of the same
-    genes produces bitwise-identical scores.
+    genes produces bitwise-identical scores. Rows that are all strictly
+    increasing are used as they are; any others are sorted into a copy.
     """
     idx = np.asarray(genes_matrix, dtype=np.intp)
     if idx.ndim != 2 or idx.shape[1] == 0:
         raise ValueError("genes must give each assessment at least one question index")
     if idx.size and (idx.min() < 0 or idx.max() >= ctx.n_questions):
         raise ValueError("gene index out of range for this snapshot")
+    if np.all(idx[:, 1:] > idx[:, :-1]):
+        return idx
     idx = np.sort(idx, axis=1)
     if np.any(idx[:, 1:] == idx[:, :-1]):
         raise ValueError("genes must be distinct")
@@ -236,6 +239,7 @@ def calibrate_lambda(
     _check_k(ctx, k)
     rng = np.random.default_rng(seed)
     draws = sample_subsets(ctx.n_questions, k, n_samples, rng)
+    draws.sort(axis=1)
     rmse, std = batch_criteria(ctx, draws)
     mean_std = float(std.mean())
     if mean_std <= 0.0:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import csv
 import json
 import os
-from io import StringIO
+import re
+from io import BytesIO, StringIO, TextIOWrapper
 from pathlib import Path
-from typing import Any, Iterator, Sequence, TextIO
+from typing import Any, BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -38,13 +39,16 @@ def read_interactions(path: str | Path) -> InteractionLog:
     than ``csv.field_size_limit()``; every distinct id is strict UTF-8; and
     each id column, padded to whole 8-byte words of its longest id, takes no
     more bytes than the file. Any other file (quoted ids, CRLF line ends, blank
-    lines, an order spelled ``+1`` or ``1_0``, ...) is read again by the row
-    loop, which decides what is accepted and names the first bad line.
+    lines, an order spelled ``+1`` or ``1_0``, ...) goes, as the bytes already
+    read, to the row loop, which decides what is accepted and names the first
+    bad line. The file is read once, so it may be a pipe.
     """
     with open(path, "rb") as fh:
-        columns = _interaction_columns(fh.read())
+        data = fh.read()
+    columns = _interaction_columns(data)
     if columns is None:
-        return _read_interaction_rows(path)
+        return _read_interaction_rows(data)
+    del data  # before the log's checks allocate
     return InteractionLog._own(*columns)
 
 
@@ -173,22 +177,23 @@ def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
     return ranks, sizes.size
 
 
-def _read_interaction_rows(path: str | Path) -> InteractionLog:
-    """``read_interactions`` one row at a time, checking each row as it comes."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(fh)
-        header = next(reader, None)
-        if header != INTERACTION_HEADER:
-            raise ValueError(
-                f"bad header: expected {','.join(INTERACTION_HEADER)}"
-            )
-        return InteractionLog.from_records(_interaction_rows(reader))
+def _read_interaction_rows(data: bytes) -> InteractionLog:
+    """``read_interactions`` of a file's bytes one row at a time, checking
+    each row as it comes."""
+    reader = _csv_rows(data)
+    header = next(reader, None)
+    if header != INTERACTION_HEADER:
+        raise ValueError(
+            f"bad header: expected {','.join(INTERACTION_HEADER)}"
+        )
+    return InteractionLog.from_records(_interaction_rows(reader))
 
 
-def _csv_rows(fh: TextIO) -> Iterator[list[str]]:
-    """The ``csv.reader`` rows of ``fh``; a ``csv.Error``, such as a field
+def _csv_rows(data: bytes) -> Iterator[list[str]]:
+    """The ``csv.reader`` rows of a file's bytes, decoded as strict UTF-8
+    as they are read, as ``open`` would; a ``csv.Error``, such as a field
     over ``csv.field_size_limit()``, becomes a ValueError naming its line."""
-    reader = csv.reader(fh)
+    reader = csv.reader(TextIOWrapper(BytesIO(data), encoding="utf-8", newline=""))
     try:
         yield from reader
     except csv.Error as exc:
@@ -218,20 +223,118 @@ def _interaction_rows(reader: Iterator[list[str]]) -> Iterator[tuple[str, str, b
 def write_interactions(log: InteractionLog, path: str | Path) -> None:
     """Interaction CSV with ``INTERACTION_HEADER``. Ids are quoted as
     ``write_snapshot`` quotes them, so ids holding a comma, a quote, a CR
-    or a LF read back unchanged; an empty id is an empty field."""
-    learner_ids = np.array([_csv_field(i) for i in log.learner_ids], dtype=object)
-    question_ids = np.array([_csv_field(i) for i in log.question_ids], dtype=object)
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(_HEADER_LINE.decode())
-        fh.writelines(
-            map(
-                "{},{},{},{}\n".format,
-                learner_ids[log.learner].tolist(),
-                question_ids[log.question].tolist(),
-                log.correct.view(np.uint8).tolist(),
-                log.order.tolist(),
-            )
-        )
+    or a LF read back unchanged; an empty id is an empty field; orders are
+    spelled as ``str`` spells them.
+
+    Each chunk of about ``_WRITE_BYTES`` is one byte matrix, a row per
+    record, each field right-aligned in columns as wide as its widest value
+    but at most ``_FIELD_BYTES``; a mask of each field's length, not of its
+    bytes, keeps the line, so ids may hold NUL. A longer id field's head is
+    written in front of the bytes the matrix holds of it.
+    """
+    tables = [_Fields(ids) for ids in (log.learner_ids, log.question_ids)]
+    order_width = max(len(str(int(f(log.order, initial=0)))) for f in (np.min, np.max))
+    edges = np.cumsum([0, tables[0].width, tables[1].width, 2, order_width + 1])
+    rows = max(_WRITE_BYTES // edges[-1], 1)
+    lines = np.empty((min(rows, len(log)), edges[-1]), dtype=np.uint8)
+    keep = np.ones_like(lines, dtype=bool)
+    lines[:, edges[3] - 1], lines[:, -1] = ord(","), ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(_HEADER_LINE)
+        for at in range(0, len(log), rows):
+            chunk = slice(at, at + rows)
+            n = len(log.order[chunk])
+            block = [(lines[:n, a:b], keep[:n, a:b]) for a, b in zip(edges, edges[1:])]
+            indices = (log.learner[chunk], log.question[chunk])
+            shown = [table.put(i, *field) for table, i, field in zip(tables, indices, block)]
+            lines[:n, edges[2]] = log.correct[chunk] + np.uint8(ord("0"))
+            length = _put_digits(log.order[chunk], block[3][0][:, :-1]) + 1
+            _items(block[3][1])[:] = _tail_masks(order_width + 1)[length]
+            text = lines[:n][keep[:n]]
+            heads = [table.heads(index) for table, index in zip(tables, indices)]
+            if heads[0] or heads[1]:
+                # Each head goes in front of the bytes its field shows.
+                line_bytes = shown[0] + shown[1] + 2 + length
+                line_starts = np.cumsum(line_bytes) - line_bytes
+                cuts = [(line_starts[row], head) for row, head in heads[0]]
+                cuts += [(line_starts[row] + shown[0][row], head) for row, head in heads[1]]
+                done = 0
+                for cut, head in sorted(cuts, key=lambda pair: pair[0]):
+                    fh.write(text[done:cut])
+                    fh.write(head)
+                    done = cut
+                text = text[done:]
+            fh.write(text)
+
+
+# Bytes of the record matrix ``write_interactions`` assembles at a time, and
+# the most columns an id field takes in it.
+_WRITE_BYTES = 1 << 20
+_FIELD_BYTES = 256
+# A field the csv module quotes.
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _items(block: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array whose rows are contiguous bytes as one item."""
+    return block.view(np.dtype((np.void, block.shape[1] * block.itemsize)))[:, 0]
+
+
+def _tail_masks(width: int) -> np.ndarray:
+    """Item ``j``: ``width - j`` falses, then ``j`` trues."""
+    return _items(np.lib.stride_tricks.sliding_window_view(np.arange(2 * width) >= width, width))
+
+
+class _Fields:
+    """Ids as CSV fields, each with its comma, in UTF-8, joined after a
+    zero pad. A field shows its last ``width`` bytes in a byte matrix; a
+    longer field leaves its head to be written in front of them."""
+
+    def __init__(self, ids: Sequence[str]) -> None:
+        fields = [(_csv_field(i) + ",").encode() for i in ids]
+        self.lengths = np.fromiter(map(len, fields), dtype=np.intp, count=len(fields))
+        self.width = int(min(self.lengths.max(initial=1), _FIELD_BYTES))
+        self.joined = memoryview(bytes(self.width) + b"".join(fields))
+        # Window ends[i] of the joined bytes ends where field i does.
+        self.ends = np.cumsum(self.lengths)
+        joined = np.frombuffer(self.joined, dtype=np.uint8)
+        self.windows = _items(np.lib.stride_tricks.sliding_window_view(joined, self.width))
+
+    def put(self, index: np.ndarray, columns: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """The shown bytes of the fields of ``index`` in ``columns`` and
+        ``keep`` true over them; returns how many bytes each field shows."""
+        shown = np.minimum(self.lengths[index], self.width)
+        _items(columns)[:] = self.windows[self.ends[index]]
+        _items(keep)[:] = _tail_masks(self.width)[shown]
+        return shown
+
+    def heads(self, index: np.ndarray) -> list[tuple[int, memoryview]]:
+        """Each row of ``index`` whose field is longer than ``width``, with
+        the head of that field."""
+        rows = np.flatnonzero(self.lengths[index] > self.width)
+        stops = self.ends[index[rows]]
+        starts = stops + self.width - self.lengths[index[rows]]
+        return [
+            (row, self.joined[start:stop])
+            for row, start, stop in zip(rows.tolist(), starts.tolist(), stops.tolist())
+        ]
+
+
+def _put_digits(order: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """``str`` of each order right-aligned in its row of ``digits``; their lengths."""
+    negative = order < 0
+    # -2**63 wraps to 2**63 in uint64, its magnitude.
+    magnitude = order.astype(np.uint64)
+    np.negative(magnitude, where=negative, out=magnitude)
+    length = 1 + negative.astype(np.intp)
+    ten = np.uint64(10)
+    for col in range(digits.shape[1] - 1, -1, -1):
+        quotient = magnitude // ten
+        digits[:, col] = magnitude - quotient * ten + np.uint64(ord("0"))
+        magnitude = quotient
+        length += magnitude > 0
+    digits[negative, digits.shape[1] - length[negative]] = ord("-")
+    return length
 
 
 def write_snapshot(snapshot: Snapshot, path: str | Path) -> None:
@@ -275,8 +378,9 @@ def _csv_record(cells: Sequence[str]) -> str:
 
 def _csv_field(cell: str) -> str:
     """``cell`` as a field of a longer CSV record: a record of one empty
-    field is written ``""``, an empty field among others as nothing."""
-    return _csv_record([cell]) if cell else ""
+    field is written ``""``, an empty field among others as nothing. Only a
+    cell holding a comma, a quote, a CR or a LF is quoted."""
+    return _csv_record([cell]) if _NEEDS_QUOTES(cell) else cell
 
 
 def read_snapshot(path: str | Path) -> Snapshot:
@@ -287,55 +391,61 @@ def read_snapshot(path: str | Path) -> Snapshot:
     time in numpy: strict UTF-8 without ``"``, CR or NUL, ids within
     ``csv.field_size_limit()``, and per learner one cell ``d.dddddd`` of n
     <= 10**6 micro-units, read as n / 1e6, which is bitwise ``float(cell)``.
-    Any other file (quoted ids, CRLF, ``%.17g``, ...) goes to the row loop,
-    which decides what is accepted and names the first bad line.
+    Any other file (quoted ids, CRLF, ``%.17g``, ...) is read from its start
+    again by the row loop, which decides what is accepted and names the
+    first bad line. The file is opened once; one that cannot seek, such as
+    a pipe, is read into memory first.
     """
-    fields = _plain_snapshot(path)
-    return _read_snapshot_rows(path) if fields is None else Snapshot._own(*fields)
-
-
-def _plain_snapshot(path: str | Path) -> tuple | None:
-    """The ``Snapshot`` fields of a file in the form ``read_snapshot`` parses
-    one line at a time, or None for any other file."""
-    limit = csv.field_size_limit()
     with open(path, "rb") as fh:
-        line = fh.readline()
-        header = _plain_fields(line[:-1], limit) if line.endswith(b"\n") else None
-        if header is None or header[0] != "question_id" or len(header) < 2:
+        source = fh if fh.seekable() else BytesIO(fh.read())
+        fields = _plain_snapshot(source)
+        if fields is None:
+            source.seek(0)
+            return _read_snapshot_rows(source.read())
+    return Snapshot._own(*fields)
+
+
+def _plain_snapshot(fh: BinaryIO) -> tuple | None:
+    """The ``Snapshot`` fields of a seekable binary file, read from its start,
+    in the form ``read_snapshot`` parses one line at a time, or None for any
+    other file."""
+    limit = csv.field_size_limit()
+    line = fh.readline()
+    header = _plain_fields(line[:-1], limit) if line.endswith(b"\n") else None
+    if header is None or header[0] != "question_id" or len(header) < 2:
+        return None
+    n_learners = len(header) - 1
+    width = n_learners * _CELL_BYTES
+    separators = np.frombuffer(b"," * (n_learners - 1) + b"\n", dtype=np.uint8)
+    # Buffers reused by every line.
+    digits = np.empty((n_learners, _CELL_BYTES), dtype=np.uint8)
+    is_digit = np.empty_like(digits, dtype=bool)
+    micro = np.empty(n_learners)
+    # A line holds at least a comma and its cells; a file that grows while
+    # it is read goes to the row loop.
+    values = np.empty(((fh.seek(0, os.SEEK_END) - len(line)) // (width + 1), n_learners))
+    fh.seek(len(line))
+    question_ids: list[str] = []
+    for line in fh:
+        qid_end = line.find(b",")
+        qid = _plain_fields(line[:qid_end], limit) if qid_end >= 0 else None
+        if qid is None or len(line) - qid_end - 1 != width or len(question_ids) == len(values):
             return None
-        n_learners = len(header) - 1
-        width = n_learners * _CELL_BYTES
-        separators = np.frombuffer(b"," * (n_learners - 1) + b"\n", dtype=np.uint8)
-        # Buffers reused by every line.
-        digits = np.empty((n_learners, _CELL_BYTES), dtype=np.uint8)
-        is_digit = np.empty_like(digits, dtype=bool)
-        micro = np.empty(n_learners)
-        # A line holds at least a comma and its cells; a pipe's rows grow as they come.
-        rows = max((os.fstat(fh.fileno()).st_size - len(line)) // (width + 1), 0)
-        values = np.empty((rows, n_learners))
-        question_ids: list[str] = []
-        for line in fh:
-            qid_end = line.find(b",")
-            qid = _plain_fields(line[:qid_end], limit) if qid_end >= 0 else None
-            if qid is None or len(line) - qid_end - 1 != width:
-                return None
-            if len(question_ids) == len(values):
-                values.resize((2 * len(values) + 1, n_learners), refcheck=False)
-            cells = np.frombuffer(line, np.uint8, offset=qid_end + 1).reshape(n_learners, -1)
-            np.subtract(cells, np.uint8(ord("0")), out=digits)
-            np.less_equal(digits, 9, out=is_digit)
-            # With both separator columns in place, the other seven hold digits.
-            if not (
-                (cells[:, 1] == ord(".")).all()
-                and (cells[:, -1] == separators).all()
-                and np.count_nonzero(is_digit) == n_learners * (_CELL_BYTES - 2)
-            ):
-                return None
-            np.matmul(digits, _PLACES, out=micro)
-            if micro.max() > 1e6:
-                return None
-            np.divide(micro, 1e6, out=values[len(question_ids)])
-            question_ids.append(qid[0])
+        cells = np.frombuffer(line, np.uint8, offset=qid_end + 1).reshape(n_learners, -1)
+        np.subtract(cells, np.uint8(ord("0")), out=digits)
+        np.less_equal(digits, 9, out=is_digit)
+        # With both separator columns in place, the other seven hold digits.
+        if not (
+            (cells[:, 1] == ord(".")).all()
+            and (cells[:, -1] == separators).all()
+            and np.count_nonzero(is_digit) == n_learners * (_CELL_BYTES - 2)
+        ):
+            return None
+        np.matmul(digits, _PLACES, out=micro)
+        if micro.max() > 1e6:
+            return None
+        np.divide(micro, 1e6, out=values[len(question_ids)])
+        question_ids.append(qid[0])
     if not question_ids:
         return None
     return values[: len(question_ids)], tuple(question_ids), tuple(header[1:])
@@ -353,42 +463,42 @@ def _plain_fields(text: bytes, limit: int) -> list[str] | None:
     return fields if max(map(len, fields)) <= limit else None
 
 
-def _read_snapshot_rows(path: str | Path) -> Snapshot:
-    """``read_snapshot`` one row at a time, checking each row as it comes."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(fh)
-        header = next(reader, None)
-        if not header or header[0] != "question_id" or len(header) < 2:
-            raise ValueError("bad header: expected question_id,<learner ids>")
-        learner_ids = tuple(header[1:])
-        question_ids: list[str] = []
-        rows: list[np.ndarray] = []
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"ragged row: expected {len(header)} fields, "
-                    f"got {len(row)} (line {line})"
-                )
-            question_ids.append(row[0])
-            cells = row[1:]
-            try:
-                values = np.array(cells, dtype=np.float64)
-            except ValueError:
-                col = next(col for col, cell in enumerate(cells) if not _is_number(cell))
-                raise ValueError(
-                    f"non-numeric value {cells[col]!r} at line {line}, "
-                    f"learner {learner_ids[col]!r}"
-                ) from None
-            outside = ~((values >= 0.0) & (values <= 1.0))
-            if outside.any():
-                col = int(outside.argmax())
-                raise ValueError(
-                    f"value {cells[col]} out of range [0, 1] at line {line}, "
-                    f"learner {learner_ids[col]!r}"
-                )
-            rows.append(values)
+def _read_snapshot_rows(data: bytes) -> Snapshot:
+    """``read_snapshot`` of a file's bytes one row at a time, checking each
+    row as it comes."""
+    reader = _csv_rows(data)
+    header = next(reader, None)
+    if not header or header[0] != "question_id" or len(header) < 2:
+        raise ValueError("bad header: expected question_id,<learner ids>")
+    learner_ids = tuple(header[1:])
+    question_ids: list[str] = []
+    rows: list[np.ndarray] = []
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(
+                f"ragged row: expected {len(header)} fields, "
+                f"got {len(row)} (line {line})"
+            )
+        question_ids.append(row[0])
+        cells = row[1:]
+        try:
+            values = np.array(cells, dtype=np.float64)
+        except ValueError:
+            col = next(col for col, cell in enumerate(cells) if not _is_number(cell))
+            raise ValueError(
+                f"non-numeric value {cells[col]!r} at line {line}, "
+                f"learner {learner_ids[col]!r}"
+            ) from None
+        outside = ~((values >= 0.0) & (values <= 1.0))
+        if outside.any():
+            col = int(outside.argmax())
+            raise ValueError(
+                f"value {cells[col]} out of range [0, 1] at line {line}, "
+                f"learner {learner_ids[col]!r}"
+            )
+        rows.append(values)
     if not rows:
         raise ValueError("snapshot file has no data rows")
     return Snapshot._own(np.stack(rows), tuple(question_ids), learner_ids)

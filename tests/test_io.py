@@ -5,6 +5,7 @@ import threading
 import tracemalloc
 import warnings
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,50 @@ from diaggen.io import (
     write_json,
     write_snapshot,
 )
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+
+
+def read_through_pipe(read, tmp_path, data):
+    """``read`` of a named pipe that a thread feeds ``data`` once; a reader
+    that opens the pipe again finds it empty."""
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    done = threading.Event()
+
+    def feed():
+        pipe.write_bytes(data)
+        while not done.wait(0.01):
+            try:
+                os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader has the pipe open
+                pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return read(pipe)
+    finally:
+        done.set()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def interaction_rows(path):
+    """The row loop's reading of the interaction file at ``path``."""
+    return _read_interaction_rows(Path(path).read_bytes())
+
+
+def snapshot_rows(path):
+    """The row loop's reading of the snapshot file at ``path``."""
+    return _read_snapshot_rows(Path(path).read_bytes())
+
+
+def plain_snapshot(path):
+    """The one-pass parse of the snapshot file at ``path``."""
+    with open(path, "rb") as fh:
+        return _plain_snapshot(fh)
 
 
 class TestInteractionsRoundTrip:
@@ -129,6 +174,125 @@ class TestInteractionsRoundTrip:
         assert read_interactions(path) == log
 
 
+def reference_interaction_bytes(log):
+    """The bytes ``write_interactions`` must write: each record formatted
+    with ``str.format``, each non-empty id as the csv module writes a record
+    of it."""
+    learners, questions = (
+        [csv_line([i]) if i else "" for i in ids] for ids in (log.learner_ids, log.question_ids)
+    )
+    records = zip(
+        log.learner.tolist(),
+        log.question.tolist(),
+        log.correct.view(np.uint8).tolist(),
+        log.order.tolist(),
+    )
+    lines = (f"{learners[l]},{questions[q]},{c},{o}\n" for l, q, c, o in records)
+    return ("learner_id,question_id,correct,order\n" + "".join(lines)).encode()
+
+
+def log_of(learners, questions, orders):
+    """A log with one record per order, correct on every third record."""
+    return InteractionLog.from_records(
+        (learner, question, i % 3 == 0, order)
+        for i, (learner, question, order) in enumerate(zip(learners, questions, orders))
+    )
+
+
+class TestInteractionWriter:
+    """``write_interactions`` writes the bytes of the ``str.format`` writer."""
+
+    def assert_reference_bytes(self, log, tmp_path):
+        path = tmp_path / "log.csv"
+        write_interactions(log, path)
+        assert path.read_bytes() == reference_interaction_bytes(log)
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            ["a,b", 'say "hi"', "a\rb", "a\nb", "a\r\nb", "plain"],
+            ["", "x", ""],
+            ["é ü", "学生", "😀", "q\u00e9"],
+            ["a\0b", "\0", "\0,\0"],
+        ],
+    )
+    def test_ids(self, tmp_path, ids):
+        others = [f"o{i}" for i in range(len(ids))]
+        for learners, questions in ((ids, others), (others, ids), (ids, ids[::-1])):
+            self.assert_reference_bytes(log_of(learners, questions, range(len(ids))), tmp_path)
+
+    def test_nul_in_id_reads_back(self, tmp_path):
+        log = log_of(["a\0b", "", "\0"], ["q\0", "q\0", ""], [0, 1, 2])
+        path = tmp_path / "log.csv"
+        write_interactions(log, path)
+        assert read_interactions(path) == log
+
+    @pytest.mark.parametrize(
+        "orders",
+        [
+            [0], [9], [10], [2**63 - 1], [-1], [-(2**63)],
+            [0, 9, 10, 99, 100, 2**63 - 1], [-(2**63), -10, -9, -1, 0, 5],
+        ],
+    )
+    def test_orders(self, tmp_path, orders):
+        ids = ["l"] * len(orders)
+        self.assert_reference_bytes(log_of(ids, ids, orders), tmp_path)
+
+    def test_empty_log(self, tmp_path):
+        self.assert_reference_bytes(log_of([], [], []), tmp_path)
+
+    @pytest.mark.parametrize("field_bytes", [1, 2, 3, 256])
+    def test_chunk_boundaries(self, tmp_path, monkeypatch, field_bytes):
+        # Every chunk size from one record up: each log length is just
+        # below, at or above some chunk size. Fields wider than
+        # _FIELD_BYTES have their heads inserted.
+        monkeypatch.setattr(diaggen.io, "_FIELD_BYTES", field_bytes)
+        for n in (1, 2, 7, 8, 9):
+            log = log_of([f"l{i % 3}" * (i % 4) for i in range(n)], ["q,", "", "qé"] * 3, range(n))
+            for chunk_bytes in range(1, 200, 3):
+                monkeypatch.setattr(diaggen.io, "_WRITE_BYTES", chunk_bytes)
+                self.assert_reference_bytes(log, tmp_path)
+
+    def test_ids_longer_than_field_columns(self, tmp_path):
+        # Field widths around _FIELD_BYTES, the comma included, and far past it.
+        width = diaggen.io._FIELD_BYTES
+        ids = ["a" * (width - 2), "b" * (width - 1), "c" * width, '"\0,' * width, "é" * 5000]
+        for learners, questions in ((ids, ["q"] * 5), (["l"] * 5, ids), (ids, ids[::-1])):
+            self.assert_reference_bytes(log_of(learners, questions, range(5)), tmp_path)
+
+    def test_simulated_log_across_default_chunks(self, tmp_path):
+        # Lines "l2999,q49,1,49" in 15-byte rows: more than two chunks.
+        _, log, _ = simulate(SimConfig(num_learners=3000, num_questions=50, seed=3))
+        assert len(log) * 15 > 2 * diaggen.io._WRITE_BYTES
+        self.assert_reference_bytes(log, tmp_path)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_logs(self, tmp_path_factory, data):
+        ids = st.text(alphabet=st.sampled_from('ab,"\r\n\0é学 '), max_size=5)
+        field_bytes = data.draw(st.sampled_from([1, 2, 4, 256]))
+        n = data.draw(st.integers(0, 30))
+        orders = st.sets(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
+        orders = sorted(data.draw(orders))
+        learners = data.draw(st.lists(ids, min_size=n, max_size=n))
+        questions = data.draw(st.lists(ids, min_size=n, max_size=n))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diaggen.io, "_FIELD_BYTES", field_bytes)
+            log = log_of(learners, questions, orders)
+            self.assert_reference_bytes(log, tmp_path_factory.mktemp("w"))
+
+    def test_memory(self, tmp_path):
+        # The world of the benchmark: the former writer peaked at 20.4 MiB.
+        _, log, _ = simulate(SimConfig(num_learners=6000, num_questions=50, seed=101))
+        tracemalloc.start()
+        try:
+            write_interactions(log, tmp_path / "log.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20.4 * 2**20
+
+
 def read_outcome(read, path):
     """What ``read`` makes of ``path``: the log, or the ValueError's type and message."""
     try:
@@ -157,7 +321,7 @@ class TestInteractionsOnePass:
         path = tmp_path / "log.csv"
         path.write_bytes(("learner_id,question_id,correct,order\n" + body).encode())
         assert _interaction_columns(path.read_bytes()) is not None
-        assert read_interactions(path) == _read_interaction_rows(path)
+        assert read_interactions(path) == interaction_rows(path)
 
     @pytest.mark.parametrize(
         "data",
@@ -192,7 +356,7 @@ class TestInteractionsOnePass:
         assert _interaction_columns(data) is None
         path = tmp_path / "log.csv"
         path.write_bytes(data)
-        assert read_outcome(read_interactions, path) == read_outcome(_read_interaction_rows, path)
+        assert read_outcome(read_interactions, path) == read_outcome(interaction_rows, path)
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_field_size_limit(self, tmp_path, extra):
@@ -203,7 +367,7 @@ class TestInteractionsOnePass:
         )
         assert (_interaction_columns(path.read_bytes()) is None) == bool(extra)
         got = read_outcome(read_interactions, path)
-        assert got == read_outcome(_read_interaction_rows, path)
+        assert got == read_outcome(interaction_rows, path)
         if extra:
             assert got == (ValueError, f"field larger than field limit ({limit}) (line 2)")
         else:
@@ -217,14 +381,14 @@ class TestInteractionsOnePass:
         assert _interaction_columns(text.encode()) is None
         path = tmp_path / "log.csv"
         path.write_text(text)
-        assert read_interactions(path) == _read_interaction_rows(path)
+        assert read_interactions(path) == interaction_rows(path)
 
     def test_simulated_log_read_without_row_loop(self, tmp_path, monkeypatch):
         _, log, _ = simulate(SimConfig(num_learners=30, num_questions=8, seed=4))
         path = tmp_path / "log.csv"
         write_interactions(log, path)
 
-        def row_loop(path):
+        def row_loop(data):
             raise AssertionError("the one-pass parse declined a simulated log")
 
         monkeypatch.setattr("diaggen.io._read_interaction_rows", row_loop)
@@ -232,7 +396,7 @@ class TestInteractionsOnePass:
 
     def assert_one_pass_equals_row_loop(self, path):
         assert _interaction_columns(path.read_bytes()) is not None
-        assert read_interactions(path) == _read_interaction_rows(path)
+        assert read_interactions(path) == interaction_rows(path)
 
     def test_time_ordered_log(self, tmp_path):
         # Records sorted by order, then by learner: no run of equal learners.
@@ -287,7 +451,7 @@ class TestInteractionsOnePass:
         # One id whose second byte is cut off: the row loop decides.
         path.write_bytes(text.encode() + "学".encode()[:2] + b",q,1,0\n")
         assert _interaction_columns(path.read_bytes()) is None
-        assert read_outcome(read_interactions, path) == read_outcome(_read_interaction_rows, path)
+        assert read_outcome(read_interactions, path) == read_outcome(interaction_rows, path)
 
     def test_last_record_without_line_end(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -340,7 +504,7 @@ class TestInteractionsOnePass:
         path = tmp_path_factory.mktemp("log") / "log.csv"
         path.write_bytes(text.encode().replace("~".encode(), b"\xff"))
 
-        assert read_outcome(read_interactions, path) == read_outcome(_read_interaction_rows, path)
+        assert read_outcome(read_interactions, path) == read_outcome(interaction_rows, path)
 
 
 def csv_line(cells):
@@ -448,7 +612,7 @@ class TestSnapshotOnePass:
         snap = snapshots(data)
         path = tmp_path_factory.mktemp("snap") / "snap.csv"
         write_snapshot(snap, path)
-        want = snapshot_outcome(_read_snapshot_rows, path)
+        want = snapshot_outcome(snapshot_rows, path)
         assert want[1:] == (snap.question_ids, snap.learner_ids)
 
         def no_row_loop(path):
@@ -486,8 +650,8 @@ class TestSnapshotOnePass:
         path = tmp_path / "snap.csv"
         write_snapshot(in_rows(np.full(10, 0.25)), path)
         path.write_bytes(edit(path.read_bytes()))
-        assert _plain_snapshot(path) is None
-        assert snapshot_outcome(read_snapshot, path) == snapshot_outcome(_read_snapshot_rows, path)
+        assert plain_snapshot(path) is None
+        assert snapshot_outcome(read_snapshot, path) == snapshot_outcome(snapshot_rows, path)
 
     def test_memory(self, tmp_path):
         # 50 x 6000: at most the values, the copy Snapshot keeps and 1 MiB.
@@ -507,21 +671,16 @@ class TestSnapshotOnePass:
                 tracemalloc.stop()
             assert peak <= 2 * snap.values.nbytes + (1 << 20)
 
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_plain_read_from_a_pipe(self, tmp_path):
-        # A pipe has no size to bound the rows by: they grow as lines come.
-        path, pipe = tmp_path / "snap.csv", tmp_path / "pipe"
+    @needs_fifo
+    def test_plain_read_from_a_pipe(self, tmp_path, monkeypatch):
+        # A pipe cannot seek: it is read into memory, then parsed in one pass.
+        path = tmp_path / "snap.csv"
         write_snapshot(in_rows(np.linspace(0.0, 1.0, 37), width=4), path)
-        os.mkfifo(pipe)
-        writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
-        writer.start()
-        # The one-pass parse itself: the row loop would open the pipe again.
-        values, question_ids, learner_ids = _plain_snapshot(pipe)
-        writer.join(timeout=10)
-        assert not writer.is_alive()
-        want = _read_snapshot_rows(path)
-        assert values.tobytes() == want.values.tobytes()
-        assert (question_ids, learner_ids) == (want.question_ids, want.learner_ids)
+        monkeypatch.setattr(diaggen.io, "_read_snapshot_rows", None)
+        got = read_through_pipe(read_snapshot, tmp_path, path.read_bytes())
+        want = snapshot_rows(path)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.question_ids, got.learner_ids) == (want.question_ids, want.learner_ids)
 
     def test_plain_read_keeps_one_copy(self, tmp_path):
         # The parsed rows are the snapshot's values: at most them and 1 MiB.
@@ -533,7 +692,7 @@ class TestSnapshotOnePass:
         )
         path = tmp_path / "snap.csv"
         write_snapshot(snap, path)
-        assert _plain_snapshot(path) is not None
+        assert plain_snapshot(path) is not None
         tracemalloc.start()
         try:
             got = read_snapshot(path)
@@ -541,7 +700,60 @@ class TestSnapshotOnePass:
         finally:
             tracemalloc.stop()
         assert peak <= snap.values.nbytes + (1 << 20)
-        assert got.values.tobytes() == _read_snapshot_rows(path).values.tobytes()
+        assert got.values.tobytes() == snapshot_rows(path).values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "read, header, line",
+    [
+        (read_interactions, b"learner_id,question_id,correct,order\r\n", b"l%d,q0,1,0\r\n"),
+        (read_snapshot, b"question_id,l0\r\n", b"q%d,0.5\r\n"),
+    ],
+)
+def test_row_loop_decodes_as_open(tmp_path, read, header, line):
+    # The row loops decode a file's bytes as ``open`` decodes the file, so a
+    # bad byte past the first chunk is named at the same position.
+    path = tmp_path / "bad.csv"
+    path.write_bytes(header + b"".join(line % i for i in range(2000)) + b"\xff\r\n")
+    with open(path, encoding="utf-8", newline="") as fh, pytest.raises(UnicodeDecodeError) as want:
+        list(csv.reader(fh))
+    with pytest.raises(UnicodeDecodeError) as got:
+        read(path)
+    assert str(got.value) == str(want.value)
+
+
+@needs_fifo
+class TestReadOnce:
+    """Each reader opens its file once, so a pipe holding a file that the
+    one-pass parse declines reads as the same file on disk does."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"learner_id,question_id,correct,order\r\nl0,q0,1,0\r\nl1,q0,0,3\r\n",
+            b"learner_id,question_id,correct,order\nl0,q0,1,0\nl1,q0,2,3\n",
+            b"learner_id,question_id,correct,order\nl0,q0,1,0\nl1,q0,0,3\n",
+        ],
+    )
+    def test_interactions(self, tmp_path, data):
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        got = read_outcome(lambda pipe: read_through_pipe(read_interactions, tmp_path, data), path)
+        assert got == read_outcome(read_interactions, path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"question_id,l0,l1\r\nq0,0.250000,1.000000\r\nq1,0.5,0\r\n",
+            b"question_id,l0,l1\nq0,0.250000,1.000000\nq1,0.5\n",
+        ],
+    )
+    def test_snapshot(self, tmp_path, data):
+        path = tmp_path / "snap.csv"
+        path.write_bytes(data)
+        assert plain_snapshot(path) is None
+        got = snapshot_outcome(lambda pipe: read_through_pipe(read_snapshot, tmp_path, data), path)
+        assert got == snapshot_outcome(read_snapshot, path)
 
 
 class TestSnapshotRoundTrip:
@@ -581,7 +793,7 @@ class TestSnapshotRoundTrip:
         """Both the one-pass parse and the row loop raise exactly ``message``."""
         path = tmp_path / "snap.csv"
         path.write_bytes(text.encode())
-        for read in (read_snapshot, _read_snapshot_rows):
+        for read in (read_snapshot, snapshot_rows):
             with pytest.raises(ValueError) as info:
                 read(path)
             assert str(info.value) == message
@@ -677,7 +889,7 @@ class TestSnapshotRoundTrip:
         path = tmp_path / "snap.csv"
         path.write_text("question_id,l0\nq0,0." + "0" * (limit - 3) + "1\n")
         assert read_snapshot(path).values.tolist() == [[0.0]]
-        assert _read_snapshot_rows(path).values.tolist() == [[0.0]]
+        assert snapshot_rows(path).values.tolist() == [[0.0]]
 
     def test_lines_over_field_limit_read_in_one_pass(self, tmp_path, monkeypatch):
         # Every line is longer than the field limit, every cell short.
@@ -738,14 +950,14 @@ class TestSnapshotRoundTrip:
 
         if len(set(question_ids)) < n_questions or len(set(learner_ids)) < n_learners:
             outcomes = []
-            for read in (_read_snapshot_rows, read_snapshot):
+            for read in (snapshot_rows, read_snapshot):
                 with pytest.raises(ValueError) as info:
                     read(path)
                 outcomes.append(str(info.value))
             assert outcomes[0] == outcomes[1]
             assert outcomes[0] in ("duplicate question ids", "duplicate learner ids")
             return
-        want = _read_snapshot_rows(path)
+        want = snapshot_rows(path)
         assert want.question_ids == tuple(question_ids)
         assert want.learner_ids == tuple(learner_ids)
         got = read_snapshot(path)

@@ -1,10 +1,66 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from diaggen import SimConfig, simulate, solve_probability
+from diaggen import InteractionLog, SimConfig, simulate, solve_probability
 from diaggen.cli import main
+from diaggen.simulator import _learner_uniforms
+
+
+def numpy_uniforms(seed, n, q):
+    """Each learner's uniforms from numpy's own child stream."""
+    children = np.random.SeedSequence(seed).spawn(n + 1)[1:]
+    return np.stack([np.random.default_rng(child).random(q) for child in children])
+
+
+def reference_simulate(cfg):
+    """``simulate`` with one generator per learner."""
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.num_learners + 1)
+    world_rng = np.random.default_rng(streams[0])
+    concepts = world_rng.integers(0, cfg.num_concepts, size=cfg.num_questions)
+    difficulty = world_rng.standard_normal(cfg.num_questions)
+    growth = cfg.growth_mean + cfg.growth_std * world_rng.standard_normal(cfg.num_questions)
+    skills = world_rng.standard_normal((cfg.num_learners, cfg.num_concepts))
+    draws = np.stack(
+        [np.random.default_rng(stream).random(cfg.num_questions) for stream in streams[1:]]
+    )
+    final_skills = skills.copy()
+    correct = np.empty((cfg.num_learners, cfg.num_questions), dtype=bool)
+    for q in range(cfg.num_questions):
+        concept = concepts[q]
+        p = solve_probability(difficulty[q], final_skills[:, concept], cfg.slip)
+        correct[:, q] = draws[:, q] < p
+        final_skills[correct[:, q], concept] += growth[q]
+    questions = np.arange(cfg.num_questions)
+    log = InteractionLog(
+        learner_ids=tuple(f"l{j}" for j in range(cfg.num_learners)),
+        question_ids=tuple(f"q{q}" for q in questions),
+        learner=np.repeat(np.arange(cfg.num_learners), cfg.num_questions),
+        question=np.tile(questions, cfg.num_learners),
+        correct=correct.ravel(),
+        order=np.tile(questions, cfg.num_learners),
+    )
+    values = solve_probability(difficulty[:, None], final_skills[:, concepts].T, cfg.slip)
+    return (concepts, difficulty, growth, skills), log, values
+
+
+class TestLearnerUniforms:
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 7, 101, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3]
+    )
+    def test_equal_numpy_child_streams(self, seed):
+        # 2**128 + 3 has five entropy words, one past SeedSequence's pool.
+        for n in (1, 2, 1000):
+            for q in (1, 50):
+                got, want = _learner_uniforms(seed, n, q), numpy_uniforms(seed, n, q)
+                assert got.shape == (n, q) and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_bad_seed_fails_as_numpy_does(self):
+        with pytest.raises(ValueError):
+            simulate(SimConfig(num_learners=3, seed=-1))
 
 
 class TestSolveProbability:
@@ -142,6 +198,44 @@ class TestSimulate:
         assert hashlib.sha256(truth.read_bytes()).hexdigest() == (
             "d9c0b927bbe400bb724acc5d4396e23047433882e8994e5e63492befcbfa5749"
         )
+
+
+class TestSimulateMatchesPerLearnerStreams:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SimConfig(num_learners=300, num_concepts=3, seed=7),
+            SimConfig(num_learners=300, num_concepts=8, seed=101),
+            SimConfig(num_learners=200, growth_mean=0.0, growth_std=0.0, seed=2**64 + 1),
+            SimConfig(num_learners=1, num_questions=12, seed=0),
+        ],
+    )
+    def test_world_log_and_snapshot(self, cfg):
+        world, log, snapshot = simulate(cfg)
+        (concepts, difficulty, growth, skills), want_log, values = reference_simulate(cfg)
+        for got, want in (
+            (world.question_concept, concepts),
+            (world.question_difficulty, difficulty),
+            (world.question_growth, growth),
+            (world.learner_skill, skills),
+            (snapshot.values, values),
+        ):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert log == want_log
+        for name in ("learner", "question", "correct", "order"):
+            assert getattr(log, name).dtype == getattr(want_log, name).dtype
+            assert not getattr(log, name).flags.writeable
+
+    def test_memory(self):
+        # The world of the benchmark: the former simulate peaked at 27.7 MiB.
+        cfg = SimConfig(num_learners=6000, num_questions=50, seed=101)
+        tracemalloc.start()
+        try:
+            simulate(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 27.7 * 2**20
 
 
 class TestSimConfigValidation:
