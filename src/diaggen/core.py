@@ -278,8 +278,39 @@ class LearnerSplit:
     ratio: float
 
     def __post_init__(self) -> None:
-        if set(self.train) & set(self.test):
+        if not set(self.train).isdisjoint(self.test):
             raise ValueError("train and test learners overlap")
+
+
+def _learner_indices(
+    learners: Sequence[int], stop: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``learners`` as an intp array, in their order and sorted. Raises
+    unless each is an integer and not a bool, each lies in [0, stop) when
+    ``stop`` is given, and no two are equal."""
+    if isinstance(learners, np.ndarray) and learners.dtype != object and learners.ndim == 1:
+        kinds = {learners.dtype.type}
+    else:
+        kinds = {int} if isinstance(learners, range) else set(map(type, learners))
+    if not all(issubclass(k, (int, np.integer)) and not issubclass(k, bool) for k in kinds):
+        raise ValueError("learner indices must be integers")
+    try:
+        array = (
+            np.arange(learners.start, learners.stop, learners.step, dtype=np.intp)
+            if isinstance(learners, range)
+            else np.asarray(learners, dtype=np.intp)
+        )
+    except OverflowError:
+        raise ValueError("learner index out of range") from None
+    # A uint64 array wraps past 2**63 - 1 where a list raises.
+    if isinstance(learners, np.ndarray) and not np.array_equal(array, learners):
+        raise ValueError("learner index out of range")
+    ordered = np.sort(array)
+    if stop is not None and ordered.size and (ordered[0] < 0 or ordered[-1] >= stop):
+        raise ValueError("learner index out of range")
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("learner indices must be distinct")
+    return array, ordered
 
 
 def split_learners(
@@ -289,18 +320,19 @@ def split_learners(
 
     The train side gets round(ratio * n) learners, with at least one
     learner on each side. A pure function of (sorted learner list, ratio,
-    seed).
+    seed). Learner indices must be distinct integers: a float (even 2.0), a
+    bool, a string, a repeated index or one beyond the int64 range raises
+    ValueError, as ``CriteriaContext.build`` does.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
-    pool = sorted(map(int, learners))
-    n = len(pool)
+    pool = _learner_indices(learners)[1]
+    n = pool.size
     if n < 2:
         raise ValueError("need at least 2 learners to split")
     n_train = int(round(ratio * n))
     n_train = min(max(n_train, 1), n - 1)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(np.asarray(pool, dtype=np.intp))
-    train = tuple(sorted(perm[:n_train].tolist()))
-    test = tuple(sorted(perm[n_train:].tolist()))
+    perm = np.random.default_rng(seed).permutation(pool)
+    train = tuple(np.sort(perm[:n_train]).tolist())
+    test = tuple(np.sort(perm[n_train:]).tolist())
     return LearnerSplit(train=train, test=test, seed=seed, ratio=ratio)

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Assessment, Snapshot
+from .core import Assessment, Snapshot, _learner_indices
 
 Genes = Sequence[int] | Assessment
 # Rows of uniforms that ``sample_subsets`` holds at a time.
@@ -76,20 +76,13 @@ class CriteriaContext:
         learners: Sequence[int],
         lam: float | None = None,
     ) -> "CriteriaContext":
-        kinds = set(map(type, learners))
-        if not all(issubclass(k, (int, np.integer)) and not issubclass(k, bool) for k in kinds):
-            raise ValueError("learner indices must be integers")
-        learners = tuple(map(int, learners))
-        if not learners:
+        learners = _learner_indices(learners, snapshot.n_learners)[0]
+        if not learners.size:
             raise ValueError("learner subset is empty")
-        if min(learners) < 0 or max(learners) >= snapshot.n_learners:
-            raise ValueError("learner index out of range")
-        if len(set(learners)) < len(learners):
-            raise ValueError("learner indices must be distinct")
-        x = snapshot.values[:, np.asarray(learners, dtype=np.intp)]
+        x = snapshot.values[:, learners]
         d = x - x.mean(axis=0)
-        xc = x - x.mean(axis=1, keepdims=True)
-        stats = np.stack([d @ d.T, xc @ xc.T], axis=-1) / len(learners)
+        x -= x.mean(axis=1, keepdims=True)
+        stats = np.stack([d @ d.T, x @ x.T], axis=-1) / learners.size
         stats.flags.writeable = False
         ctx = cls(lam=None, stats=stats)
         return ctx if lam is None else ctx.with_lambda(lam)

@@ -57,10 +57,26 @@ _HEADER_LINE = (",".join(INTERACTION_HEADER) + "\n").encode()
 _ORDER_DIGITS = 18
 # Bytes searched for a separator at a time; this bounds the temporaries.
 _BLOCK_BYTES = 1 << 20
-# A snapshot cell "d.dddddd," and the place value, in micro-units, of each byte:
-# float32 holds every partial sum of digits times places, all below 2**24, exactly.
+# The snapshot reader's buffer holds a line of 6000 cells, 54 KB, in one read
+# where the default 8 KiB takes seven; a read stays within 1 MiB of its values.
+_READ_BYTES = 1 << 17
+# A snapshot cell "d.dddddd," less "0.000000," is at most _CEILING bytewise. Of k
+# micro-units, its "d.dddddd" is the OR of the little-endian words of "d.ddd" in
+# _HIGH_WORDS[k // 1000] and of the last three digits in _LOW_WORDS[k % 1000].
 _CELL_BYTES = 9
-_PLACES = np.array([1e6, 0.0, 1e5, 1e4, 1e3, 1e2, 1e1, 1e0, 0.0], dtype=np.float32)
+_CEILING = b"\t\0\t\t\t\t\t\t\0"
+_DIGITS = np.arange(1001)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+_SPELLING = np.zeros((2, 1001, 8), dtype=np.uint8)
+_SPELLING[0, :, :5] = np.insert(_DIGITS, 1, ord("."), axis=1)
+_SPELLING[1, :, 5:] = _DIGITS[:, 1:]
+_HIGH_WORDS, _LOW_WORDS = _SPELLING.view("<u8")[..., 0]
+# Multiplier, shift and mask of each step that folds a little-endian word of
+# eight digit bytes, the first most significant, into the number they spell.
+_FOLDS = [
+    (1 + (10 << 8), 8, 0x00FF00FF00FF00FF),
+    (1 + (100 << 16), 16, 0x0000FFFF0000FFFF),
+    (1 + (10000 << 32), 32, 0xFFFFFFFF),
+]
 # For k = 0..8, the mask of a uint64's k most significant bytes.
 _KEEP_HIGH = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
 
@@ -347,9 +363,11 @@ def write_snapshot(snapshot: Snapshot, path: str | Path) -> None:
     with ``%.6f`` instead."""
     n_learners = snapshot.n_learners
     row_format = ",".join(["%.6f"] * n_learners) + "\n"
-    # One reusable row of cells, the last ending in a line end.
-    cells = np.tile(np.frombuffer(b"0.000000,", dtype=np.uint8), (n_learners, 1))
-    cells[-1:, -1] = ord("\n")
+    # One reusable row of cells, the last ending in a line end; word i is
+    # cell i's "d.dddddd".
+    cells = np.frombuffer(b"0.000000," * n_learners, dtype=np.uint8).copy()
+    cells[-1:] = ord("\n")
+    words = np.ndarray((n_learners,), np.dtype("<u8"), cells, strides=(_CELL_BYTES,))
     with open(path, "wb") as fh:
         fh.write((_csv_record(["question_id", *snapshot.learner_ids]) + "\n").encode())
         for qid, row in zip(snapshot.question_ids, snapshot.values):
@@ -360,11 +378,9 @@ def write_snapshot(snapshot: Snapshot, path: str | Path) -> None:
             if not row.size or np.signbit(row).any() or near_half.any():
                 fh.write((row_format % tuple(row.tolist())).encode())
                 continue
-            micro = micro.astype(np.int32)
-            for col in range(_CELL_BYTES - 2, 1, -1):
-                micro, digit = np.divmod(micro, 10)
-                cells[:, col] = digit + ord("0")
-            cells[:, 0] = micro + ord("0")
+            micro = micro.astype(np.intp)
+            high = micro // 1000
+            np.bitwise_or(_HIGH_WORDS.take(high), _LOW_WORDS.take(micro - high * 1000), out=words)
             fh.write(cells)
 
 
@@ -396,7 +412,7 @@ def read_snapshot(path: str | Path) -> Snapshot:
     first bad line. The file is opened once; one that cannot seek, such as
     a pipe, is read into memory first.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=_READ_BYTES) as fh:
         source = fh if fh.seekable() else BytesIO(fh.read())
         fields = _plain_snapshot(source)
         if fields is None:
@@ -416,11 +432,13 @@ def _plain_snapshot(fh: BinaryIO) -> tuple | None:
         return None
     n_learners = len(header) - 1
     width = n_learners * _CELL_BYTES
-    separators = np.frombuffer(b"," * (n_learners - 1) + b"\n", dtype=np.uint8)
-    # Buffers reused by every line.
-    digits = np.empty((n_learners, _CELL_BYTES), dtype=np.uint8)
-    is_digit = np.empty_like(digits, dtype=bool)
-    micro = np.empty(n_learners)
+    template = np.frombuffer(b"0.000000," * (n_learners - 1) + b"0.000000\n", dtype=np.uint8)
+    ceiling = np.frombuffer(_CEILING * n_learners, dtype=np.uint8)
+    # Buffers reused by every line. Word i of ``digits`` is cell i's "d.dddddd"
+    # less "0.000000": its digits from the low byte up, the dot a zero byte.
+    digits, in_range = np.empty(width, dtype=np.uint8), np.empty(width, dtype=bool)
+    words = np.ndarray((n_learners,), np.dtype("<u8"), digits, strides=(_CELL_BYTES,))
+    micro = np.empty(n_learners, dtype=np.uint64)
     # A line holds at least a comma and its cells; a file that grows while
     # it is read goes to the row loop.
     values = np.empty(((fh.seek(0, os.SEEK_END) - len(line)) // (width + 1), n_learners))
@@ -431,20 +449,17 @@ def _plain_snapshot(fh: BinaryIO) -> tuple | None:
         qid = _plain_fields(line[:qid_end], limit) if qid_end >= 0 else None
         if qid is None or len(line) - qid_end - 1 != width or len(question_ids) == len(values):
             return None
-        cells = np.frombuffer(line, np.uint8, offset=qid_end + 1).reshape(n_learners, -1)
-        np.subtract(cells, np.uint8(ord("0")), out=digits)
-        np.less_equal(digits, 9, out=is_digit)
-        # With both separator columns in place, the other seven hold digits.
-        if not (
-            (cells[:, 1] == ord(".")).all()
-            and (cells[:, -1] == separators).all()
-            and np.count_nonzero(is_digit) == n_learners * (_CELL_BYTES - 2)
-        ):
+        np.subtract(np.frombuffer(line, np.uint8, offset=qid_end + 1), template, out=digits)
+        micro[:] = words
+        for multiplier, shift, mask in _FOLDS:
+            micro *= multiplier
+            micro >>= shift
+            micro &= mask
+        # With every byte within the ceiling, a word holds d * 10**7 plus the micro-units
+        # below 10**6: at most 10**7, "1.000000", in a cell of at most 10**6 micro-units.
+        if not np.less_equal(digits, ceiling, out=in_range).all() or micro.max() > 10**7:
             return None
-        np.matmul(digits, _PLACES, out=micro)
-        if micro.max() > 1e6:
-            return None
-        np.divide(micro, 1e6, out=values[len(question_ids)])
+        np.divide(np.minimum(micro, 10**6, out=micro), 1e6, out=values[len(question_ids)])
         question_ids.append(qid[0])
     if not question_ids:
         return None

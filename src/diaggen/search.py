@@ -148,8 +148,13 @@ def crossover(
     cut = np.where(swap, rng.integers(1, k, size=n), k)
     tail = np.arange(k) >= cut[:, None]
     children = np.concatenate([np.where(tail, b, a), np.where(tail, a, b)])
-    earlier = np.tri(k, k, -1, dtype=bool)  # earlier[i, j]: j < i
-    repeated = ((children[:, :, None] == children[:, None, :]) & earlier).any(axis=2)
+    # One pass over the gene columns; row i marks its questions in seen[i * Q:].
+    at = children + np.arange(0, 2 * n * n_questions, n_questions)[:, None]
+    seen = np.zeros(2 * n * n_questions, dtype=bool)
+    repeated = np.zeros_like(children, dtype=bool)
+    for col in range(1, k):
+        seen[at[:, col - 1]] = True
+        repeated[:, col] = seen[at[:, col]]
     children = _replace(children, repeated, n_questions, rng)
     return children[:n], children[n:]
 

@@ -8,6 +8,7 @@ from diaggen import (
     build_pool,
     split_learners,
 )
+from diaggen.core import LearnerSplit
 
 
 def make_log(triples):
@@ -263,6 +264,39 @@ class TestSplitLearners:
     def test_too_few_learners(self):
         with pytest.raises(ValueError, match="at least 2"):
             split_learners([0], 0.5, 0)
+
+    @pytest.mark.parametrize(
+        "learners, message",
+        [
+            # Truncated to learners 0, 1, 2 and 3 once, split into train (0, 2).
+            ([0.9, 1.9, 2.2, 3.7], "^learner indices must be integers$"),
+            (["1", "2", "3", "4"], "^learner indices must be integers$"),
+            ([True, False, 3, 4], "^learner indices must be integers$"),
+            (np.array([0.0, 1.0, 2.0]), "^learner indices must be integers$"),
+            (np.array([True, False]), "^learner indices must be integers$"),
+            # Once reported as "train and test learners overlap".
+            ([1, 1, 2, 3], "^learner indices must be distinct$"),
+            (np.array([4, 2, 4]), "^learner indices must be distinct$"),
+            ([0, 2**63], "^learner index out of range$"),
+            (np.array([2**64 - 1, 1], dtype=np.uint64), "^learner index out of range$"),
+        ],
+    )
+    def test_rejects_what_context_build_rejects(self, learners, message):
+        with pytest.raises(ValueError, match=message):
+            split_learners(learners, 0.5, 0)
+
+    def test_accepts_python_and_numpy_integers(self):
+        want = split_learners([0, 1, 2, 3, 4], 0.6, 5)
+        for learners in (
+            (np.int64(4), np.int32(3), np.uint8(2), 1, 0),
+            np.arange(5, dtype=np.uint16),
+            range(4, -1, -1),
+        ):
+            assert split_learners(learners, 0.6, 5) == want
+
+    def test_split_sides_must_be_disjoint(self):
+        with pytest.raises(ValueError, match="^train and test learners overlap$"):
+            LearnerSplit(train=(0, 1), test=(1, 2), seed=0, ratio=0.5)
 
     @pytest.mark.parametrize("ratio", [0.0, 1.0, -0.2, 1.7])
     def test_bad_ratio(self, ratio):

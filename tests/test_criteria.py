@@ -85,6 +85,25 @@ class TestStatistics:
         with pytest.raises(ValueError, match=message):
             CriteriaContext.build(random_snapshot(5, 4, 3), learners)
 
+    @pytest.mark.parametrize("kind", [tuple, list, np.asarray, "range"])
+    def test_stats_bitwise_as_first_written(self, kind):
+        # The formula as first written: a tuple of ints, a gathered block X,
+        # D = X less each learner's mean and Xc = X less each question's mean.
+        def reference(snap, learners):
+            learners = tuple(map(int, learners))
+            x = snap.values[:, np.asarray(learners, dtype=np.intp)]
+            d = x - x.mean(axis=0)
+            xc = x - x.mean(axis=1, keepdims=True)
+            return np.stack([d @ d.T, xc @ xc.T], axis=-1) / len(learners)
+
+        for snap, learners in self.instances():
+            if kind == "range":
+                learners = range(snap.n_learners - 1, -1, -2)
+            else:
+                learners = kind(learners.tolist())
+            got = CriteriaContext.build(snap, learners).stats
+            assert got.tobytes() == reference(snap, learners).tobytes()
+
     def test_accepts_python_and_numpy_integers(self):
         snap = random_snapshot(5, 4, 3)
         want = CriteriaContext.build(snap, [0, 1, 2]).stats

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import threading
 import tracemalloc
 import warnings
@@ -632,6 +633,11 @@ class TestSnapshotOnePass:
             lambda text: text.replace(b"q0,0.250000", b"q0,0.2500001"),
             lambda text: text.replace(b"q0,0.250000", b"q0,0.25:000"),
             lambda text: text.replace(b"q0,0.250000", b"q0,0;250000"),
+            lambda text: text.replace(b"q0,0.250000", b"q0,02.50000"),
+            lambda text: text.replace(b"q0,0.250000", b"q0,0.25/000"),
+            lambda text: text.replace(b"q0,0.250000,", b"q0,0.250000;"),
+            lambda text: text.replace(b"q0,0.250000", b"q0,0.25000"),
+            lambda text: text[:-1] + b",",
             lambda text: text.replace(b"q1,", b"q\x001,"),
             lambda text: text.replace(b"q1,", b"q\xff1,"),
             lambda text: text.replace(b"q1,", b"q\r1,"),
@@ -642,7 +648,8 @@ class TestSnapshotOnePass:
             lambda text: text.replace(b"\nq1,", b"\n \nq1,"),
             lambda text: text[:-1],
         ],
-        ids=["1.000001", "2.000000", "7 decimals", "colon digit", "no dot", "NUL id",
+        ids=["1.000001", "2.000000", "7 decimals", "colon digit", "no dot", "dot moved",
+             "slash digit", "semicolon", "line one byte short", "final comma", "NUL id",
              "non-UTF-8 id", "CR in id", "long question id", "long learner id", "CRLF",
              "blank line", "space line", "no final line end"],
     )
@@ -652,6 +659,26 @@ class TestSnapshotOnePass:
         path.write_bytes(edit(path.read_bytes()))
         assert plain_snapshot(path) is None
         assert snapshot_outcome(read_snapshot, path) == snapshot_outcome(snapshot_rows, path)
+
+    def test_one_byte_edits_decline_as_before(self, tmp_path):
+        # Each byte of the data lines in turn replaced: the one-pass parse
+        # declines the file exactly when the rule it was first written with
+        # does (a plain id, then per learner "d.dddddd" of at most 1.000000),
+        # and read_snapshot reads every file as the row loop does.
+        path = tmp_path / "snap.csv"
+        write_snapshot(in_rows(np.array([0.25, 1.0, 0.0, 0.999999, 0.5, 1e-6]), width=3), path)
+        text = path.read_bytes()
+        body = text.index(b"\n") + 1
+        cell = rb"(?:0\.[0-9]{6}|1\.000000)"
+        plain = re.compile(rb'(?:[^,"\r\n\0]*,%s\n)+' % b",".join([cell] * 3))
+        assert plain.fullmatch(text, body)
+        for at in range(body, len(text)):
+            for byte in b"019:/.,;\n-a\0":
+                edited = text[:at] + bytes([byte]) + text[at + 1 :]
+                path.write_bytes(edited)
+                assert (plain_snapshot(path) is not None) == bool(plain.fullmatch(edited, body))
+                want = snapshot_outcome(snapshot_rows, path)
+                assert snapshot_outcome(read_snapshot, path) == want
 
     def test_memory(self, tmp_path):
         # 50 x 6000: at most the values, the copy Snapshot keeps and 1 MiB.

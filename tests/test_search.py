@@ -98,6 +98,21 @@ def all_equal_snapshot(n_questions, n_learners=10):
     )
 
 
+def reference_crossover(a, b, p_c, n_questions, rng):
+    """``crossover`` as it was written, finding repeats with a (2P, K, K) mask."""
+    n, k = a.shape
+    if k < 2:
+        return a.copy(), b.copy()
+    swap = rng.random(n) < p_c
+    cut = np.where(swap, rng.integers(1, k, size=n), k)
+    tail = np.arange(k) >= cut[:, None]
+    children = np.concatenate([np.where(tail, b, a), np.where(tail, a, b)])
+    earlier = np.tri(k, k, -1, dtype=bool)
+    repeated = ((children[:, :, None] == children[:, None, :]) & earlier).any(axis=2)
+    children = search._replace(children, repeated, n_questions, rng)
+    return children[:n], children[n:]
+
+
 class TestCrossover:
     def test_one_point_swap(self):
         # K = 2 leaves one cut point, so the swap is deterministic
@@ -168,6 +183,24 @@ class TestCrossover:
         c1, _ = crossover(a, b, p_c=0.75, n_questions=10, rng=rng)
         fired = int((c1 != a).any(axis=1).sum())
         assert abs(fired - 7500) <= 150
+
+    @pytest.mark.parametrize(
+        "k, n_questions",
+        [(k, q) for k in (1, 2, 10, 48) for q in (30, 50, 1500) if k <= q],
+    )
+    def test_equals_pairwise_repeat_mask(self, k, n_questions):
+        # Parents drawn from a few questions repeat genes in head and tail;
+        # the children equal those of the (2P, K, K) comparison of every gene
+        # with the genes before it, bit for bit, as do the generators' states.
+        rng = np.random.default_rng(k * n_questions)
+        for low in (min(3, n_questions), min(k + 2, n_questions), n_questions):
+            a, b = rng.integers(0, low, size=(2, 300, k))
+            seed = int(rng.integers(1 << 30))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = crossover(a, b, 0.8, n_questions, got_rng)
+            want = reference_crossover(a, b, 0.8, n_questions, want_rng)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_mismatched_lengths_rejected(self):
         rng = np.random.default_rng(0)
