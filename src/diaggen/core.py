@@ -37,9 +37,9 @@ class InteractionLog(_Owned):
     Record ``i`` says that learner ``learner_ids[learner[i]]`` answered
     question ``question_ids[question[i]]`` (rightly when ``correct[i]``) at
     position ``order[i]`` of their history. Each id table lists every id of
-    the records once, in order of first appearance. Per learner, ``order``
-    must be strictly increasing in record order. The columns are frozen
-    read-only.
+    the records once, in order of first appearance; no id holds NUL.
+    ``order`` is non-negative and, per learner, strictly increasing in
+    record order. The columns are frozen read-only.
     """
 
     learner_ids: tuple[str, ...]
@@ -64,11 +64,14 @@ class InteractionLog(_Owned):
         }
         if len({column.shape for column in columns.values()}) != 1 or columns["order"].ndim != 1:
             raise ValueError("interaction columns must be 1-D arrays of equal length")
+        if columns["order"].size and columns["order"].min() < 0:
+            raise ValueError("order must be non-negative")
         for name, column in columns.items():
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         for name in ("learner", "question"):
             ids = tuple(getattr(self, f"{name}_ids"))
+            _check_ids(name, ids)
             _check_first_appearance(name, columns[name], ids)
             object.__setattr__(self, f"{name}_ids", ids)
         learner, order = self.learner, self.order
@@ -133,11 +136,19 @@ class InteractionLog(_Owned):
         )
 
 
+def _check_ids(name: str, ids: tuple[str, ...]) -> None:
+    """No two ids are equal and none holds NUL, which the csv module of
+    Python 3.10 neither writes nor reads."""
+    # A dict of the ids peaks at half the memory of a set.
+    if len(dict.fromkeys(ids)) != len(ids):
+        raise ValueError(f"duplicate {name} ids")
+    if "\0" in "".join(ids):
+        raise ValueError(f"{name} ids must not hold NUL")
+
+
 def _check_first_appearance(name: str, index: np.ndarray, ids: tuple[str, ...]) -> None:
     """Every id is used by some record, and ids are numbered in order of
     first appearance: each index exceeds all earlier ones by at most one."""
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate {name} ids")
     if index.size and (index.min() < 0 or index.max() >= len(ids)):
         raise ValueError(f"{name} index out of range")
     ceiling = np.concatenate(([0], np.maximum.accumulate(index) + 1))
@@ -221,9 +232,7 @@ class Snapshot(_Owned):
                 f"{len(self.learner_ids)} learner ids"
             )
         for name, ids in (("question", self.question_ids), ("learner", self.learner_ids)):
-            # A dict of the ids peaks at half the memory of a set.
-            if len(dict.fromkeys(ids)) != len(ids):
-                raise ValueError(f"duplicate {name} ids")
+            _check_ids(name, ids)
         if np.isnan(values).any():
             raise ValueError("snapshot contains NaN")
         if values.size and (values.min() < 0.0 or values.max() > 1.0):

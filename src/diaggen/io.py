@@ -243,13 +243,12 @@ def write_interactions(log: InteractionLog, path: str | Path) -> None:
     spelled as ``str`` spells them.
 
     Each chunk of about ``_WRITE_BYTES`` is one byte matrix, a row per
-    record, each field right-aligned in columns as wide as its widest value
-    but at most ``_FIELD_BYTES``; a mask of each field's length, not of its
-    bytes, keeps the line, so ids may hold NUL. A longer id field's head is
-    written in front of the bytes the matrix holds of it.
+    record, each field right-aligned in columns as wide as its widest value;
+    a mask of each field's length keeps the line. A chunk holding an id
+    field wider than ``_FIELD_BYTES`` is written record by record.
     """
     tables = [_Fields(ids) for ids in (log.learner_ids, log.question_ids)]
-    order_width = max(len(str(int(f(log.order, initial=0)))) for f in (np.min, np.max))
+    order_width = len(str(int(log.order.max(initial=0))))
     edges = np.cumsum([0, tables[0].width, tables[1].width, 2, order_width + 1])
     rows = max(_WRITE_BYTES // edges[-1], 1)
     lines = np.empty((min(rows, len(log)), edges[-1]), dtype=np.uint8)
@@ -259,28 +258,23 @@ def write_interactions(log: InteractionLog, path: str | Path) -> None:
         fh.write(_HEADER_LINE)
         for at in range(0, len(log), rows):
             chunk = slice(at, at + rows)
+            indices = (log.learner[chunk], log.question[chunk])
+            if any(np.any(table.lengths[i] > table.width) for table, i in zip(tables, indices)):
+                columns = (*indices, log.correct[chunk], log.order[chunk])
+                learners, questions = (table.fields for table in tables)
+                fh.writelines(
+                    b"%s%s%d,%d\n" % (learners[l], questions[q], c, o)
+                    for l, q, c, o in zip(*(column.tolist() for column in columns))
+                )
+                continue
             n = len(log.order[chunk])
             block = [(lines[:n, a:b], keep[:n, a:b]) for a, b in zip(edges, edges[1:])]
-            indices = (log.learner[chunk], log.question[chunk])
-            shown = [table.put(i, *field) for table, i, field in zip(tables, indices, block)]
+            for table, i, field in zip(tables, indices, block):
+                table.put(i, *field)
             lines[:n, edges[2]] = log.correct[chunk] + np.uint8(ord("0"))
             length = _put_digits(log.order[chunk], block[3][0][:, :-1]) + 1
             _items(block[3][1])[:] = _tail_masks(order_width + 1)[length]
-            text = lines[:n][keep[:n]]
-            heads = [table.heads(index) for table, index in zip(tables, indices)]
-            if heads[0] or heads[1]:
-                # Each head goes in front of the bytes its field shows.
-                line_bytes = shown[0] + shown[1] + 2 + length
-                line_starts = np.cumsum(line_bytes) - line_bytes
-                cuts = [(line_starts[row], head) for row, head in heads[0]]
-                cuts += [(line_starts[row] + shown[0][row], head) for row, head in heads[1]]
-                done = 0
-                for cut, head in sorted(cuts, key=lambda pair: pair[0]):
-                    fh.write(text[done:cut])
-                    fh.write(head)
-                    done = cut
-                text = text[done:]
-            fh.write(text)
+            fh.write(lines[:n][keep[:n]])
 
 
 # Bytes of the record matrix ``write_interactions`` assembles at a time, and
@@ -302,54 +296,36 @@ def _tail_masks(width: int) -> np.ndarray:
 
 
 class _Fields:
-    """Ids as CSV fields, each with its comma, in UTF-8, joined after a
-    zero pad. A field shows its last ``width`` bytes in a byte matrix; a
-    longer field leaves its head to be written in front of them."""
+    """Ids as CSV fields, each with its comma, in UTF-8. A byte matrix
+    shows them right-aligned in ``width`` columns, at most ``_FIELD_BYTES``."""
 
     def __init__(self, ids: Sequence[str]) -> None:
-        fields = [(_csv_field(i) + ",").encode() for i in ids]
-        self.lengths = np.fromiter(map(len, fields), dtype=np.intp, count=len(fields))
+        self.fields = [(_csv_field(i) + ",").encode() for i in ids]
+        self.lengths = np.fromiter(map(len, self.fields), dtype=np.intp, count=len(ids))
         self.width = int(min(self.lengths.max(initial=1), _FIELD_BYTES))
-        self.joined = memoryview(bytes(self.width) + b"".join(fields))
-        # Window ends[i] of the joined bytes ends where field i does.
+        # Window ends[i] of the fields, joined after a zero pad, ends where field i does.
         self.ends = np.cumsum(self.lengths)
-        joined = np.frombuffer(self.joined, dtype=np.uint8)
+        joined = np.frombuffer(bytes(self.width) + b"".join(self.fields), dtype=np.uint8)
         self.windows = _items(np.lib.stride_tricks.sliding_window_view(joined, self.width))
 
-    def put(self, index: np.ndarray, columns: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """The shown bytes of the fields of ``index`` in ``columns`` and
-        ``keep`` true over them; returns how many bytes each field shows."""
-        shown = np.minimum(self.lengths[index], self.width)
+    def put(self, index: np.ndarray, columns: np.ndarray, keep: np.ndarray) -> None:
+        """The fields of ``index``, none wider than ``width``, in
+        ``columns``, and ``keep`` true over them."""
         _items(columns)[:] = self.windows[self.ends[index]]
-        _items(keep)[:] = _tail_masks(self.width)[shown]
-        return shown
-
-    def heads(self, index: np.ndarray) -> list[tuple[int, memoryview]]:
-        """Each row of ``index`` whose field is longer than ``width``, with
-        the head of that field."""
-        rows = np.flatnonzero(self.lengths[index] > self.width)
-        stops = self.ends[index[rows]]
-        starts = stops + self.width - self.lengths[index[rows]]
-        return [
-            (row, self.joined[start:stop])
-            for row, start, stop in zip(rows.tolist(), starts.tolist(), stops.tolist())
-        ]
+        _items(keep)[:] = _tail_masks(self.width)[self.lengths[index]]
 
 
 def _put_digits(order: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """``str`` of each order right-aligned in its row of ``digits``; their lengths."""
-    negative = order < 0
-    # -2**63 wraps to 2**63 in uint64, its magnitude.
-    magnitude = order.astype(np.uint64)
-    np.negative(magnitude, where=negative, out=magnitude)
-    length = 1 + negative.astype(np.intp)
+    """``str`` of each non-negative order right-aligned in its row of
+    ``digits``; their lengths."""
+    value = order.astype(np.uint64)
+    length = np.ones(order.size, dtype=np.intp)
     ten = np.uint64(10)
     for col in range(digits.shape[1] - 1, -1, -1):
-        quotient = magnitude // ten
-        digits[:, col] = magnitude - quotient * ten + np.uint64(ord("0"))
-        magnitude = quotient
-        length += magnitude > 0
-    digits[negative, digits.shape[1] - length[negative]] = ord("-")
+        quotient = value // ten
+        digits[:, col] = value - quotient * ten + np.uint64(ord("0"))
+        value = quotient
+        length += value > 0
     return length
 
 

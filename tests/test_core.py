@@ -153,6 +153,17 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=message):
             Snapshot(np.full((len(questions), len(learners)), 0.5), questions, learners)
 
+    @pytest.mark.parametrize(
+        "questions, learners, message",
+        [
+            (("q0", "q\0"), ("l0",), "^question ids must not hold NUL$"),
+            (("q0",), ("\0", "l1"), "^learner ids must not hold NUL$"),
+        ],
+    )
+    def test_rejects_nul_in_ids(self, questions, learners, message):
+        with pytest.raises(ValueError, match=message):
+            Snapshot(np.full((len(questions), len(learners)), 0.5), questions, learners)
+
     def test_values_frozen(self):
         snap = Snapshot(np.full((1, 1), 0.5), ("q0",), ("l0",))
         with pytest.raises(ValueError):
