@@ -7,13 +7,11 @@ estimator fits a per-learner ability and per-question difficulty by
 L2-penalized joint maximum likelihood and predicts
 sigmoid(ability - difficulty). One Newton solver serves both the joint fit
 (``fit_rasch``) and the ability-only fit with difficulties frozen
-(``fit_abilities``); it alternates diagonal Newton steps on the two blocks
-with step halving, and fixes the scale the likelihood leaves free by the
-penalty-minimising shift, so sum(theta) + sum(b) = 0 at every iterate.
-Each trial point costs one pass over the records, which yields both the
-objective and the probabilities sigmoid(theta - b); the accepted trial's
-probabilities drive the next Newton step, and the shift, which leaves
-theta - b alone, re-evaluates only the penalty.
+(``fit_abilities``). It alternates diagonal Newton steps on the two blocks,
+halving each ability's or difficulty's step on its own until that
+coordinate's share of the objective does not rise, and fixes the offset
+the likelihood leaves free by the penalty-minimising shift, so that
+sum(theta) + sum(b) = 0 over every connected part of the design.
 
 The solver runs once per group of learners, not once per learner. A group
 is the learners who answered the same multiset of questions and got the
@@ -190,115 +188,97 @@ def _newton(
     The learners are pooled first (``_group``): the members of a group
     share one theta, and the iteration runs on the groups' records, a
     record of a group of n members weighing as its n answers. Each
-    iteration takes a Newton step on theta and, when ``fit_b``, one on b;
-    both block Hessians are diagonal. A step is halved until the objective
-    does not rise. Fitting both blocks, the iteration ends by shifting
-    theta and b by the same constant: the likelihood depends only on
-    theta - b, so the shift that zeroes the sum of every learner's theta
-    and every question's b minimises the penalty along the one direction
-    the likelihood leaves flat, and only the penalty is evaluated again.
-    Converges when no parameter moves by ``tol`` or more in an iteration;
-    stops unconverged after ``max_epochs`` iterations, or when no step
-    size keeps the objective from rising.
+    iteration takes a Newton step on theta and, when ``fit_b``, one on b.
+    With the other block fixed, the objective is a sum of one term per
+    coordinate (a group's or a question's records and penalty), so each
+    coordinate's step is halved until its own term does not rise; one
+    halved to nothing leaves its coordinate where it is. Fitting both
+    blocks, the iteration ends by shifting theta and b by one constant per
+    connected part of the design (groups and questions linked by records):
+    the likelihood depends only on theta - b, so the shift that zeroes a
+    part's sum of every learner's theta and every question's b minimises
+    the penalty along a direction the likelihood leaves flat. Converges
+    when no parameter moves by ``tol`` or more in an iteration; stops
+    unconverged after ``max_epochs`` iterations.
     """
     groups = _group(l_idx, q_idx, y, n_learners, b.size)
     size, g_idx, q_idx, right = groups.size, groups.group, groups.question, groups.right
     count = size.take(g_idx)
     wrong = count - right
-    # Record-length work buffers, written in place: a fresh temporary of
-    # this size costs more in page faults than the arithmetic done on it.
-    z, e, p = (np.empty(count.size) for _ in range(3))
-
-    def dot(u: np.ndarray, v: np.ndarray) -> float:
-        # Not a BLAS dot: threaded, it costs milliseconds on long vectors.
-        return float(np.einsum("i,i->", u, v))
-
-    def sums(index: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-        """The sums over answers of ``x``, given per record, by ``index``;
-        uses ``z`` as scratch."""
-        return np.bincount(index, weights=np.multiply(count, x, out=z), minlength=n)
-
     # Exact: a group's right answers are its size times each member's raw score.
     y_theta = np.bincount(g_idx, weights=right, minlength=size.size) / size
     y_b = np.bincount(q_idx, weights=right, minlength=b.size)
 
-    def penalty(theta: np.ndarray, b: np.ndarray) -> float:
-        return 0.5 * reg * (dot(size * theta, theta) + float(b @ b))
-
-    def evaluate(theta: np.ndarray, b: np.ndarray) -> float:
-        """The NLL of the records at (theta, b), leaving sigmoid(theta - b)
-        in ``p``.
+    def evaluate(theta, b):
+        """Each record's NLL at (theta, b), and sigmoid(theta - b).
 
         With z = theta - b and e = exp(-|z|), a record of n answers, r of
-        them right, adds n log1p(e) + (n - r) max(z, 0) - r min(z, 0), a
-        sum of non-negative terms, and sigmoid(z) is 1 / (1 + e) for
-        z >= 0 and e / (1 + e) below.
+        them right, has the NLL n log1p(e) + (n - r) max(z, 0) - r min(z, 0),
+        a sum of non-negative terms, and sigmoid(z) is max(z >= 0, e) / (1 + e),
+        which is 1 / (1 + e) for z >= 0 and e / (1 + e) below, as e <= 1.
         """
-        # mode="clip" skips the bounds check; the indices come from the pool.
-        np.take(theta, g_idx, out=z, mode="clip")
-        np.subtract(z, np.take(b, q_idx, out=e, mode="clip"), out=z)
-        above = dot(wrong, np.maximum(z, 0.0, out=p))
-        below = dot(right, np.minimum(z, 0.0, out=e))
-        # min(z, 0) - max(z, 0) = -|z|
-        np.exp(np.subtract(e, p, out=e), out=e)
-        nll = dot(count, np.log1p(e, out=p)) + above - below
-        # e <= 1, so max(z >= 0, e) is 1 for z >= 0 and e below.
-        np.maximum(np.greater_equal(z, 0.0, out=z), e, out=z)
-        np.divide(z, np.add(e, 1.0, out=e), out=p)
-        return nll
+        z = theta.take(g_idx) - b.take(q_idx)
+        e = np.exp(-np.abs(z))
+        nll = count * np.log1p(e) + wrong * np.maximum(z, 0.0) - right * np.minimum(z, 0.0)
+        return nll, np.maximum(z >= 0.0, e) / (1.0 + e)
 
-    def newton_step(theta, b, on_b):
-        """Diagonal Newton step on theta, or on b when ``on_b``, from the
-        probabilities in ``p``. Every answer counts towards b; a group's
-        sums are divided by its size, so its theta step is each member's
-        own."""
+    def descend(theta, b, nll, p, on_b):
+        """Diagonal Newton step on theta, or on b when ``on_b``, each
+        coordinate's step halved until its term does not rise: the block's new
+        value, and the records' NLL and probabilities there. Every answer counts
+        towards b; a group's sums are per member, and so are its step and term."""
         index, value, y_sum, sign, members = (
             (q_idx, b, y_b, -1.0, 1.0) if on_b else (g_idx, theta, y_theta, 1.0, size)
         )
-        grad = sums(index, p, value.size) / members - y_sum
-        grad = sign * grad + reg * value
-        np.multiply(np.subtract(1.0, p, out=e), p, out=e)
-        return -grad / (sums(index, e, value.size) / members + reg)
 
-    def descend(theta, b, d_theta, d_b, nll):
-        """The first of t = 1, 1/2, 1/4, ... at which the objective does not
-        rise: (theta + t d_theta, b + t d_b, record NLL, objective), or
-        None. ``p`` is left at the accepted point."""
-        t = 1.0
-        while t > 1e-12:
-            trial = (theta + t * d_theta, b + t * d_b)
-            loss = evaluate(*trial)
-            value = loss + penalty(*trial)
-            if value <= nll + 1e-9:
-                return *trial, loss, value
-            t /= 2.0
-        return None
+        def sums(x):
+            return np.bincount(index, weights=x, minlength=value.size) / members
 
-    def solution(theta, b, history, converged):
-        return _Solution(theta.take(groups.of), b, history, converged, size.size)
+        grad = sign * (sums(count * p) - y_sum) + reg * value
+        step = -grad / (sums(count * ((1.0 - p) * p)) + reg)
+        start = sums(nll) + 0.5 * reg * value * value
+        t = np.ones(value.size)
+        while True:
+            trial = value + t * step
+            nll, p = evaluate(theta, trial) if on_b else evaluate(trial, b)
+            # The slack absorbs rounding; a NaN term counts as a rise.
+            rose = ~(sums(nll) + 0.5 * reg * trial * trial <= start + 1e-9)
+            if not rose.any():
+                return trial, nll, p
+            t[rose] /= 2.0
+            t[t < 1e-12] = 0.0
+
+    # Connected parts of the design, groups first and then questions: each
+    # takes the least label linked to it by a record, until none falls.
+    node_q = size.size + q_idx
+    part, last = np.arange(size.size + b.size), None
+    while not np.array_equal(part, last):
+        last = part.copy()
+        np.minimum.at(part, node_q, part.take(g_idx))
+        np.minimum.at(part, g_idx, part.take(node_q))
+    part = np.unique(part, return_inverse=True)[1]
+    weight = np.concatenate((size, np.ones(b.size)))
+    part_weight = np.bincount(part, weights=weight)
+
+    def objective(theta, b, nll):
+        return float(nll.sum() + 0.5 * reg * ((size * theta * theta).sum() + (b * b).sum()))
 
     theta = np.zeros(size.size)
-    nll = evaluate(theta, b) + penalty(theta, b)
-    history = [nll]
+    nll, p = evaluate(theta, b)
+    history = [objective(theta, b, nll)]
     for _ in range(max_epochs):
         start_theta, start_b = theta, b
-        moved = descend(theta, b, newton_step(theta, b, on_b=False), 0.0, nll)
-        if moved is None:
-            break
-        theta, b, loss, nll = moved
+        theta, nll, p = descend(theta, b, nll, p, on_b=False)
         if fit_b:
-            moved = descend(theta, b, 0.0, newton_step(theta, b, on_b=True), nll)
-            if moved is None:
-                break
-            theta, b, loss, nll = moved
-            shift = -(dot(size, theta) + b.sum()) / (n_learners + b.size)
-            theta, b = theta + shift, b + shift
-            nll = loss + penalty(theta, b)
-        history.append(nll)
-        change = max(np.abs(theta - start_theta).max(), np.abs(b - start_b).max())
-        if change < tol:
-            return solution(theta, b, history, True)
-    return solution(theta, b, history, False)
+            b, nll, p = descend(theta, b, nll, p, on_b=True)
+            both = np.concatenate((theta, b))
+            both -= (np.bincount(part, weights=weight * both) / part_weight).take(part)
+            theta, b = both[: size.size], both[size.size :]
+        history.append(objective(theta, b, nll))
+        converged = bool(max(np.abs(theta - start_theta).max(), np.abs(b - start_b).max()) < tol)
+        if converged:
+            break
+    return _Solution(theta.take(groups.of), b, history, converged, size.size)
 
 
 def fit_rasch(

@@ -15,6 +15,7 @@ from diaggen import (
 )
 from diaggen.core import to_index_arrays
 from diaggen.estimation import _newton, per_question_sufficiency_curve
+from diaggen.simulator import SimConfig, simulate
 
 
 def make_log(triples):
@@ -33,6 +34,19 @@ def bernoulli_log(theta, b, seed):
         question=np.tile(np.arange(n_q), n_l),
         correct=y.ravel(),
         order=np.tile(np.arange(n_q), n_l),
+    )
+
+
+def kept_records(log, keep):
+    """The log of the records where ``keep`` holds, ids renumbered."""
+    learner_ids, question_ids = np.array(log.learner_ids), np.array(log.question_ids)
+    return InteractionLog.from_records(
+        zip(
+            learner_ids[log.learner[keep]].tolist(),
+            question_ids[log.question[keep]].tolist(),
+            log.correct[keep].tolist(),
+            log.order[keep].tolist(),
+        )
     )
 
 
@@ -290,6 +304,24 @@ class TestFitRasch:
         log = make_log([("l0", "q0", 1, 0), ("l1", "q1", 1, 0), ("l2", "q0", 0, 0)])
         assert fit_rasch(log).groups == 3
 
+    def test_disjoint_forms_fit_apart(self):
+        # Even learners answer questions 0-9 and odd ones 10-19: two parts
+        # that no record links, each with its own free offset.
+        _, log, _ = simulate(SimConfig(num_learners=200, num_questions=20, seed=101))
+        forms = kept_records(log, (log.learner % 2 == 0) == (log.question < 10))
+        model = fit_rasch(forms)
+        assert model.converged
+        theta = dict(zip(model.learner_ids, model.theta))
+        b = dict(zip(model.question_ids, model.b))
+        for parity in (0, 1):
+            form = {l for l in forms.learner_ids if int(l[1:]) % 2 == parity}
+            alone = fit_rasch(forms.restrict_learners(form))
+            assert alone.converged
+            joint = [theta[l] for l in alone.learner_ids] + [b[q] for q in alone.question_ids]
+            np.testing.assert_allclose(
+                joint, np.concatenate((alone.theta, alone.b)), rtol=0, atol=1e-6
+            )
+
 
 class TestRaschSnapshot:
     def snapshot(self, theta, b):
@@ -346,6 +378,19 @@ class TestFitAbilities:
         assert abilities.learner_ids == model.learner_ids
         assert np.abs(abilities.theta - model.theta).max() <= 1e-8
         assert abilities.converged and 0 < abilities.iterations < model.max_epochs
+
+    def test_sparse_log_converges_in_few_iterations(self):
+        # A tenth of the records: learners answer about five questions, and
+        # the Newton steps of some overshoot from theta = 0. Halving theirs
+        # must leave every other learner's step whole.
+        _, log, _ = simulate(SimConfig(num_learners=600, seed=101))
+        sparse = kept_records(log, np.random.default_rng(0).random(len(log)) < 0.1)
+        model = fit_rasch(sparse)
+        grad_theta, grad_b = penalized_gradient(model, sparse)
+        assert np.abs(grad_theta).max() <= 1e-6
+        assert np.abs(grad_b).max() <= 1e-6
+        abilities = fit_abilities(model, sparse)
+        assert abilities.converged and abilities.iterations <= 15
 
     def test_one_epoch_reports_no_convergence(self):
         rng = np.random.default_rng(29)

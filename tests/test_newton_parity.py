@@ -11,28 +11,33 @@ import pytest
 
 from diaggen import estimation
 from diaggen.estimation import _newton
+from diaggen.simulator import SimConfig, simulate
 
 
 def reference_newton(l_idx, q_idx, y, b, *, n_learners, reg, max_epochs, tol, fit_b):
-    """Per-record alternating diagonal Newton steps with step halving and
-    the penalty-minimising gauge shift; (theta, b, history, converged)."""
+    """Per-record alternating diagonal Newton steps, each learner's or
+    question's step halved until its records' NLL plus its penalty does not
+    rise, and the penalty-minimising gauge shift; (theta, b, history,
+    converged, halvings), where ``halvings`` counts the halved steps."""
     flip = 1.0 - 2.0 * y
     y_theta = np.bincount(l_idx, weights=y, minlength=n_learners)
     y_b = np.bincount(q_idx, weights=y, minlength=b.size)
     z, e, p, work = (np.empty(y.size) for _ in range(4))
+    halvings = 0
 
     def penalty(theta, b):
         return 0.5 * reg * float(theta @ theta + b @ b)
 
     def evaluate(theta, b):
+        """Each record's NLL, leaving the probabilities in ``p``."""
         np.take(theta, l_idx, out=z, mode="clip")
         np.subtract(z, np.take(b, q_idx, out=work, mode="clip"), out=z)
         np.abs(z, out=e)
         np.negative(e, out=e)
         np.exp(e, out=e)
-        nll = float(np.log1p(e, out=work).sum())
+        nll = np.log1p(e)
         np.multiply(flip, z, out=work)
-        nll += float(np.maximum(work, 0.0, out=work).sum())
+        nll += np.maximum(work, 0.0, out=work)
         np.maximum(np.greater_equal(z, 0.0, out=work), e, out=work)
         np.divide(work, np.add(e, 1.0, out=p), out=p)
         return nll
@@ -44,39 +49,40 @@ def reference_newton(l_idx, q_idx, y, b, *, n_learners, reg, max_epochs, tol, fi
         np.multiply(np.subtract(1.0, p, out=work), p, out=work)
         return -grad / (np.bincount(index, weights=work, minlength=value.size) + reg)
 
-    def descend(theta, b, d_theta, d_b, nll):
-        t = 1.0
-        while t > 1e-12:
-            trial = (theta + t * d_theta, b + t * d_b)
-            loss = evaluate(*trial)
-            value = loss + penalty(*trial)
-            if value <= nll + 1e-9:
-                return *trial, loss, value
-            t /= 2.0
-        return None
+    def descend(theta, b, nll, on_b):
+        nonlocal halvings
+        step = newton_step(theta, b, on_b)
+        index, value = (q_idx, b) if on_b else (l_idx, theta)
+
+        def terms(value, nll):
+            return np.bincount(index, weights=nll, minlength=value.size) + 0.5 * reg * value**2
+
+        start, t = terms(value, nll), np.ones(value.size)
+        while True:
+            trial = value + t * step
+            nll = evaluate(theta, trial) if on_b else evaluate(trial, b)
+            rose = ~(terms(trial, nll) <= start + 1e-9)
+            if not rose.any():
+                return trial, nll
+            halvings += int(np.count_nonzero(rose & (t == 1.0)))
+            t[rose] /= 2.0
+            t[t < 1e-12] = 0.0
 
     theta = np.zeros(n_learners)
-    nll = evaluate(theta, b) + penalty(theta, b)
-    history = [nll]
+    nll = evaluate(theta, b)
+    history = [float(nll.sum()) + penalty(theta, b)]
     for _ in range(max_epochs):
         start_theta, start_b = theta, b
-        moved = descend(theta, b, newton_step(theta, b, on_b=False), 0.0, nll)
-        if moved is None:
-            break
-        theta, b, loss, nll = moved
+        theta, nll = descend(theta, b, nll, on_b=False)
         if fit_b:
-            moved = descend(theta, b, 0.0, newton_step(theta, b, on_b=True), nll)
-            if moved is None:
-                break
-            theta, b, loss, nll = moved
+            b, nll = descend(theta, b, nll, on_b=True)
             shift = -(theta.sum() + b.sum()) / (theta.size + b.size)
             theta, b = theta + shift, b + shift
-            nll = loss + penalty(theta, b)
-        history.append(nll)
+        history.append(float(nll.sum()) + penalty(theta, b))
         change = max(np.abs(theta - start_theta).max(), np.abs(b - start_b).max())
         if change < tol:
-            return theta, b, history, True
-    return theta, b, history, False
+            return theta, b, history, True, halvings
+    return theta, b, history, False, halvings
 
 
 def records(n_learners, n_questions, keep, seed, repeat=0.0):
@@ -107,7 +113,7 @@ def records(n_learners, n_questions, keep, seed, repeat=0.0):
 def assert_same_fit(l_idx, q_idx, y, n_learners, b, *, fit_b, reg=1e-4, max_epochs=500):
     settings = dict(n_learners=n_learners, reg=reg, max_epochs=max_epochs, tol=1e-6, fit_b=fit_b)
     start_b = np.zeros(b.size) if fit_b else b
-    want_theta, want_b, want_history, want_converged = reference_newton(
+    want_theta, want_b, want_history, want_converged, _ = reference_newton(
         l_idx, q_idx, y, start_b, **settings
     )
     fit = _newton(l_idx, q_idx, y, start_b, **settings)
@@ -172,6 +178,20 @@ def test_far_from_zero(answers):
     y = np.full(l_idx.size, float(answers == "all right"))
     fit = assert_same_fit(l_idx, q_idx, y, n_learners, b, fit_b=False, reg=1e-30, max_epochs=3)
     assert fit.groups == 1
+
+
+def test_halved_steps():
+    # On a simulated world thinned to a tenth of its records, a learner
+    # answers about five questions. From theta = 0, with the difficulties
+    # of the joint fit, many learners' first Newton steps overshoot.
+    _, log, _ = simulate(SimConfig(num_learners=200, seed=101))
+    keep = np.random.default_rng(0).random(len(log)) < 0.1
+    l_idx = np.unique(log.learner[keep], return_inverse=True)[1]
+    q_idx, y = log.question[keep], log.correct[keep].astype(np.float64)
+    settings = dict(n_learners=l_idx.max() + 1, reg=1e-4, max_epochs=500, tol=1e-6)
+    b = _newton(l_idx, q_idx, y, np.zeros(50), fit_b=True, **settings).b
+    assert reference_newton(l_idx, q_idx, y, b, fit_b=False, **settings)[4] > 0
+    assert_same_fit(l_idx, q_idx, y, l_idx.max() + 1, b, fit_b=False)
 
 
 CASES = {
