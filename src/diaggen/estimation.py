@@ -248,17 +248,18 @@ def _newton(
             t[rose] /= 2.0
             t[t < 1e-12] = 0.0
 
-    # Connected parts of the design, groups first and then questions: each
-    # takes the least label linked to it by a record, until none falls.
-    node_q = size.size + q_idx
-    part, last = np.arange(size.size + b.size), None
-    while not np.array_equal(part, last):
-        last = part.copy()
-        np.minimum.at(part, node_q, part.take(g_idx))
-        np.minimum.at(part, g_idx, part.take(node_q))
-    part = np.unique(part, return_inverse=True)[1]
-    weight = np.concatenate((size, np.ones(b.size)))
-    part_weight = np.bincount(part, weights=weight)
+    if fit_b:
+        # Connected parts of the design, groups first and then questions: each
+        # takes the least label linked to it by a record, until none falls.
+        node_q = size.size + q_idx
+        part, last = np.arange(size.size + b.size), None
+        while not np.array_equal(part, last):
+            last = part.copy()
+            np.minimum.at(part, node_q, part.take(g_idx))
+            np.minimum.at(part, g_idx, part.take(node_q))
+        part = np.unique(part, return_inverse=True)[1]
+        weight = np.concatenate((size, np.ones(b.size)))
+        part_weight = np.bincount(part, weights=weight)
 
     def objective(theta, b, nll):
         return float(nll.sum() + 0.5 * reg * ((size * theta * theta).sum() + (b * b).sum()))
@@ -302,17 +303,17 @@ def fit_rasch(
             raise ValueError(f"{name} must be positive")
     if max_epochs < 1:
         raise ValueError("max_epochs must be at least 1")
-    q_index, l_index = build_pool(log)
-    l_idx, q_idx, y = to_index_arrays(log, q_index, l_index)
+    if not len(log):
+        raise ValueError("empty interaction log")
     fit = _newton(
-        l_idx, q_idx, y, np.zeros(len(q_index)),
-        n_learners=len(l_index), reg=reg, max_epochs=max_epochs, tol=tol, fit_b=True,
+        log.learner, log.question, log.correct, np.zeros(len(log.question_ids)),
+        n_learners=len(log.learner_ids), reg=reg, max_epochs=max_epochs, tol=tol, fit_b=True,
     )
     return RaschModel(
         theta=fit.theta,
         b=fit.b,
-        learner_ids=tuple(l_index),
-        question_ids=tuple(q_index),
+        learner_ids=log.learner_ids,
+        question_ids=log.question_ids,
         reg=reg,
         max_epochs=max_epochs,
         tol=tol,
@@ -381,15 +382,14 @@ def correct_ratio_snapshot(
         raise ValueError("smoothing must be finite")
     if smoothing < 0:
         raise ValueError("smoothing must be non-negative")
-    q_index, l_index = build_pool(log)
-    l_idx, q_idx, y = to_index_arrays(log, q_index, l_index)
-    nq, nl = len(q_index), len(l_index)
+    if not len(log):
+        raise ValueError("empty interaction log")
+    l_idx, q_idx, y = log.learner, log.question, log.correct
+    nq, nl = len(log.question_ids), len(log.learner_ids)
+    fit_y = y
     if fit_learners is not None:
-        fitting = np.fromiter((lid in fit_learners for lid in l_index), dtype=bool, count=nl)
-        keep = fitting[l_idx]
+        keep = np.array([lid in fit_learners for lid in log.learner_ids], dtype=bool)[l_idx]
         q_idx, fit_y = q_idx[keep], y[keep]
-    else:
-        fit_y = y
     if not fit_y.size:
         raise ValueError("no records available for question statistics")
 
@@ -398,14 +398,14 @@ def correct_ratio_snapshot(
 
     q_count = np.bincount(q_idx, minlength=nq)
     if smoothing == 0 and not q_count.all():
-        missing = [qid for qid, q in q_index.items() if not q_count[q]]
+        missing = [qid for qid, n in zip(log.question_ids, q_count) if not n]
         raise ValueError(f"no records from the fitting learners for questions: {missing[:5]}")
     p_q = smoothed(np.bincount(q_idx, weights=fit_y, minlength=nq), q_count)
     a_l = smoothed(np.bincount(l_idx, weights=y, minlength=nl), np.bincount(l_idx, minlength=nl))
     g = smoothed(fit_y.sum(), fit_y.size)
 
     values = np.clip(p_q[:, None] + a_l[None, :] - g, _CLIP, 1.0 - _CLIP)
-    return Snapshot._own(values, tuple(q_index), tuple(l_index))
+    return Snapshot._own(values, log.question_ids, log.learner_ids)
 
 
 @dataclass(frozen=True)

@@ -84,24 +84,23 @@ _KEEP_HIGH = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype
 def _interaction_columns(data: bytes) -> tuple | None:
     """The ``InteractionLog`` fields (learner ids, question ids and the four
     columns) of a file in the form that ``read_interactions`` parses in one
-    pass, or None for any other file."""
+    pass, or None for any other file. Every line, the header first, is three
+    commas and then its line end: four separators per line end, every fourth
+    of them a line end."""
     if not data.endswith(b"\n"):
         data += b"\n"
     if not data.startswith(_HEADER_LINE) or any(byte in data for byte in (b'"', b"\r", b"\0")):
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    # The header line holds the first three commas and the first line end.
-    commas, ends = _positions(buf, ord(","))[3:], _positions(buf, ord("\n"))[1:]
-    if ends.size == 0:
+    separators = _separators(buf)
+    if separators.size != 4 * data.count(b"\n") or np.any(buf[separators[3::4]] != ord("\n")):
+        return None
+    lines = separators.reshape(-1, 4)
+    if lines.shape[0] == 1:
         empty = np.zeros(0, dtype=np.int64)
         return (), (), empty, empty, empty.astype(bool), empty
-    if commas.size != 3 * ends.size:
-        return None
-    comma0, comma1, comma2 = commas.reshape(-1, 3).T
-    starts = np.insert(ends[:-1] + 1, 0, len(_HEADER_LINE))
-    # Three commas a line in all: each line holds its first and third.
-    if np.any(comma0 < starts) or np.any(comma2 > ends):
-        return None
+    starts = lines[:-1, 3] + 1
+    comma0, comma1, comma2, ends = lines[1:].T
     too_long = max((comma0 - starts).max(), (comma1 - comma0 - 1).max()) > csv.field_size_limit()
     if too_long or np.any(comma2 - comma1 != 2):
         return None
@@ -116,14 +115,15 @@ def _interaction_columns(data: bytes) -> tuple | None:
     return learner[0], question[0], learner[1], question[1], correct == ord("1"), order
 
 
-def _positions(buf: np.ndarray, byte: int) -> np.ndarray:
-    """Where ``buf`` holds ``byte``, as the narrowest signed integers that
-    can index it."""
+def _separators(buf: np.ndarray) -> np.ndarray:
+    """Where ``buf`` holds a comma or a line end, in order, as the narrowest
+    signed integers that can index it; searched a block at a time."""
     dtype = np.int32 if buf.size < 2**31 else np.int64
     found = []
     for at in range(0, buf.size, _BLOCK_BYTES):
-        positions = np.flatnonzero(buf[at : at + _BLOCK_BYTES] == byte) + at
-        found.append(positions.astype(dtype))
+        block = buf[at : at + _BLOCK_BYTES]
+        positions = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
+        found.append(positions.astype(dtype) + at)
     return np.concatenate(found)
 
 
@@ -185,12 +185,11 @@ def _id_column(
 
 
 def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each value's rank among the distinct ``values``, and their number."""
-    order = np.argsort(values)
-    sizes = np.diff(np.flatnonzero(np.diff(values[order])) + 1, prepend=0, append=values.size)
-    ranks = np.empty(values.size, dtype=np.intp)
-    ranks[order] = np.repeat(np.arange(sizes.size), sizes)
-    return ranks, sizes.size
+    """Each value's rank, found by binary search among the distinct ``values``
+    (the sorted values unequal to the one before), and their number."""
+    ordered = np.sort(values)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return np.searchsorted(distinct, values), distinct.size
 
 
 def _read_interaction_rows(data: bytes) -> InteractionLog:

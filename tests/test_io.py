@@ -342,8 +342,9 @@ class TestInteractionsOnePass:
             b"learner_id,question_id,correct,order\nl0,q0,1,0\n\n",
             b"learner_id,question_id,correct,order\nl0,q0,1\n",
             b"learner_id,question_id,correct,order\nl0,q0,1,0,\n",
-            # Six commas in two records, four of them in the first.
+            # Six commas in two records, four of them in the first, or in the second.
             b"learner_id,question_id,correct,order\nl0,q0,1,0,\nq1,1,0\n",
+            b"learner_id,question_id,correct,order\nl0,q0,1\nl1,q1,1,0,\n",
             b"learner_id,question_id,correct,order\nl0,q0,01,0\n",
             b"learner_id,question_id,correct,order\nl0,q0, 1,0\n",
             b"learner_id,question_id,correct,order\nl0,q0,2,0\n",
@@ -512,6 +513,18 @@ class TestInteractionsOnePass:
         path.write_bytes(text.encode().replace("~".encode(), b"\xff"))
 
         assert read_outcome(read_interactions, path) == read_outcome(interaction_rows, path)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ranks_equal_unique_inverse(self, data):
+        # Mostly a few words, both ends of the range among them, so most arrays repeat some.
+        edges = st.sampled_from([0, 1, 2**32, 2**63, 2**64 - 2, 2**64 - 1])
+        words = st.one_of(edges, edges, st.integers(0, 2**64 - 1))
+        values = np.array(data.draw(st.lists(words, min_size=1, max_size=40)), dtype=np.uint64)
+        ranks, count = diaggen.io._ranks(values)
+        distinct, inverse = np.unique(values, return_inverse=True)
+        assert ranks.tolist() == inverse.tolist()
+        assert count == distinct.size
 
 
 def csv_line(cells):
