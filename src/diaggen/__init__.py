@@ -16,7 +16,6 @@ from .criteria import (
     fitness,
 )
 from .estimation import (
-    Abilities,
     RaschModel,
     SufficiencyCurve,
     correct_ratio_snapshot,
@@ -42,7 +41,6 @@ from .simulator import SimConfig, simulate, solve_probability
 __version__ = "0.1.0"
 
 __all__ = [
-    "Abilities",
     "Assessment",
     "CriteriaContext",
     "FitnessReport",

@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
@@ -99,23 +99,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     log = read_interactions(args.interactions)
     _, learner_index = build_pool(log)
-    learner_ids = tuple(learner_index)
-    split = split_learners(range(len(learner_ids)), args.ratio, args.split_seed)
-    train_ids = {learner_ids[i] for i in split.train}
+    split = split_learners(range(len(learner_index)), args.ratio, args.split_seed)
+    train_ids = {log.learner_ids[i] for i in split.train}
 
     doc: dict[str, Any] = {"estimator": args.estimator}
     if args.estimator == "rasch":
         model = fit_rasch(
             log.restrict_learners(train_ids), reg=args.reg, max_epochs=args.max_epochs, tol=args.tol
         )
-        abilities = fit_abilities(model, log)
-        snapshot = rasch_snapshot(model, abilities.theta, abilities.learner_ids)
+        scored = fit_abilities(model, log)
+        snapshot = rasch_snapshot(scored)
         doc |= {
             "converged": model.converged,
             "iterations": model.iterations,
             "groups": model.groups,
-            "abilities_converged": abilities.converged,
-            "abilities_iterations": abilities.iterations,
+            "abilities_converged": scored.converged,
+            "abilities_iterations": scored.iterations,
         }
     else:
         snapshot = correct_ratio_snapshot(
@@ -340,6 +339,13 @@ def cmd_sufficiency(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ValueError, which ``main`` prints."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def _add_split_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ratio", type=float, default=0.8, help="train fraction of learners"
@@ -350,7 +356,7 @@ def _add_split_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diaggen",
         description="Generate K-question diagnostic assessments from response data",
     )
@@ -485,8 +491,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _apply_config(args, parser)
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -17,7 +17,16 @@ import numpy as np
 
 
 class _Owned:
-    """A frozen dataclass whose ``__post_init__`` is ``self._freeze(np.array)``."""
+    """A frozen ``eq=False`` dataclass of ids and arrays that ``_freeze`` checks."""
+
+    def __post_init__(self) -> None:
+        self._freeze(np.array)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
     @classmethod
     def _own(cls, *values):
@@ -48,9 +57,6 @@ class InteractionLog(_Owned):
     question: np.ndarray
     correct: np.ndarray
     order: np.ndarray
-
-    def __post_init__(self) -> None:
-        self._freeze(np.array)
 
     def _freeze(self, convert) -> None:
         """Convert the columns with ``convert`` (``np.array`` copies, and
@@ -108,18 +114,6 @@ class InteractionLog(_Owned):
 
     def __len__(self) -> int:
         return len(self.order)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InteractionLog):
-            return NotImplemented
-        return (
-            self.learner_ids == other.learner_ids
-            and self.question_ids == other.question_ids
-            and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in ("learner", "question", "correct", "order")
-            )
-        )
 
     def restrict_learners(self, learner_ids: set[str]) -> "InteractionLog":
         """Sub-log containing only the given learners, order preserved."""
@@ -199,7 +193,7 @@ def to_index_arrays(
     return l_lookup[log.learner], q_lookup[log.question], log.correct.astype(np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Snapshot(_Owned):
     """Question-by-learner matrix of correct-answer probabilities.
 
@@ -211,9 +205,6 @@ class Snapshot(_Owned):
     values: np.ndarray
     question_ids: tuple[str, ...]
     learner_ids: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        self._freeze(np.array)
 
     def _freeze(self, convert) -> None:
         """Convert the values to C-ordered float64 with ``convert`` (as in

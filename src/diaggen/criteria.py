@@ -55,7 +55,7 @@ class FitnessReport:
             raise ValueError("fitness does not match rmse, std and lam")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriteriaContext:
     """The scoring statistics of a snapshot restricted to a learner subset.
 

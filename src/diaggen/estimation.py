@@ -7,11 +7,11 @@ estimator fits a per-learner ability and per-question difficulty by
 L2-penalized joint maximum likelihood and predicts
 sigmoid(ability - difficulty). One Newton solver serves both the joint fit
 (``fit_rasch``) and the ability-only fit with difficulties frozen
-(``fit_abilities``). It alternates diagonal Newton steps on the two blocks,
-halving each ability's or difficulty's step on its own until that
-coordinate's share of the objective does not rise, and fixes the offset
-the likelihood leaves free by the penalty-minimising shift, so that
-sum(theta) + sum(b) = 0 over every connected part of the design.
+(``fit_abilities``), both returning a ``RaschModel``. It alternates diagonal
+Newton steps on the two blocks, halving each ability's or difficulty's step
+on its own until that coordinate's share of the objective does not rise,
+and fixes the offset the likelihood leaves free by the penalty-minimising
+shift, so that sum(theta) + sum(b) = 0 over every connected part of the design.
 
 The solver runs once per group of learners, not once per learner. A group
 is the learners who answered the same multiset of questions and got the
@@ -39,7 +39,7 @@ a practical snapshot size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,10 +48,12 @@ from .core import InteractionLog, Snapshot, build_pool, sigmoid, to_index_arrays
 _CLIP = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RaschModel:
     """Fitted one-parameter logistic model: P(correct) = sigmoid(theta - b).
 
+    ``fit_rasch`` and ``fit_abilities`` both return one, with one ``theta`` per
+    learner of ``learner_ids``, one ``b`` per question of ``question_ids``.
     ``nll_history`` records the penalized negative log-likelihood at the
     start and after each iteration, so ``iterations`` is one less than its
     length. ``converged`` says whether an iteration within ``max_epochs``
@@ -159,31 +161,22 @@ def _group(
     )
 
 
-class _Solution(NamedTuple):
-    """What ``_newton`` found: ``theta`` has one entry per learner,
-    ``groups`` is the number of abilities solved for."""
-
-    theta: np.ndarray
-    b: np.ndarray
-    history: list[float]
-    converged: bool
-    groups: int
-
-
 def _newton(
     l_idx: np.ndarray,
     q_idx: np.ndarray,
     y: np.ndarray,
     b: np.ndarray,
+    learner_ids: tuple[str, ...],
+    question_ids: tuple[str, ...],
     *,
-    n_learners: int,
     reg: float,
     max_epochs: int,
     tol: float,
     fit_b: bool,
-) -> _Solution:
+) -> RaschModel:
     """Minimise the L2-penalized Bernoulli NLL of sigmoid(theta - b) by
-    alternating diagonal Newton steps, starting from theta = 0.
+    alternating diagonal Newton steps, starting from theta = 0; the model
+    of ``learner_ids`` and ``question_ids`` it ends at.
 
     The learners are pooled first (``_group``): the members of a group
     share one theta, and the iteration runs on the groups' records, a
@@ -201,7 +194,7 @@ def _newton(
     when no parameter moves by ``tol`` or more in an iteration; stops
     unconverged after ``max_epochs`` iterations.
     """
-    groups = _group(l_idx, q_idx, y, n_learners, b.size)
+    groups = _group(l_idx, q_idx, y, len(learner_ids), b.size)
     size, g_idx, q_idx, right = groups.size, groups.group, groups.question, groups.right
     count = size.take(g_idx)
     wrong = count - right
@@ -279,7 +272,11 @@ def _newton(
         converged = bool(max(np.abs(theta - start_theta).max(), np.abs(b - start_b).max()) < tol)
         if converged:
             break
-    return _Solution(theta.take(groups.of), b, history, converged, size.size)
+    return RaschModel(
+        theta=theta.take(groups.of), b=b, learner_ids=learner_ids, question_ids=question_ids,
+        reg=reg, max_epochs=max_epochs, tol=tol, nll_history=tuple(history),
+        converged=converged, groups=size.size,
+    )
 
 
 def fit_rasch(
@@ -305,41 +302,21 @@ def fit_rasch(
         raise ValueError("max_epochs must be at least 1")
     if not len(log):
         raise ValueError("empty interaction log")
-    fit = _newton(
+    return _newton(
         log.learner, log.question, log.correct, np.zeros(len(log.question_ids)),
-        n_learners=len(log.learner_ids), reg=reg, max_epochs=max_epochs, tol=tol, fit_b=True,
-    )
-    return RaschModel(
-        theta=fit.theta,
-        b=fit.b,
-        learner_ids=log.learner_ids,
-        question_ids=log.question_ids,
-        reg=reg,
-        max_epochs=max_epochs,
-        tol=tol,
-        nll_history=tuple(fit.history),
-        converged=fit.converged,
-        groups=fit.groups,
+        log.learner_ids, log.question_ids,
+        reg=reg, max_epochs=max_epochs, tol=tol, fit_b=True,
     )
 
 
-class Abilities(NamedTuple):
-    """What ``fit_abilities`` found: one ability per learner, in log order,
-    and whether the solve converged within the model's ``max_epochs``."""
-
-    theta: np.ndarray
-    learner_ids: tuple[str, ...]
-    converged: bool
-    iterations: int
-
-
-def fit_abilities(model: RaschModel, log: InteractionLog) -> Abilities:
-    """Estimate the abilities of the log's learners with difficulties frozen.
+def fit_abilities(model: RaschModel, log: InteractionLog) -> RaschModel:
+    """The model re-fitted to the log's learners with difficulties frozen.
 
     This is how a fitted model is applied to learners outside the fitting
     split: only their own records are used and the question scale does not
-    move. Questions absent from the model are rejected. The solve uses the
-    model's ``reg``, ``max_epochs`` and ``tol``.
+    move. Questions absent from the model are rejected. The result keeps the
+    model's ``b``, ``question_ids``, ``reg``, ``max_epochs`` and ``tol``; its
+    learners, ``theta``, ``nll_history``, ``converged`` and ``groups`` are new.
     """
     known = {qid: i for i, qid in enumerate(model.question_ids)}
     missing = sorted(set(log.question_ids) - known.keys())
@@ -347,18 +324,16 @@ def fit_abilities(model: RaschModel, log: InteractionLog) -> Abilities:
         raise ValueError(f"questions not in the fitted model: {missing[:5]}")
     _, l_index = build_pool(log)
     l_idx, q_idx, y = to_index_arrays(log, known, l_index)
-    fit = _newton(
-        l_idx, q_idx, y, model.b,
-        n_learners=len(l_index), reg=model.reg, max_epochs=model.max_epochs,
-        tol=model.tol, fit_b=False,
+    return _newton(
+        l_idx, q_idx, y, model.b, log.learner_ids, model.question_ids,
+        reg=model.reg, max_epochs=model.max_epochs, tol=model.tol, fit_b=False,
     )
-    return Abilities(fit.theta, tuple(l_index), fit.converged, len(fit.history) - 1)
 
 
-def rasch_snapshot(model: RaschModel, theta: np.ndarray, learner_ids: Sequence[str]) -> Snapshot:
-    """Predicted snapshot sigmoid(theta - b) for the given abilities."""
-    values = sigmoid(np.asarray(theta)[None, :] - model.b[:, None])
-    return Snapshot._own(values, model.question_ids, tuple(learner_ids))
+def rasch_snapshot(model: RaschModel) -> Snapshot:
+    """Predicted snapshot sigmoid(theta - b) of the model's own learners."""
+    values = sigmoid(model.theta[None, :] - model.b[:, None])
+    return Snapshot._own(values, model.question_ids, model.learner_ids)
 
 
 def correct_ratio_snapshot(

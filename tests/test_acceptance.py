@@ -67,8 +67,7 @@ def pipeline(world_seed: int):
         ids = log.learner_ids
         split = split_learners(range(len(ids)), 0.8, seed=0)
         model = fit_rasch(log.restrict_learners({ids[i] for i in split.train}))
-        abilities = fit_abilities(model, log)
-        predicted = rasch_snapshot(model, abilities.theta, abilities.learner_ids)
+        predicted = rasch_snapshot(fit_abilities(model, log))
         _pipeline_cache[world_seed] = (log, truth, predicted, split)
     return _pipeline_cache[world_seed]
 

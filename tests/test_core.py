@@ -202,6 +202,37 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=message):
             Snapshot._own(values, questions, learners)
 
+    def test_equal_values_and_ids_compare_equal(self):
+        values = np.arange(6.0).reshape(2, 3) / 8
+        snap = Snapshot(values, ("q0", "q1"), ("l0", "l1", "l2"))
+        same = Snapshot._own(values.copy(), ["q0", "q1"], ["l0", "l1", "l2"])
+        assert snap == same and not snap != same
+
+    def test_unequal_values_compare_unequal(self):
+        values = np.arange(6.0).reshape(2, 3) / 8
+        snap = Snapshot(values, ("q0", "q1"), ("l0", "l1", "l2"))
+        other = values.copy()
+        other[1, 2] = 0.0
+        assert snap != Snapshot(other, ("q0", "q1"), ("l0", "l1", "l2"))
+
+    @pytest.mark.parametrize(
+        "questions, learners",
+        [(("q1", "q0"), ("l0", "l1", "l2")), (("q0", "q1"), ("l0", "l1", "lx"))],
+    )
+    def test_unequal_ids_compare_unequal(self, questions, learners):
+        values = np.full((2, 3), 0.5)
+        assert Snapshot(values, ("q0", "q1"), ("l0", "l1", "l2")) != Snapshot(
+            values, questions, learners
+        )
+
+    def test_other_types_compare_unequal(self):
+        snap = Snapshot(np.full((1, 1), 0.5), ("q0",), ("l0",))
+        log = make_log([("l0", "q0", 1, 0)])
+        assert snap != log and log != snap
+        assert snap != snap.values and snap != (snap.values, ("q0",), ("l0",))
+        with pytest.raises(TypeError):
+            hash(snap)
+
 
 class TestAssessment:
     def test_rejects_duplicates(self):

@@ -26,6 +26,11 @@ def criteria_of(ctx, genes):
 
 
 class TestStatistics:
+    def test_contexts_compare_by_identity(self):
+        snap = random_snapshot(3, 4, 10)
+        ctx = CriteriaContext.build(snap, range(10))
+        assert ctx == ctx and ctx != CriteriaContext.build(snap, range(10))
+
     def instances(self):
         rng = np.random.default_rng(21)
         for _ in range(10):

@@ -5,6 +5,7 @@ from scipy.stats import pearsonr, spearmanr
 
 from diaggen import (
     InteractionLog,
+    RaschModel,
     Snapshot,
     correct_ratio_snapshot,
     fit_abilities,
@@ -13,7 +14,7 @@ from diaggen import (
     rasch_snapshot,
     sufficiency_curve,
 )
-from diaggen.core import to_index_arrays
+from diaggen.core import sigmoid, to_index_arrays
 from diaggen.estimation import _newton, per_question_sufficiency_curve
 from diaggen.simulator import SimConfig, simulate
 
@@ -228,10 +229,12 @@ class TestFitRasch:
             keep = b < 0 if answers == "all right" else b > 0
             l_idx, q_idx = l_idx[keep[q_idx]], q_idx[keep[q_idx]]
             y = np.full(l_idx.size, float(answers == "all right"))
-        theta, _, history, _, _ = _newton(
+        fit = _newton(
             l_idx, q_idx, y, b,
-            n_learners=n_learners, reg=reg, max_epochs=3, tol=1e-6, fit_b=False,
+            tuple(f"l{l}" for l in range(n_learners)), tuple(f"q{q}" for q in range(b.size)),
+            reg=reg, max_epochs=3, tol=1e-6, fit_b=False,
         )
+        theta, history = fit.theta, fit.nll_history
         start = reference_objective(np.zeros(n_learners), b, l_idx, q_idx, y, reg)
         assert history[0] == pytest.approx(start, rel=1e-12, abs=0)
         end = reference_objective(theta, b, l_idx, q_idx, y, reg)
@@ -329,7 +332,9 @@ class TestRaschSnapshot:
         model = fit_rasch(log, max_epochs=1)
         object.__setattr__(model, "b", np.asarray(b, dtype=float))
         ids = tuple(f"x{j}" for j in range(len(theta)))
-        snap = rasch_snapshot(model, np.asarray(theta, dtype=float), ids)
+        object.__setattr__(model, "theta", np.asarray(theta, dtype=float))
+        object.__setattr__(model, "learner_ids", ids)
+        snap = rasch_snapshot(model)
         assert snap.question_ids == model.question_ids and snap.learner_ids == ids
         return snap
 
@@ -355,8 +360,34 @@ class TestRaschSnapshot:
         snap = self.snapshot([5.0, -5.0], [0.0])
         assert np.all((snap.values > 0) & (snap.values < 1))
 
+    def test_scored_model_predicts_its_own_learners(self):
+        rng = np.random.default_rng(43)
+        log = bernoulli_log(rng.standard_normal(40), rng.standard_normal(9), 43)
+        scored = fit_abilities(fit_rasch(log.restrict_learners({f"l{l}" for l in range(30)})), log)
+        snap = rasch_snapshot(scored)
+        want = sigmoid(scored.theta[None, :] - scored.b[:, None])
+        assert snap.values.tobytes() == want.tobytes()
+        assert (snap.question_ids, snap.learner_ids) == (scored.question_ids, scored.learner_ids)
+
 
 class TestFitAbilities:
+    def test_returns_the_model_refitted_to_the_log(self):
+        rng = np.random.default_rng(41)
+        log = bernoulli_log(rng.standard_normal(50), rng.standard_normal(8), 41)
+        # Fitted on learners l10-l49, then scored on every learner of the log.
+        train = log.restrict_learners({f"l{l}" for l in range(10, 50)})
+        model = fit_rasch(train, reg=1e-3, max_epochs=200, tol=1e-7)
+        scored = fit_abilities(model, log)
+        assert isinstance(scored, RaschModel)
+        assert scored.b.tobytes() == model.b.tobytes()
+        assert (scored.question_ids, scored.reg, scored.max_epochs, scored.tol) == (
+            model.question_ids, 1e-3, 200, 1e-7
+        )
+        assert scored.learner_ids == log.learner_ids
+        assert scored.theta.shape == (len(log.learner_ids),)
+        assert scored.converged and scored.iterations == len(scored.nll_history) - 1
+        assert model == model and scored != model
+
     def test_held_out_learners_recovered(self):
         rng = np.random.default_rng(23)
         theta_true = rng.standard_normal(120)

@@ -110,16 +110,21 @@ def records(n_learners, n_questions, keep, seed, repeat=0.0):
     return l_idx, q_idx, y, n_learners, b
 
 
+def ids(n_learners, n_questions):
+    """Learner and question ids for ``_newton``."""
+    return tuple(f"l{l}" for l in range(n_learners)), tuple(f"q{q}" for q in range(n_questions))
+
+
 def assert_same_fit(l_idx, q_idx, y, n_learners, b, *, fit_b, reg=1e-4, max_epochs=500):
-    settings = dict(n_learners=n_learners, reg=reg, max_epochs=max_epochs, tol=1e-6, fit_b=fit_b)
+    settings = dict(reg=reg, max_epochs=max_epochs, tol=1e-6, fit_b=fit_b)
     start_b = np.zeros(b.size) if fit_b else b
     want_theta, want_b, want_history, want_converged, _ = reference_newton(
-        l_idx, q_idx, y, start_b, **settings
+        l_idx, q_idx, y, start_b, n_learners=n_learners, **settings
     )
-    fit = _newton(l_idx, q_idx, y, start_b, **settings)
+    fit = _newton(l_idx, q_idx, y, start_b, *ids(n_learners, b.size), **settings)
     assert fit.converged == want_converged
-    assert len(fit.history) == len(want_history)
-    np.testing.assert_allclose(fit.history, want_history, rtol=1e-12, atol=0)
+    assert len(fit.nll_history) == len(want_history)
+    np.testing.assert_allclose(fit.nll_history, want_history, rtol=1e-12, atol=0)
     np.testing.assert_allclose(fit.theta, want_theta, rtol=0, atol=1e-9)
     np.testing.assert_allclose(fit.b, want_b, rtol=0, atol=1e-9)
     return fit
@@ -188,10 +193,11 @@ def test_halved_steps():
     keep = np.random.default_rng(0).random(len(log)) < 0.1
     l_idx = np.unique(log.learner[keep], return_inverse=True)[1]
     q_idx, y = log.question[keep], log.correct[keep].astype(np.float64)
-    settings = dict(n_learners=l_idx.max() + 1, reg=1e-4, max_epochs=500, tol=1e-6)
-    b = _newton(l_idx, q_idx, y, np.zeros(50), fit_b=True, **settings).b
-    assert reference_newton(l_idx, q_idx, y, b, fit_b=False, **settings)[4] > 0
-    assert_same_fit(l_idx, q_idx, y, l_idx.max() + 1, b, fit_b=False)
+    n_learners = l_idx.max() + 1
+    settings = dict(reg=1e-4, max_epochs=500, tol=1e-6)
+    b = _newton(l_idx, q_idx, y, np.zeros(50), *ids(n_learners, 50), fit_b=True, **settings).b
+    assert reference_newton(l_idx, q_idx, y, b, n_learners=n_learners, fit_b=False, **settings)[4] > 0
+    assert_same_fit(l_idx, q_idx, y, n_learners, b, fit_b=False)
 
 
 CASES = {
@@ -234,13 +240,15 @@ class TestCountedRecords:
     @pytest.mark.parametrize("fit_b", [True, False])
     def test_record_order_does_not_matter(self, case, fit_b):
         l_idx, q_idx, y, n_learners, b = records(**CASES[case])
-        settings = dict(n_learners=n_learners, reg=1e-4, max_epochs=500, tol=1e-6, fit_b=fit_b)
+        settings = dict(reg=1e-4, max_epochs=500, tol=1e-6, fit_b=fit_b)
         start_b = np.zeros(b.size) if fit_b else b
-        fit = _newton(l_idx, q_idx, y, start_b, **settings)
+        fit = _newton(l_idx, q_idx, y, start_b, *ids(n_learners, b.size), **settings)
         order = np.random.default_rng(7).permutation(l_idx.size)
-        shuffled = _newton(l_idx[order], q_idx[order], y[order], start_b, **settings)
+        shuffled = _newton(
+            l_idx[order], q_idx[order], y[order], start_b, *ids(n_learners, b.size), **settings
+        )
         assert shuffled.groups == fit.groups
-        assert len(shuffled.history) == len(fit.history)
+        assert len(shuffled.nll_history) == len(fit.nll_history)
         assert shuffled.converged == fit.converged
         np.testing.assert_allclose(shuffled.theta, fit.theta, rtol=0, atol=1e-9)
         np.testing.assert_allclose(shuffled.b, fit.b, rtol=0, atol=1e-9)
