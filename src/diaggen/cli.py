@@ -21,10 +21,11 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
-from typing import Any, NoReturn, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
+# build_pool is not called here; perfbench/tracing.py wraps it under this name.
 from .core import build_pool, split_learners
 from .criteria import CriteriaContext, calibrate_lambda, fitness
 from .estimation import (
@@ -98,8 +99,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     log = read_interactions(args.interactions)
-    _, learner_index = build_pool(log)
-    split = split_learners(range(len(learner_index)), args.ratio, args.split_seed)
+    split = split_learners(range(len(log.learner_ids)), args.ratio, args.split_seed)
     train_ids = {log.learner_ids[i] for i in split.train}
 
     doc: dict[str, Any] = {"estimator": args.estimator}
@@ -339,13 +339,6 @@ def cmd_sufficiency(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """A parser whose usage errors raise ValueError, which ``main`` prints."""
-
-    def error(self, message: str) -> NoReturn:
-        raise ValueError(message)
-
-
 def _add_split_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ratio", type=float, default=0.8, help="train fraction of learners"
@@ -356,7 +349,7 @@ def _add_split_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="diaggen",
         description="Generate K-question diagnostic assessments from response data",
     )
@@ -491,8 +484,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        args = parser.parse_args(argv)
         _apply_config(args, parser)
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -844,31 +844,6 @@ def test_cli_import_loads_no_scipy():
 
 
 class TestErrorReporting:
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["calibrate", "--snapshot", "x.csv", "--k", "1.5"], "argument --k: invalid int"),
-            (["calibrate", "--k", "3"], "the following arguments are required: --snapshot"),
-            (["calibrate", "--snapshot", "x.csv", "--k", "3", "--bogus"], "unrecognized arguments"),
-            (
-                ["search", "--snapshot", "x.csv", "--algo", "nope", "--k", "3", "--out", "r.json"],
-                "argument --algo: invalid choice",
-            ),
-            ([], "the following arguments are required: command"),
-        ],
-        ids=["wrong type", "missing flag", "unknown flag", "invalid choice", "no subcommand"],
-    )
-    def test_usage_error_is_one_error_line(self, capsys, argv, message):
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert err.startswith(f"error: {message}") and err.count("\n") == 1
-
-    def test_help_exits_zero(self, capsys):
-        with pytest.raises(SystemExit) as stop:
-            main(["calibrate", "--help"])
-        assert stop.value.code == 0
-        assert "--snapshot" in capsys.readouterr().out
-
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

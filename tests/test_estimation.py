@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -329,11 +331,13 @@ class TestFitRasch:
 class TestRaschSnapshot:
     def snapshot(self, theta, b):
         log = bernoulli_log(np.zeros(len(theta)), np.zeros(len(b)), 0)
-        model = fit_rasch(log, max_epochs=1)
-        object.__setattr__(model, "b", np.asarray(b, dtype=float))
         ids = tuple(f"x{j}" for j in range(len(theta)))
-        object.__setattr__(model, "theta", np.asarray(theta, dtype=float))
-        object.__setattr__(model, "learner_ids", ids)
+        model = dataclasses.replace(
+            fit_rasch(log, max_epochs=1),
+            b=np.asarray(b, dtype=float),
+            theta=np.asarray(theta, dtype=float),
+            learner_ids=ids,
+        )
         snap = rasch_snapshot(model)
         assert snap.question_ids == model.question_ids and snap.learner_ids == ids
         return snap
