@@ -2,7 +2,6 @@
 learner-performance snapshots."""
 
 from .core import (
-    Assessment,
     InteractionLog,
     Snapshot,
     build_pool,
@@ -41,7 +40,6 @@ from .simulator import SimConfig, simulate, solve_probability
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assessment",
     "CriteriaContext",
     "FitnessReport",
     "GaConfig",

@@ -227,7 +227,6 @@ def cmd_search(args: argparse.Namespace) -> int:
             result_record(
                 result,
                 question_ids=snapshot.question_ids,
-                train_report=result.report,
                 test_report=fitness(test_ctx, result.best),
                 swap_gain=swap_gain(train_ctx, result.best),
                 config=config,

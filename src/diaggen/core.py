@@ -1,4 +1,4 @@
-"""Shared domain types: interaction logs, id pools, snapshots, assessments, splits.
+"""Shared domain types: interaction logs, id pools, snapshots, splits.
 
 Identifiers come in two flavors. External ids are the opaque strings found in
 input files. Internal indices are dense 0-based integers assigned in order of
@@ -243,39 +243,14 @@ class Snapshot(_Owned):
 
 
 @dataclass(frozen=True)
-class Assessment:
-    """A candidate diagnostic test: K distinct question indices.
-
-    Gene order is kept for reproducibility but carries no meaning; all
-    scoring is a function of the gene set only.
-    """
-
-    genes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        genes = tuple(int(g) for g in self.genes)
-        if len(set(genes)) != len(genes):
-            raise ValueError("assessment genes must be distinct")
-        if any(g < 0 for g in genes):
-            raise ValueError("assessment genes must be non-negative")
-        object.__setattr__(self, "genes", genes)
-
-    def __len__(self) -> int:
-        return len(self.genes)
-
-
-@dataclass(frozen=True)
 class LearnerSplit:
     """Disjoint train/test partition of learner indices.
 
-    Reconstructible: the same (learner set, ratio, seed) always produces
-    the same split.
+    ``split_learners`` builds one from (learner set, ratio, seed) alone.
     """
 
     train: tuple[int, ...]
     test: tuple[int, ...]
-    seed: int
-    ratio: float
 
     def __post_init__(self) -> None:
         if not set(self.train).isdisjoint(self.test):
@@ -335,4 +310,4 @@ def split_learners(
     perm = np.random.default_rng(seed).permutation(pool)
     train = tuple(np.sort(perm[:n_train]).tolist())
     test = tuple(np.sort(perm[n_train:]).tolist())
-    return LearnerSplit(train=train, test=test, seed=seed, ratio=ratio)
+    return LearnerSplit(train=train, test=test)

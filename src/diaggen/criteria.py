@@ -34,9 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Assessment, Snapshot, _learner_indices
+from .core import Snapshot, _learner_indices
 
-Genes = Sequence[int] | Assessment
 # Rows of uniforms that ``sample_subsets`` holds at a time.
 _SAMPLE_ROWS = 1024
 
@@ -184,11 +183,9 @@ def _from_sums(ctx: CriteriaContext, k: int, sums: np.ndarray) -> tuple[np.ndarr
     return np.sqrt(np.maximum(sums[..., 0], 0.0) / (k * k)), std
 
 
-def fitness(ctx: CriteriaContext, genes: Genes) -> FitnessReport:
+def fitness(ctx: CriteriaContext, genes: Sequence[int]) -> FitnessReport:
     """Score one assessment; requires a calibrated lam on the context."""
     lam = _lambda(ctx)
-    if isinstance(genes, Assessment):
-        genes = genes.genes
     rmse, std = _criteria(ctx, _sorted_rows(ctx, np.asarray(genes)[None]))
     rmse, std = float(rmse[0]), float(std[0])
     return FitnessReport(rmse=rmse, std=std, fitness=combined(rmse, std, lam), lam=lam)

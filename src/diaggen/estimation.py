@@ -7,9 +7,10 @@ estimator fits a per-learner ability and per-question difficulty by
 L2-penalized joint maximum likelihood and predicts
 sigmoid(ability - difficulty). One Newton solver serves both the joint fit
 (``fit_rasch``) and the ability-only fit with difficulties frozen
-(``fit_abilities``), both returning a ``RaschModel``. It alternates diagonal
-Newton steps on the two blocks, halving each ability's or difficulty's step
-on its own until that coordinate's share of the objective does not rise,
+(``fit_abilities``, which appends a question the fitted model lacks with
+b = 0), both returning a ``RaschModel``. It alternates diagonal Newton
+steps on the two blocks, halving each ability's or difficulty's step on
+its own until that coordinate's share of the objective does not rise,
 and fixes the offset the likelihood leaves free by the penalty-minimising
 shift, so that sum(theta) + sum(b) = 0 over every connected part of the design.
 
@@ -43,6 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+# build_pool and to_index_arrays are not called here; perfbench/tracing.py
+# wraps them under these names.
 from .core import InteractionLog, Snapshot, build_pool, sigmoid, to_index_arrays
 
 _CLIP = 1e-3
@@ -53,7 +56,9 @@ class RaschModel:
     """Fitted one-parameter logistic model: P(correct) = sigmoid(theta - b).
 
     ``fit_rasch`` and ``fit_abilities`` both return one, with one ``theta`` per
-    learner of ``learner_ids``, one ``b`` per question of ``question_ids``.
+    learner of ``learner_ids``, one ``b`` per question of ``question_ids``;
+    ``fit_abilities`` appends the questions of its log that the fitted model
+    lacks, with b = 0.
     ``nll_history`` records the penalized negative log-likelihood at the
     start and after each iteration, so ``iterations`` is one less than its
     length. ``converged`` says whether an iteration within ``max_epochs``
@@ -314,18 +319,21 @@ def fit_abilities(model: RaschModel, log: InteractionLog) -> RaschModel:
 
     This is how a fitted model is applied to learners outside the fitting
     split: only their own records are used and the question scale does not
-    move. Questions absent from the model are rejected. The result keeps the
-    model's ``b``, ``question_ids``, ``reg``, ``max_epochs`` and ``tol``; its
-    learners, ``theta``, ``nll_history``, ``converged`` and ``groups`` are new.
+    move. The result's questions are the model's, with their ``b``, followed
+    by each log question the model lacks, in log order, with b = 0: what the
+    penalised joint fit gives a question without records. It keeps the
+    model's ``reg``, ``max_epochs`` and ``tol``; its learners, ``theta``,
+    ``nll_history``, ``converged`` and ``groups`` are new.
     """
-    known = {qid: i for i, qid in enumerate(model.question_ids)}
-    missing = sorted(set(log.question_ids) - known.keys())
-    if missing:
-        raise ValueError(f"questions not in the fitted model: {missing[:5]}")
-    _, l_index = build_pool(log)
-    l_idx, q_idx, y = to_index_arrays(log, known, l_index)
+    if not len(log):
+        raise ValueError("empty interaction log")
+    position = {qid: i for i, qid in enumerate(model.question_ids)}
+    for qid in log.question_ids:
+        position.setdefault(qid, len(position))
+    lookup = np.array([position[qid] for qid in log.question_ids], dtype=np.intp)
+    b = np.concatenate((model.b, np.zeros(len(position) - model.b.size)))
     return _newton(
-        l_idx, q_idx, y, model.b, log.learner_ids, model.question_ids,
+        log.learner, lookup.take(log.question), log.correct, b, log.learner_ids, tuple(position),
         reg=model.reg, max_epochs=model.max_epochs, tol=model.tol, fit_b=False,
     )
 

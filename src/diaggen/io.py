@@ -516,7 +516,6 @@ def result_record(
     result: SearchResult,
     *,
     question_ids: Sequence[str],
-    train_report: FitnessReport,
     test_report: FitnessReport,
     swap_gain: float,
     config: dict[str, Any],
@@ -531,8 +530,8 @@ def result_record(
         "schema_version": SCHEMA_VERSION,
         "algorithm": result.algorithm,
         "config": dict(config),
-        "selected_questions": [question_ids[g] for g in result.best.genes],
-        "train": report_dict(train_report),
+        "selected_questions": [question_ids[g] for g in result.best],
+        "train": report_dict(result.report),
         "test": report_dict(test_report),
         "history": [list(entry) for entry in result.history],
         "evaluations": result.evaluations,

@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Assessment
 from .criteria import (
-    CriteriaContext, FitnessReport, Genes, _check_k, _fold, _from_sums, _lambda,
+    CriteriaContext, FitnessReport, _check_k, _fold, _from_sums, _lambda,
     batch_criteria, combined, fitness, sample_subsets,
 )
 
@@ -68,7 +67,7 @@ class GaConfig:
 @dataclass(frozen=True)
 class SearchResult:
     algorithm: str
-    best: Assessment
+    best: tuple[int, ...]
     report: FitnessReport
     history: tuple[GenerationStats, ...]
     evaluations: int
@@ -182,10 +181,10 @@ def random_search(ctx: CriteriaContext, k: int, seed: int = 0) -> SearchResult:
     _lambda(ctx)
     _check_k(ctx, k)
     rng = np.random.default_rng(seed)
-    genes = [int(g) for g in rng.choice(ctx.n_questions, size=k, replace=False)]
+    genes = tuple(int(g) for g in rng.choice(ctx.n_questions, size=k, replace=False))
     report = fitness(ctx, genes)
     stats = GenerationStats(0, report.fitness, report.fitness)
-    return SearchResult("random", Assessment(tuple(genes)), report, (stats,), 1)
+    return SearchResult("random", genes, report, (stats,), 1)
 
 
 def greedy_search(ctx: CriteriaContext, k: int) -> SearchResult:
@@ -213,10 +212,8 @@ def greedy_search(ctx: CriteriaContext, k: int) -> SearchResult:
         head = sums[j]
         row += ctx.stats[q]
         history.append(GenerationStats(step, float(fits[j]), float(fits.mean())))
-    report = fitness(ctx, chosen)
-    return SearchResult(
-        "greedy", Assessment(tuple(chosen)), report, tuple(history), evaluations
-    )
+    genes = tuple(chosen)
+    return SearchResult("greedy", genes, fitness(ctx, genes), tuple(history), evaluations)
 
 
 def ga_search(ctx: CriteriaContext, cfg: GaConfig) -> SearchResult:
@@ -250,9 +247,7 @@ def ga_search(ctx: CriteriaContext, cfg: GaConfig) -> SearchResult:
         history.append(GenerationStats(generation, float(fits[i]), float(fits.mean())))
     genes = tuple(int(g) for g in best)
     evaluations = cfg.population_size * (cfg.generations + 1)
-    return SearchResult(
-        "ga", Assessment(genes), fitness(ctx, genes), tuple(history), evaluations
-    )
+    return SearchResult("ga", genes, fitness(ctx, genes), tuple(history), evaluations)
 
 
 # Largest number of subsets the exhaustive oracle will enumerate.
@@ -327,20 +322,20 @@ def brute_force(ctx: CriteriaContext, k: int) -> SearchResult:
     _check_k(ctx, k)
     if math.comb(ctx.n_questions, k) > BRUTE_FORCE_LIMIT:
         raise ValueError("instance too large for exhaustive search")
-    best = (np.inf, [])
+    best = (np.inf, ())
     fit_sum, count = 0.0, 0
     for prefixes, tails, fits in _subset_fits(ctx, k, lam):
         fit_sum += float(fits.sum())
         count += fits.size
         i, j = divmod(int(np.argmax(fits)), len(tails))
-        best = min(best, (-float(fits[i, j]), prefixes[i].tolist() + tails[j].tolist()))
+        best = min(best, (-float(fits[i, j]), tuple(prefixes[i].tolist() + tails[j].tolist())))
     assert count == math.comb(ctx.n_questions, k)
     report = fitness(ctx, best[1])
     stats = GenerationStats(0, report.fitness, fit_sum / count)
-    return SearchResult("brute", Assessment(tuple(best[1])), report, (stats,), count)
+    return SearchResult("brute", best[1], report, (stats,), count)
 
 
-def swap_gain(ctx: CriteriaContext, genes: Genes) -> float:
+def swap_gain(ctx: CriteriaContext, genes: Sequence[int]) -> float:
     """The largest change in fitness from exchanging one question of the
     assessment for one outside it, over all K (Q - K) single swaps, or 0.0
     when the assessment holds every question. A positive gain means the
@@ -351,7 +346,7 @@ def swap_gain(ctx: CriteriaContext, genes: Genes) -> float:
     C at once; the best swap by these sums is re-scored with ``fitness``.
     """
     current = fitness(ctx, genes)
-    chosen = np.asarray(genes.genes if isinstance(genes, Assessment) else genes, dtype=np.intp)
+    chosen = np.asarray(genes, dtype=np.intp)
     inside = np.zeros(ctx.n_questions, dtype=bool)
     inside[chosen] = True
     outside = np.flatnonzero(~inside)

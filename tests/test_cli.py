@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from diaggen import CriteriaContext, calibrate_lambda, split_learners
+from diaggen.core import sigmoid
+from diaggen.estimation import fit_abilities, fit_rasch
 from diaggen.io import read_interactions, read_snapshot
 from diaggen.cli import derive_seeds, main
 from diaggen.search import swap_gain
@@ -169,6 +171,41 @@ class TestEstimate:
         assert (code, out) == (1, "")
         assert err == "error: no records from the fitting learners for questions: ['q2']\n"
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("split_seed", [0, 1, 2, 3])
+    def test_rasch_scores_a_question_only_held_out_learners_answered(
+        self, tmp_path, capsys, split_seed
+    ):
+        # Only l19 answers qX; it is held out at split seeds 1 and 3.
+        path = tmp_path / "log.csv"
+        path.write_text(
+            "learner_id,question_id,correct,order\n"
+            + "".join(
+                f"l{l},q{q},{int(l * (q + 2) % 7 < 4)},{q}\n" for l in range(20) for q in range(3)
+            )
+            + "l19,qX,1,9\n"
+        )
+        snapshots = {}
+        for estimator in ("rasch", "ratio"):
+            out_path = tmp_path / f"{estimator}.csv"
+            code, _, err = run_cli(
+                capsys, "estimate", "--interactions", str(path), "--estimator", estimator,
+                "--split-seed", str(split_seed), "--out", str(out_path),
+            )
+            assert code == 0, err
+            snapshots[estimator] = read_snapshot(out_path)
+        rasch = snapshots["rasch"]
+        assert set(rasch.question_ids) == set(snapshots["ratio"].question_ids)
+        log = read_interactions(path)
+        train = split_learners(range(len(log.learner_ids)), 0.8, split_seed).train
+        model = fit_rasch(log.restrict_learners({log.learner_ids[i] for i in train}))
+        scored = fit_abilities(model, log)
+        assert (rasch.question_ids, rasch.learner_ids) == (scored.question_ids, scored.learner_ids)
+        assert (19 not in train) == (split_seed in (1, 3))
+        if 19 not in train:
+            assert scored.question_ids[-1] == "qX" and scored.b[-1] == 0.0
+            # The written digits are within 5e-7 of sigmoid(theta - 0).
+            np.testing.assert_allclose(rasch.values[-1], sigmoid(scored.theta), rtol=0, atol=5e-7)
 
     @pytest.mark.parametrize(
         "flag, value, message",

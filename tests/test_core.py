@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from diaggen import (
-    Assessment,
     InteractionLog,
     Snapshot,
     build_pool,
@@ -234,19 +233,6 @@ class TestSnapshot:
             hash(snap)
 
 
-class TestAssessment:
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="distinct"):
-            Assessment((1, 2, 1))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Assessment((0, -1))
-
-    def test_keeps_order(self):
-        assert Assessment((3, 1, 2)).genes == (3, 1, 2)
-
-
 def reference_split(learners, ratio, seed):
     """``split_learners`` as it was written with per-learner generators."""
     pool = sorted(int(x) for x in learners)
@@ -338,7 +324,7 @@ class TestSplitLearners:
 
     def test_split_sides_must_be_disjoint(self):
         with pytest.raises(ValueError, match="^train and test learners overlap$"):
-            LearnerSplit(train=(0, 1), test=(1, 2), seed=0, ratio=0.5)
+            LearnerSplit(train=(0, 1), test=(1, 2))
 
     @pytest.mark.parametrize("ratio", [0.0, 1.0, -0.2, 1.7])
     def test_bad_ratio(self, ratio):

@@ -132,9 +132,10 @@ class TestDiscrepancy:
             ctx = CriteriaContext.build(snap, range(snap.n_learners))
             assert criteria_of(ctx, range(snap.n_questions))[0] == 0.0
 
-    def test_rejects_out_of_range_gene(self, toy_ctx):
+    @pytest.mark.parametrize("genes", [[0, 4], [0, -1]])
+    def test_rejects_out_of_range_gene(self, toy_ctx, genes):
         with pytest.raises(ValueError, match="out of range"):
-            fitness(toy_ctx, [0, 4])
+            fitness(toy_ctx, genes)
 
     def test_rejects_duplicate_genes(self, toy_ctx):
         with pytest.raises(ValueError, match="distinct"):

@@ -441,10 +441,27 @@ class TestFitAbilities:
         fit_abilities(model, log.restrict_learners({f"l{l}" for l in range(20, 30)}))
         np.testing.assert_array_equal(model.b, before)
 
-    def test_unknown_question_rejected(self):
+    def test_unseen_questions_appended_with_zero_difficulty(self):
+        rng = np.random.default_rng(47)
+        log = bernoulli_log(rng.standard_normal(30), rng.standard_normal(6), 47)
+        model = fit_rasch(log.restrict_learners({f"l{l}" for l in range(20)}))
+        # q9 and q8 were never answered in the fit; q3 and q0 were.
+        unseen = make_log(
+            [("lx", "q9", 1, 0), ("lx", "q3", 0, 1), ("ly", "q8", 0, 0), ("ly", "q0", 1, 1),
+             ("ly", "q9", 1, 2)]
+        )
+        scored = fit_abilities(model, unseen)
+        assert scored.question_ids == model.question_ids + ("q9", "q8")
+        assert scored.b[:-2].tobytes() == model.b.tobytes()
+        assert scored.b[-2:].tobytes() == np.zeros(2).tobytes()
+        # Scored as questions the model holds with b = 0 would be.
+        extended = dataclasses.replace(model, question_ids=scored.question_ids, b=scored.b)
+        assert fit_abilities(extended, unseen).theta.tobytes() == scored.theta.tobytes()
+
+    def test_empty_log_rejected(self):
         model = fit_rasch(make_log([("l0", "q0", 1, 0), ("l1", "q0", 0, 0)]))
-        with pytest.raises(ValueError, match="not in the fitted model"):
-            fit_abilities(model, make_log([("lx", "q9", 1, 0)]))
+        with pytest.raises(ValueError, match="^empty interaction log$"):
+            fit_abilities(model, make_log([]))
 
 
 class TestSufficiencyCurve:

@@ -1024,15 +1024,14 @@ class TestResultDocument:
         train = CriteriaContext.build(snap, split.train, lam=0.4)
         test = CriteriaContext.build(snap, split.test, lam=0.4)
         result = random_search(train, 3, seed=11)
-        return snap, result, result.report, fitness(test, result.best)
+        return snap, result, fitness(test, result.best)
 
     def test_consistency_and_structure(self, tmp_path):
-        snap, result, train_rep, test_rep = self.make_result()
+        snap, result, test_rep = self.make_result()
         path = tmp_path / "result.json"
         record = result_record(
             result,
             question_ids=snap.question_ids,
-            train_report=train_rep,
             test_report=test_rep,
             swap_gain=0.25,
             config={"seed": 11, "lambda": 0.4},
@@ -1073,11 +1072,10 @@ class TestResultDocument:
         assert docs[0] == docs[1]
 
     def test_record_history_serializable(self):
-        snap, result, train_rep, test_rep = self.make_result()
+        snap, result, test_rep = self.make_result()
         doc = result_record(
             result,
             question_ids=snap.question_ids,
-            train_report=train_rep,
             test_report=test_rep,
             swap_gain=0.25,
             config={"seed": 11, "lambda": 0.4},

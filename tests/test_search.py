@@ -22,7 +22,7 @@ from diaggen import (
     simulate,
 )
 from diaggen import search
-from diaggen.core import Assessment, split_learners
+from diaggen.core import split_learners
 from diaggen.criteria import _criteria, batch_criteria
 from diaggen.search import GaConfig, _subset_fits, swap_gain, tournament_size
 
@@ -315,14 +315,14 @@ class TestGaSearch:
         cfg = GaConfig(k=2, population_size=20, generations=10, seed=0)
         result = ga_search(toy_ctx, cfg)
         oracle = brute_force(toy_ctx, 2)
-        assert sorted(result.best.genes) == [1, 3]
+        assert sorted(result.best) == [1, 3]
         assert result.report.fitness == pytest.approx(oracle.report.fitness, abs=1e-12)
         assert result.report.fitness == pytest.approx(0.0, abs=1e-12)
 
     def test_k_equals_pool_size(self, toy_ctx):
         cfg = GaConfig(k=4, population_size=6, generations=2, seed=1)
         result = ga_search(toy_ctx, cfg)
-        assert sorted(result.best.genes) == [0, 1, 2, 3]
+        assert sorted(result.best) == [0, 1, 2, 3]
         assert result.report.fitness == toy_ctx.lam * result.report.std
 
     def test_deterministic(self, toy_ctx):
@@ -358,8 +358,8 @@ class TestGaSearch:
     def test_population_invariants_hold_every_generation(self, toy_ctx):
         # distinct valid genes in every recorded best of every generation
         result = ga_search(toy_ctx, GaConfig(k=2, population_size=8, generations=4, seed=3))
-        assert all_distinct([result.best.genes])
-        assert all(0 <= g < 4 for g in result.best.genes)
+        assert all_distinct([result.best])
+        assert all(0 <= g < 4 for g in result.best)
 
     def test_k_too_large(self, toy_ctx):
         with pytest.raises(ValueError, match="k exceeds"):
@@ -368,14 +368,14 @@ class TestGaSearch:
     def test_odd_population_allowed(self, toy_ctx):
         cfg = GaConfig(k=2, population_size=7, generations=3, seed=9)
         result = ga_search(toy_ctx, cfg)
-        assert len(result.best.genes) == 2
+        assert len(result.best) == 2
 
 
 class TestGreedySearch:
     def test_toy_k1_prefers_low_index_on_tie(self, toy_ctx):
         # singletons 1 and 3 both score about -0.1, far above rows 0 and 2
         result = greedy_search(toy_ctx, 1)
-        assert result.best.genes == (1,)
+        assert result.best == (1,)
 
     def test_exact_tie_breaks_to_lower_index(self):
         # identical rows give bitwise-equal fitness
@@ -383,7 +383,7 @@ class TestGreedySearch:
         snap = Snapshot(values, ("a", "b", "c"), ("x", "y"))
         ctx = CriteriaContext.build(snap, [0, 1], lam=0.5)
         result = greedy_search(ctx, 1)
-        assert result.best.genes == (0,)
+        assert result.best == (0,)
 
     def test_exact_tie_after_first_step_breaks_to_lower_index(self):
         # rows 1 and 4 are identical; after question 2, both extend the
@@ -399,11 +399,11 @@ class TestGreedySearch:
         )
         snap = Snapshot(values, tuple("abcde"), tuple("wxyz"))
         ctx = CriteriaContext.build(snap, range(4), lam=0.5)
-        assert greedy_search(ctx, 2).best.genes == (2, 1)
+        assert greedy_search(ctx, 2).best == (2, 1)
 
     def test_k_equals_pool(self, toy_ctx):
         result = greedy_search(toy_ctx, 4)
-        assert sorted(result.best.genes) == [0, 1, 2, 3]
+        assert sorted(result.best) == [0, 1, 2, 3]
 
     def test_evaluation_budget(self, toy_ctx):
         result = greedy_search(toy_ctx, 2)
@@ -428,7 +428,7 @@ class TestGreedySearch:
         snap = random_snapshot(17, n_questions=20, n_learners=40)
         ctx = CriteriaContext.build(snap, range(40), lam=0.4)
         result = greedy_search(ctx, 8)
-        chosen = list(result.best.genes)
+        chosen = list(result.best)
         for step, stats in enumerate(result.history, start=1):
             cand = [q for q in range(20) if q not in chosen[:step - 1]]
             rows = np.array([chosen[:step - 1] + [c] for c in cand], dtype=np.intp)
@@ -444,7 +444,7 @@ class TestRandomSearch:
 
     def test_k_equals_pool(self, toy_ctx):
         result = random_search(toy_ctx, 4, seed=0)
-        assert sorted(result.best.genes) == [0, 1, 2, 3]
+        assert sorted(result.best) == [0, 1, 2, 3]
         assert result.report.fitness == toy_ctx.lam * result.report.std
 
     def test_k_too_large(self, toy_ctx):
@@ -462,7 +462,7 @@ class TestRandomSearch:
 class TestBruteForce:
     def test_toy_optimum(self, toy_ctx):
         result = brute_force(toy_ctx, 2)
-        assert result.best.genes == (1, 3)
+        assert result.best == (1, 3)
         assert result.report.fitness == pytest.approx(0.0, abs=1e-12)
         assert result.evaluations == 6
 
@@ -479,7 +479,7 @@ class TestBruteForce:
             brute_force(ctx, 25)
 
     def test_k_equals_pool(self, toy_ctx):
-        assert sorted(brute_force(toy_ctx, 4).best.genes) == [0, 1, 2, 3]
+        assert sorted(brute_force(toy_ctx, 4).best) == [0, 1, 2, 3]
 
     def test_dominates_other_algorithms(self):
         for seed in range(3):
@@ -508,7 +508,7 @@ class TestBruteForce:
             subsets, fits = all_fitnesses(ctx, k)
             tied = subsets[fits == fits.max()]
             assert len(tied) >= 2
-            assert brute_force(ctx, k).best.genes == tuple(tied[0])
+            assert brute_force(ctx, k).best == tuple(tied[0])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_tie_in_a_later_block_goes_to_lexicographically_smallest(self, seed):
@@ -516,7 +516,7 @@ class TestBruteForce:
         ctx = CriteriaContext.build(binary_snapshot(seed), range(8), lam=0.5)
         for k in range(2, 9):
             subsets, fits = all_fitnesses(ctx, k)
-            assert brute_force(ctx, k).best.genes == tuple(subsets[fits == fits.max()][0])
+            assert brute_force(ctx, k).best == tuple(subsets[fits == fits.max()][0])
 
     def test_all_equal_snapshot_takes_first_subset(self):
         snap = all_equal_snapshot(8)
@@ -524,7 +524,7 @@ class TestBruteForce:
         for k in range(1, 9):
             _, fits = all_fitnesses(ctx, k)
             assert (fits == fits[0]).all()
-            assert brute_force(ctx, k).best.genes == tuple(range(k))
+            assert brute_force(ctx, k).best == tuple(range(k))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_reference_on_random_snapshots(self, seed):
@@ -600,7 +600,7 @@ class TestBruteForce:
     def assert_matches_reference(ctx, k):
         genes, evaluations, mean = reference_brute_force(ctx, k)
         result = brute_force(ctx, k)
-        assert result.best.genes == genes
+        assert result.best == genes
         assert result.evaluations == evaluations == math.comb(ctx.n_questions, k)
         assert abs(result.history[0].mean - mean) <= 1e-12
         assert result.report == fitness(ctx, genes)
@@ -623,6 +623,21 @@ class TestBruteForce:
         assert peak <= 8 * 2**20
 
 
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda ctx: random_search(ctx, 2, seed=1),
+        lambda ctx: greedy_search(ctx, 2),
+        lambda ctx: ga_search(ctx, GaConfig(k=2, population_size=6, generations=2, seed=1)),
+        lambda ctx: brute_force(ctx, 2),
+    ],
+    ids=["random", "greedy", "ga", "brute"],
+)
+def test_best_is_a_tuple_of_python_ints(toy_ctx, search):
+    best = search(toy_ctx).best
+    assert type(best) is tuple and all(type(g) is int for g in best)
+
+
 class TestSwapGain:
     def test_matches_every_single_swap(self):
         snap = random_snapshot(41, n_questions=9, n_learners=25)
@@ -638,7 +653,6 @@ class TestSwapGain:
                 if t not in genes
             ]
             assert swap_gain(ctx, genes) == pytest.approx(max(gains), abs=1e-12)
-            assert swap_gain(ctx, Assessment(tuple(genes))) == swap_gain(ctx, genes)
 
     def test_full_pool_has_no_swap(self, toy_ctx):
         assert swap_gain(toy_ctx, [3, 1, 0, 2]) == 0.0
