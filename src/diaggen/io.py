@@ -32,7 +32,10 @@ def read_interactions(path: str | Path) -> InteractionLog:
     """Parse an interaction CSV; raises with a line number on bad rows.
 
     A file in the plain form that ``write_interactions`` gives plain ids is
-    parsed in one vectorised pass over its bytes. It qualifies when it
+    parsed in numpy a block of ``_BLOCK_BYTES`` of whole lines at a time,
+    straight into the log's columns: beyond the file's bytes and the
+    columns, it holds one block's temporaries and a table of the distinct
+    ids. It qualifies when it
     starts with the exact header line; holds no ``"``, CR or NUL byte and
     no blank line; every line has exactly three commas; ``correct`` is the
     single byte 0 or 1 and ``order`` 1-18 ASCII digits; no field is longer
@@ -55,8 +58,12 @@ def read_interactions(path: str | Path) -> InteractionLog:
 _HEADER_LINE = (",".join(INTERACTION_HEADER) + "\n").encode()
 # Orders of at most 18 digits stay below 2**63.
 _ORDER_DIGITS = 18
-# Bytes searched for a separator at a time; this bounds the temporaries.
-_BLOCK_BYTES = 1 << 20
+# Bytes of whole lines the one-pass reader parses at a time; this bounds its
+# temporaries.
+_BLOCK_BYTES = 1 << 18
+# ``_ranks`` binary-searches the distinct values when there are at least this
+# many values per distinct value.
+_SEARCHED_VALUES = 64
 # The snapshot reader's buffer holds a line of 6000 cells, 54 KB, in one read
 # where the default 8 KiB takes seven; a read stays within 1 MiB of its values.
 _READ_BYTES = 1 << 17
@@ -86,110 +93,180 @@ def _interaction_columns(data: bytes) -> tuple | None:
     columns) of a file in the form that ``read_interactions`` parses in one
     pass, or None for any other file. Every line, the header first, is three
     commas and then its line end: four separators per line end, every fourth
-    of them a line end."""
+    of them a line end. The records are parsed ``_BLOCK_BYTES`` of whole
+    lines at a time, straight into the columns."""
     if not data.endswith(b"\n"):
         data += b"\n"
     if not data.startswith(_HEADER_LINE) or any(byte in data for byte in (b'"', b"\r", b"\0")):
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    separators = _separators(buf)
-    if separators.size != 4 * data.count(b"\n") or np.any(buf[separators[3::4]] != ord("\n")):
-        return None
-    lines = separators.reshape(-1, 4)
-    if lines.shape[0] == 1:
+    blocks = range(0, buf.size, _BLOCK_BYTES)
+    n = sum(np.count_nonzero(buf[at : at + _BLOCK_BYTES] == ord("\n")) for at in blocks) - 1
+    if n == 0:
         empty = np.zeros(0, dtype=np.int64)
         return (), (), empty, empty, empty.astype(bool), empty
-    starts = lines[:-1, 3] + 1
-    comma0, comma1, comma2, ends = lines[1:].T
-    too_long = max((comma0 - starts).max(), (comma1 - comma0 - 1).max()) > csv.field_size_limit()
+    ids = _IdCodes(buf, n), _IdCodes(buf, n)
+    columns = tuple(np.empty(n, dtype=dtype) for dtype in (np.intp, np.intp, bool, np.int64))
+    at, row = len(_HEADER_LINE), 0
+    while at < len(data):
+        # The block's last line end, or the end of a line longer than a block.
+        end = (data.rfind(b"\n", at, at + _BLOCK_BYTES) + 1) or (data.find(b"\n", at) + 1)
+        lines = _read_lines(buf, at, end, ids, [column[row:] for column in columns])
+        if lines is None:
+            return None
+        at, row = end, row + lines
+    return (*(tuple(table.ids) for table in ids), *columns)
+
+
+def _read_lines(buf: np.ndarray, at: int, end: int, ids: tuple, columns: list) -> int | None:
+    """Parse the whole lines ``buf[at:end]`` into the front of the
+    ``columns`` (learner, question, correct, order), numbering their ids in
+    the ``_IdCodes`` tables ``ids``; the number of lines, or None if one is
+    not in the plain form. Its temporaries end with the call."""
+    block = buf[at:end]
+    separators = block == ord("\n")
+    n = np.count_nonzero(separators)
+    separators |= block == ord(",")
+    # As the narrowest signed integers that can index buf.
+    separators = np.flatnonzero(separators).astype(np.int32 if buf.size < 2**31 else np.int64)
+    separators += at
+    if separators.size != 4 * n or np.any(buf[separators[3::4]] != ord("\n")):
+        return None
+    comma0, comma1, comma2, ends = separators.reshape(-1, 4).T
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = at, ends[:-1] + 1
+    limit = csv.field_size_limit()
+    too_long = max((comma0 - starts).max(), (comma1 - comma0 - 1).max()) > limit
     if too_long or np.any(comma2 - comma1 != 2):
         return None
-    correct = buf[comma1 + 1]
-    if np.any((correct != ord("0")) & (correct != ord("1"))):
+    flags = buf[comma1 + 1]
+    if np.any((flags != ord("0")) & (flags != ord("1"))):
         return None
-    learner = _id_column(buf, starts, comma0)
-    question = _id_column(buf, comma0 + 1, comma1)
-    order = _digits(buf, comma2, ends)
-    if learner is None or question is None or order is None:
-        return None
-    return learner[0], question[0], learner[1], question[1], correct == ord("1"), order
+    learner, question, correct, order = (column[:n] for column in columns)
+    np.equal(flags, ord("1"), out=correct)
+    read = (
+        ids[0].number(starts, comma0, out=learner)
+        and ids[1].number(comma0 + 1, comma1, out=question)
+        and _digits(buf, comma2, ends, out=order)
+    )
+    return n if read else None
 
 
-def _separators(buf: np.ndarray) -> np.ndarray:
-    """Where ``buf`` holds a comma or a line end, in order, as the narrowest
-    signed integers that can index it; searched a block at a time."""
-    dtype = np.int32 if buf.size < 2**31 else np.int64
-    found = []
-    for at in range(0, buf.size, _BLOCK_BYTES):
-        block = buf[at : at + _BLOCK_BYTES]
-        positions = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
-        found.append(positions.astype(dtype) + at)
-    return np.concatenate(found)
-
-
-def _digits(buf: np.ndarray, before: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The non-negative integers spelled by ``buf[before + 1:end]``, read right-aligned
-    a digit column at a time; None if one is empty, too long or holds a non-digit."""
+def _digits(buf: np.ndarray, before: np.ndarray, ends: np.ndarray, out: np.ndarray) -> bool:
+    """Whether each ``buf[before + 1:end]`` spells a non-negative integer of
+    1 to ``_ORDER_DIGITS`` digits; if so, the integers are in ``out``. Read
+    right-aligned a digit column at a time."""
     lengths = ends - before - 1
     if lengths.min() < 1 or lengths.max() > _ORDER_DIGITS:
-        return None
-    value = np.zeros(ends.size, dtype=np.int64)
+        return False
+    out[:] = 0
     for back in range(int(lengths.max()), 0, -1):
         at = ends - back
         # Bytes below "0" wrap past 9; columns before a field's first digit read as 0.
         digit = buf[at] - np.uint8(ord("0"))
         digit[at <= before] = 0
         if np.any(digit > 9):
-            return None
-        value *= 10
-        value += digit
-    return value
+            return False
+        out *= 10
+        out += digit
+    return True
 
 
-def _id_column(
-    buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
-) -> tuple[tuple[str, ...], np.ndarray] | None:
-    """The distinct ids ``buf[start:end]`` in order of first appearance and
-    each field's index into them; None when an id is not strict UTF-8 or the
-    keys, ids zero-padded in front to whole 8-byte words, would take more
-    bytes than ``buf``. The file has no NUL, so no two ids share a key. Only
-    the first field of each run of equal fields is ranked, one uint64 word at
-    a time: a log grouped by learner ranks one key per learner."""
-    lengths = ends - starts
-    n_words = max(-(-int(lengths.max()) // 8), 1)
-    if starts.size * n_words * 8 > buf.size:
-        return None
-    # Element i is the little-endian word of buf[i:i + 8]. Word j of a field ends
-    # 8 j bytes before it; one that would start before buf is masked to zero.
-    ending = np.ndarray((buf.size - 7,), np.dtype("<u8"), buf, strides=(1,))
-    words = [
-        ending[np.maximum(ends - 8 * j - 8, 0)] & _KEEP_HIGH[np.clip(lengths - 8 * j, 0, 8)]
-        for j in range(n_words)
-    ]
-    heads = np.ones(starts.size, dtype=bool)
-    heads[1:] = np.any([word[1:] != word[:-1] for word in words], axis=0)
-    words = [word[heads] for word in words]
-    code, count = _ranks(words[0])
-    for word in words[1:]:
-        code, count = _ranks(code * starts.size + _ranks(word)[0])
-    positions, code = _first_appearances(code, count)
-    # Each id is followed by a comma: decode "id,id,...,id," in one piece.
-    rows = np.flatnonzero(heads)[positions]
-    spans = lengths[rows] + 1
-    at = np.arange(spans.sum()) + np.repeat(starts[rows] - np.cumsum(spans) + spans, spans)
-    try:
-        ids = tuple(buf[at].tobytes().decode("utf-8").split(",")[:-1])
-    except UnicodeDecodeError:
-        return None
-    return ids, code[np.cumsum(heads) - 1]
+class _IdCodes:
+    """The distinct ids of one id column of the file ``buf``, numbered in
+    order of first appearance as its fields are read a block at a time.
+
+    An id's key is its bytes zero-padded in front to whole 8-byte words,
+    word 0 last. The file has no NUL, so no two ids share a key, and a key
+    spells its id. The keys of a column of ``n`` fields, padded to its
+    longest id, may take no more bytes than ``buf``; a field that would
+    outgrow that declines the file.
+    """
+
+    def __init__(self, buf: np.ndarray, n: int) -> None:
+        # Element i is the little-endian word of buf[i:i + 8].
+        self.ending = np.ndarray((buf.size - 7,), np.dtype("<u8"), buf, strides=(1,))
+        self.most_words = buf.size // (8 * n)
+        self.ids: list[str] = []
+        # Word j of each id's key, in the order of ``ids``.
+        self.keys: list[np.ndarray] = []
+
+    def number(self, starts: np.ndarray, ends: np.ndarray, out: np.ndarray) -> bool:
+        """Whether the ids of the fields ``buf[start:end]`` are strict UTF-8
+        and their keys would not outgrow the file; if so, the ids not seen
+        before are added, and each field's index into ``ids`` is in ``out``.
+        Only the first field of each run of equal fields is ranked, with the
+        keys of the ids seen so far, one word at a time: a log grouped by
+        learner ranks one key per learner."""
+        lengths = ends - starts
+        n_words = max(-(-int(lengths.max()) // 8), 1)
+        if n_words > self.most_words:
+            return False
+        # Word j of a key ends 8 j bytes before its field does; one that would
+        # start before buf, which begins with the header, is masked to zero.
+        words = [
+            self.ending[np.maximum(ends - (8 * j + 8), 0)]
+            & _KEEP_HIGH[np.minimum(np.maximum(lengths - 8 * j, 0), 8)]
+            for j in range(n_words)
+        ]
+        heads = np.zeros(starts.size, dtype=bool)
+        heads[0] = True
+        for word in words:
+            heads[1:] |= word[1:] != word[:-1]
+        n_seen, n_heads = len(self.ids), np.count_nonzero(heads)
+        width = max(n_words, len(self.keys))
+        words += [np.zeros(starts.size, dtype=np.uint64)] * (width - n_words)
+        self.keys += [np.zeros(n_seen, dtype=np.uint64)] * (width - len(self.keys))
+        keys = [np.concatenate((seen, word[heads])) for seen, word in zip(self.keys, words)]
+        code, count = _ranks(keys[0])
+        for key in keys[1:]:
+            code, count = _ranks(code * key.size + _ranks(key)[0])
+        # A head takes the number of the seen key it equals; the others, new,
+        # take the next numbers in order of first appearance.
+        numbers = np.full(count, -1)
+        numbers[code[:n_seen]] = np.arange(n_seen)
+        codes = numbers[code[n_seen:]]
+        new = np.flatnonzero(codes < 0)
+        if new.size:
+            first, fresh = _first_appearances(code[n_seen:][new], count)
+            added = n_seen + new[first]
+            try:
+                self.ids += _spelled([key[added] for key in keys]).decode("utf-8").split(",")[:-1]
+            except UnicodeDecodeError:
+                return False
+            codes[new] = n_seen + fresh
+            self.keys = [np.concatenate((seen, key[added])) for seen, key in zip(self.keys, keys)]
+        out[:] = codes if n_heads == out.size else codes[np.cumsum(heads) - 1]
+        return True
+
+
+def _spelled(keys: list[np.ndarray]) -> bytes:
+    """The ids whose keys are ``keys``, word j of key i in ``keys[j][i]``,
+    each followed by a comma: a key's bytes, word 0 last, are its id's after
+    the zeros in front."""
+    text = np.zeros((keys[0].size, 8 * len(keys) + 1), dtype=np.uint8)
+    text[:, :-1] = np.stack(keys[::-1], axis=1).astype("<u8").view(np.uint8)
+    text[:, -1] = ord(",")
+    return text[text != 0].tobytes()
 
 
 def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each value's rank, found by binary search among the distinct ``values``
-    (the sorted values unequal to the one before), and their number."""
+    """The rank of each of ``values``, which are not empty, among the distinct
+    values, and their number. A value is found by binary search among the
+    distinct values when they are few, one per ``_SEARCHED_VALUES`` values or
+    fewer, as in a log's question column; otherwise the count of distinct
+    values up to each sorted value is put in place through the sorting
+    permutation, whose cost does not grow with the number of distinct values."""
     ordered = np.sort(values)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    return np.searchsorted(distinct, values), distinct.size
+    firsts = np.empty(values.size, dtype=bool)
+    firsts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=firsts[1:])
+    count = int(np.count_nonzero(firsts))
+    if count * _SEARCHED_VALUES <= values.size:
+        return np.searchsorted(ordered[firsts], values), count
+    ranks = np.empty(values.size, dtype=np.intp)
+    ranks[np.argsort(values)] = np.cumsum(firsts) - 1
+    return ranks, count
 
 
 def _read_interaction_rows(data: bytes) -> InteractionLog:

@@ -15,6 +15,7 @@ from diaggen import (
     fitness,
 )
 from diaggen.criteria import _sorted_rows, batch_criteria, sample_subsets
+from diaggen.search import swap_gain
 
 from conftest import random_snapshot
 
@@ -132,10 +133,44 @@ class TestDiscrepancy:
             ctx = CriteriaContext.build(snap, range(snap.n_learners))
             assert criteria_of(ctx, range(snap.n_questions))[0] == 0.0
 
-    @pytest.mark.parametrize("genes", [[0, 4], [0, -1]])
+    @pytest.mark.parametrize(
+        "genes",
+        [
+            [0, 4],
+            [0, -1],
+            [0, 2**70],
+            np.array([0, 2**64 - 1], dtype=np.uint64),
+            [0.9, 1.9],
+            [0, 1.0],
+            [True, 2],
+            [np.True_, 2],
+            np.array([0.9, 1.9]),
+            np.array([True, False]),
+        ],
+    )
     def test_rejects_out_of_range_gene(self, toy_ctx, genes):
-        with pytest.raises(ValueError, match="out of range"):
-            fitness(toy_ctx, genes)
+        # Fractional and bool genes are not read as the integers they cast to.
+        integers = all(isinstance(g, (int, np.integer)) and not isinstance(g, bool) for g in genes)
+        message = "^gene index out of range" if integers else "^gene indices must be integers$"
+        scorers = [
+            lambda: fitness(toy_ctx, genes),
+            lambda: swap_gain(toy_ctx, genes),
+            lambda: batch_criteria(toy_ctx, [genes]),
+        ]
+        if isinstance(genes, np.ndarray):
+            scorers.append(lambda: batch_criteria(toy_ctx, genes[None]))
+        for score in scorers:
+            with pytest.raises(ValueError, match=message):
+                score()
+
+    @pytest.mark.parametrize(
+        "genes", [(np.int64(0), 3), np.array([0, 3], dtype=np.uint8), np.array([0, 3], dtype=object)]
+    )
+    def test_integer_genes_of_any_type(self, toy_ctx, genes):
+        assert fitness(toy_ctx, genes) == fitness(toy_ctx, [0, 3])
+        assert swap_gain(toy_ctx, genes) == swap_gain(toy_ctx, [0, 3])
+        want = batch_criteria(toy_ctx, [[0, 3]])
+        assert all(np.array_equal(got, w) for got, w in zip(batch_criteria(toy_ctx, [genes]), want))
 
     def test_rejects_duplicate_genes(self, toy_ctx):
         with pytest.raises(ValueError, match="distinct"):

@@ -514,6 +514,84 @@ class TestInteractionsOnePass:
 
         assert read_outcome(read_interactions, path) == read_outcome(interaction_rows, path)
 
+    @pytest.mark.parametrize("block_bytes", [24, 64])
+    def test_small_blocks(self, tmp_path, monkeypatch, block_bytes):
+        # The run of l0 spans blocks, question "late" is first seen in the
+        # last block, and the ids take one to three words with the widest
+        # first seen last. Every line outgrows a block of 24 bytes; one of 64
+        # holds two lines of l0. Orders of 17 digits keep the ids, padded to
+        # three words, within the file.
+        monkeypatch.setattr(diaggen.io, "_BLOCK_BYTES", block_bytes)
+        records = [("l0", f"q{i % 3}") for i in range(8)]
+        records += [("a" * 8, "b" * 9), ("a" * 9, "b" * 16), ("a" * 16, "b" * 8)]
+        records += [("l0", "q1"), ("a" * 17, "b" * 17), ("l1", "late")]
+        text = "learner_id,question_id,correct,order\n" + "".join(
+            f"{l},{q},{o % 2},{10**16 + o}\n" for o, (l, q) in enumerate(records)
+        )
+        path = tmp_path / "log.csv"
+        path.write_text(text)
+        self.assert_one_pass_equals_row_loop(path)
+        log = read_interactions(path)
+        assert log.learner_ids == ("l0", "a" * 8, "a" * 9, "a" * 16, "a" * 17, "l1")
+        assert log.question_ids[-2:] == ("b" * 17, "late")
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_small_blocks_equal_row_loop(self, tmp_path_factory, data):
+        # Blocks of 16 to 160 bytes hold part of a line or up to six lines:
+        # runs of records of one learner are split across blocks, ids are
+        # first seen in late blocks, and ids of 8, 9, 16 and 17 bytes take
+        # one to three words; the last run's ids, of 17 bytes, are first seen
+        # in the last block. Orders of 17 digits keep the ids, padded to
+        # three words, within the file.
+        def spelled(letter, width):
+            """An id of ``width`` UTF-8 bytes: ``letter`` repeated, then "a"s."""
+            size = len(letter.encode())
+            return letter * (width // size) + "a" * (width % size)
+
+        ids = st.builds(
+            spelled, st.sampled_from(["a", "b", "é"]), st.sampled_from([1, 2, 8, 9, 16, 17])
+        )
+        learner_ids = data.draw(st.lists(ids, min_size=1, max_size=5), label="learners")
+        question_ids = data.draw(st.lists(ids, min_size=1, max_size=5), label="questions")
+        runs = data.draw(
+            st.lists(st.tuples(st.sampled_from(learner_ids), st.integers(1, 6)), max_size=10),
+            label="runs",
+        )
+        records = [
+            (learner, data.draw(st.sampled_from(question_ids)), data.draw(st.booleans()))
+            for learner, length in runs + [("z" * 17, 2)]
+            for _ in range(length)
+        ]
+        records[-1] = ("z" * 17, "y" * 17, True)
+        text = "learner_id,question_id,correct,order\n" + "".join(
+            f"{learner},{question},{int(correct)},{10**16 + order}\n"
+            for order, (learner, question, correct) in enumerate(records)
+        )
+        path = tmp_path_factory.mktemp("log") / "log.csv"
+        path.write_text(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diaggen.io, "_BLOCK_BYTES", data.draw(st.sampled_from([16, 48, 96, 160])))
+            self.assert_one_pass_equals_row_loop(path)
+
+    @pytest.mark.parametrize(
+        "last", [b"x,q0,2,99\n", b"x\xff,q0,1,99\n", b"x," + "学".encode()[:2] + b",1,99\n"]
+    )
+    def test_small_blocks_decline_in_last_block(self, tmp_path, monkeypatch, last):
+        # The file's only bad correct byte or non-UTF-8 id is in its last
+        # block: the file is declined, and the row loop names the fault.
+        monkeypatch.setattr(diaggen.io, "_BLOCK_BYTES", 32)
+        data = b"learner_id,question_id,correct,order\n" + b"".join(
+            b"l%d,q%d,1,%d\n" % (i // 3, i % 3, i) for i in range(30)
+        )
+        assert _interaction_columns(data) is not None
+        assert _interaction_columns(data + last) is None
+        path = tmp_path / "log.csv"
+        path.write_bytes(data + last)
+        got = read_outcome(read_interactions, path)
+        assert got == read_outcome(interaction_rows, path)
+        assert issubclass(got[0], ValueError)
+
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_ranks_equal_unique_inverse(self, data):
@@ -521,10 +599,12 @@ class TestInteractionsOnePass:
         edges = st.sampled_from([0, 1, 2**32, 2**63, 2**64 - 2, 2**64 - 1])
         words = st.one_of(edges, edges, st.integers(0, 2**64 - 1))
         values = np.array(data.draw(st.lists(words, min_size=1, max_size=40)), dtype=np.uint64)
-        ranks, count = diaggen.io._ranks(values)
-        distinct, inverse = np.unique(values, return_inverse=True)
-        assert ranks.tolist() == inverse.tolist()
-        assert count == distinct.size
+        # Repeated, the distinct values are few enough to be binary-searched.
+        for repeats in (1, diaggen.io._SEARCHED_VALUES):
+            ranks, count = diaggen.io._ranks(np.tile(values, repeats))
+            distinct, inverse = np.unique(np.tile(values, repeats), return_inverse=True)
+            assert ranks.tolist() == inverse.tolist()
+            assert count == distinct.size
 
 
 def csv_line(cells):
@@ -747,6 +827,24 @@ class TestSnapshotOnePass:
             tracemalloc.stop()
         assert peak <= snap.values.nbytes + (1 << 20)
         assert got.values.tobytes() == snapshot_rows(path).values.tobytes()
+
+
+@pytest.mark.parametrize("questions, mib", [(50, 16), (30, 10)])
+def test_interaction_read_memory(tmp_path, questions, mib):
+    # The benchmark's seed-101 logs, parsed a block of lines at a time: beyond
+    # the file's bytes and the log's columns, the log's checks take the most.
+    # Parsing the whole file at once peaked at 24.5 and 14.8 MiB.
+    _, log, _ = simulate(SimConfig(num_learners=6000, num_questions=questions, seed=101))
+    path = tmp_path / "log.csv"
+    write_interactions(log, path)
+    tracemalloc.start()
+    try:
+        got = read_interactions(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20
+    assert got == log
 
 
 @pytest.mark.parametrize(
