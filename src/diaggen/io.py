@@ -20,7 +20,7 @@ from typing import Any, BinaryIO, Iterator, Sequence
 
 import numpy as np
 
-from .core import InteractionLog, Snapshot, _first_appearances
+from .core import InteractionLog, Snapshot
 from .criteria import FitnessReport
 from .search import SearchResult
 
@@ -34,8 +34,8 @@ def read_interactions(path: str | Path) -> InteractionLog:
     A file in the plain form that ``write_interactions`` gives plain ids is
     parsed in numpy a block of ``_BLOCK_BYTES`` of whole lines at a time,
     straight into the log's columns: beyond the file's bytes and the
-    columns, it holds one block's temporaries and a table of the distinct
-    ids. It qualifies when it
+    columns, it holds about one block's temporaries and, per id column, the
+    positions of at most a few fields per distinct id. It qualifies when it
     starts with the exact header line; holds no ``"``, CR or NUL byte and
     no blank line; every line has exactly three commas; ``correct`` is the
     single byte 0 or 1 and ``order`` 1-18 ASCII digits; no field is longer
@@ -61,9 +61,6 @@ _ORDER_DIGITS = 18
 # Bytes of whole lines the one-pass reader parses at a time; this bounds its
 # temporaries.
 _BLOCK_BYTES = 1 << 18
-# ``_ranks`` binary-searches the distinct values when there are at least this
-# many values per distinct value.
-_SEARCHED_VALUES = 64
 # The snapshot reader's buffer holds a line of 6000 cells, 54 KB, in one read
 # where the default 8 KiB takes seven; a read stays within 1 MiB of its values.
 _READ_BYTES = 1 << 17
@@ -100,12 +97,11 @@ def _interaction_columns(data: bytes) -> tuple | None:
     if not data.startswith(_HEADER_LINE) or any(byte in data for byte in (b'"', b"\r", b"\0")):
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    blocks = range(0, buf.size, _BLOCK_BYTES)
-    n = sum(np.count_nonzero(buf[at : at + _BLOCK_BYTES] == ord("\n")) for at in blocks) - 1
+    n = data.count(b"\n") - 1
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
         return (), (), empty, empty, empty.astype(bool), empty
-    ids = _IdCodes(buf, n), _IdCodes(buf, n)
+    ids = _IdColumn(buf, n), _IdColumn(buf, n)
     columns = tuple(np.empty(n, dtype=dtype) for dtype in (np.intp, np.intp, bool, np.int64))
     at, row = len(_HEADER_LINE), 0
     while at < len(data):
@@ -115,20 +111,22 @@ def _interaction_columns(data: bytes) -> tuple | None:
         if lines is None:
             return None
         at, row = end, row + lines
-    return (*(tuple(table.ids) for table in ids), *columns)
+    learner_ids, question_ids = (table.finish(column) for table, column in zip(ids, columns))
+    if learner_ids is None or question_ids is None:
+        return None
+    return learner_ids, question_ids, *columns
 
 
 def _read_lines(buf: np.ndarray, at: int, end: int, ids: tuple, columns: list) -> int | None:
     """Parse the whole lines ``buf[at:end]`` into the front of the
     ``columns`` (learner, question, correct, order), numbering their ids in
-    the ``_IdCodes`` tables ``ids``; the number of lines, or None if one is
+    the ``_IdColumn`` tables ``ids``; the number of lines, or None if one is
     not in the plain form. Its temporaries end with the call."""
     block = buf[at:end]
     separators = block == ord("\n")
     n = np.count_nonzero(separators)
     separators |= block == ord(",")
-    # As the narrowest signed integers that can index buf.
-    separators = np.flatnonzero(separators).astype(np.int32 if buf.size < 2**31 else np.int64)
+    separators = np.flatnonzero(separators)
     separators += at
     if separators.size != 4 * n or np.any(buf[separators[3::4]] != ord("\n")):
         return None
@@ -172,38 +170,97 @@ def _digits(buf: np.ndarray, before: np.ndarray, ends: np.ndarray, out: np.ndarr
     return True
 
 
-class _IdCodes:
-    """The distinct ids of one id column of the file ``buf``, numbered in
-    order of first appearance as its fields are read a block at a time.
+class _IdColumn:
+    """One id column of the file ``buf``, read a block of fields at a time.
 
-    An id's key is its bytes zero-padded in front to whole 8-byte words,
-    word 0 last. The file has no NUL, so no two ids share a key, and a key
-    spells its id. The keys of a column of ``n`` fields, padded to its
-    longest id, may take no more bytes than ``buf``; a field that would
-    outgrow that declines the file.
+    Of each block, the first field of each distinct id is kept, and the
+    block's fields are numbered by it. Once the kept fields outnumber twice
+    their distinct ids by a block's worth, they are merged to the first of
+    each distinct id. ``finish`` merges a last time and renumbers the column
+    to the file's distinct ids, in order of first appearance. A field is
+    numbered once in its block and a kept field in a few merges, however
+    many blocks its id recurs in.
+
+    An id's key is its bytes zero-padded in front to whole 8-byte words. The
+    file has no NUL, so no two ids share a key. The keys of a column of
+    ``n`` fields, padded to its longest id, may take no more bytes than the
+    file; a field that would outgrow that declines the file.
     """
 
     def __init__(self, buf: np.ndarray, n: int) -> None:
+        self.buf = buf
         # Element i is the little-endian word of buf[i:i + 8].
         self.ending = np.ndarray((buf.size - 7,), np.dtype("<u8"), buf, strides=(1,))
         self.most_words = buf.size // (8 * n)
-        self.ids: list[str] = []
-        # Word j of each id's key, in the order of ``ids``.
-        self.keys: list[np.ndarray] = []
+        # The start and end of each kept field, and how many there are, in
+        # all and after the last merge.
+        self.kept: list[tuple[np.ndarray, np.ndarray]] = []
+        self.count = self.merged = 0
+        # The rows read so far; and per merge, the rows read before it and
+        # each kept field's number after it.
+        self.rows = 0
+        self.merges: list[tuple[int, np.ndarray]] = []
 
     def number(self, starts: np.ndarray, ends: np.ndarray, out: np.ndarray) -> bool:
-        """Whether the ids of the fields ``buf[start:end]`` are strict UTF-8
-        and their keys would not outgrow the file; if so, the ids not seen
-        before are added, and each field's index into ``ids`` is in ``out``.
-        Only the first field of each run of equal fields is ranked, with the
-        keys of the ids seen so far, one word at a time: a log grouped by
-        learner ranks one key per learner."""
+        """Whether the keys of the fields ``buf[start:end]`` would not
+        outgrow the file; if so, each field's index among the kept fields
+        is in ``out``."""
+        found = self._distinct(starts, ends)
+        if found is None:
+            return False
+        code, firsts = found
+        np.add(code, self.count, out=out)
+        self.kept.append((starts[firsts], ends[firsts]))
+        self.count += firsts.size
+        self.rows += out.size
+        # A kept field's start and end take 16 bytes.
+        if self.count > 2 * self.merged + _BLOCK_BYTES // 16:
+            self.merges.append((self.rows, self._merge()))
+        return True
+
+    def finish(self, column: np.ndarray) -> tuple[str, ...] | None:
+        """The distinct ids of the file, with ``column`` renumbered from
+        indices among the kept fields to indices among them; None when an id
+        is not strict UTF-8."""
+        code = self._merge()
+        ((starts, ends),) = self.kept
+        # Each id is followed by a comma: decode "id,id,...,id," in one piece.
+        spans = ends - starts + 1
+        at = np.arange(spans.sum()) + np.repeat(starts - np.cumsum(spans) + spans, spans)
+        try:
+            ids = tuple(self.buf[at].tobytes().decode("utf-8").split(",")[:-1])
+        except UnicodeDecodeError:
+            return None
+        # The rows read since each merge, the last first, index the fields
+        # kept then. With the mode "clip", take writes them in place.
+        end = column.size
+        for rows, earlier in reversed(self.merges):
+            np.take(code, column[rows:end], out=column[rows:end], mode="clip")
+            code, end = code[earlier], rows
+        np.take(code, column[:end], out=column[:end], mode="clip")
+        return ids
+
+    def _merge(self) -> np.ndarray:
+        """Keep only the first kept field of each distinct id; each kept
+        field's index among those."""
+        starts, ends = (np.concatenate(edges) for edges in zip(*self.kept))
+        code, firsts = self._distinct(starts, ends)
+        self.kept = [(starts[firsts], ends[firsts])]
+        self.count = self.merged = firsts.size
+        return code
+
+    def _distinct(self, starts: np.ndarray, ends: np.ndarray) -> tuple | None:
+        """Each field's index among the distinct ids of the fields
+        ``buf[start:end]`` in order of first appearance, and where each of
+        those first appears; None if the keys would outgrow the file. Only
+        the first field of each run of equal fields is numbered, one uint64
+        word at a time: a log grouped by learner numbers one key per learner."""
         lengths = ends - starts
         n_words = max(-(-int(lengths.max()) // 8), 1)
         if n_words > self.most_words:
-            return False
-        # Word j of a key ends 8 j bytes before its field does; one that would
-        # start before buf, which begins with the header, is masked to zero.
+            return None
+        # Word j of a field ends 8 j bytes before it; one that would start
+        # before buf, which begins with the header, is masked to zero.
         words = [
             self.ending[np.maximum(ends - (8 * j + 8), 0)]
             & _KEEP_HIGH[np.minimum(np.maximum(lengths - 8 * j, 0), 8)]
@@ -213,60 +270,31 @@ class _IdCodes:
         heads[0] = True
         for word in words:
             heads[1:] |= word[1:] != word[:-1]
-        n_seen, n_heads = len(self.ids), np.count_nonzero(heads)
-        width = max(n_words, len(self.keys))
-        words += [np.zeros(starts.size, dtype=np.uint64)] * (width - n_words)
-        self.keys += [np.zeros(n_seen, dtype=np.uint64)] * (width - len(self.keys))
-        keys = [np.concatenate((seen, word[heads])) for seen, word in zip(self.keys, words)]
-        code, count = _ranks(keys[0])
-        for key in keys[1:]:
-            code, count = _ranks(code * key.size + _ranks(key)[0])
-        # A head takes the number of the seen key it equals; the others, new,
-        # take the next numbers in order of first appearance.
-        numbers = np.full(count, -1)
-        numbers[code[:n_seen]] = np.arange(n_seen)
-        codes = numbers[code[n_seen:]]
-        new = np.flatnonzero(codes < 0)
-        if new.size:
-            first, fresh = _first_appearances(code[n_seen:][new], count)
-            added = n_seen + new[first]
-            try:
-                self.ids += _spelled([key[added] for key in keys]).decode("utf-8").split(",")[:-1]
-            except UnicodeDecodeError:
-                return False
-            codes[new] = n_seen + fresh
-            self.keys = [np.concatenate((seen, key[added])) for seen, key in zip(self.keys, keys)]
-        out[:] = codes if n_heads == out.size else codes[np.cumsum(heads) - 1]
-        return True
+        at = np.flatnonzero(heads)
+        words = [word[at] for word in words]
+        code, firsts = _numbered(words[0])
+        for word in words[1:]:
+            code, firsts = _numbered(code * word.size + _numbered(word)[0])
+        return code[np.cumsum(heads) - 1], at[firsts]
 
 
-def _spelled(keys: list[np.ndarray]) -> bytes:
-    """The ids whose keys are ``keys``, word j of key i in ``keys[j][i]``,
-    each followed by a comma: a key's bytes, word 0 last, are its id's after
-    the zeros in front."""
-    text = np.zeros((keys[0].size, 8 * len(keys) + 1), dtype=np.uint8)
-    text[:, :-1] = np.stack(keys[::-1], axis=1).astype("<u8").view(np.uint8)
-    text[:, -1] = ord(",")
-    return text[text != 0].tobytes()
-
-
-def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """The rank of each of ``values``, which are not empty, among the distinct
-    values, and their number. A value is found by binary search among the
-    distinct values when they are few, one per ``_SEARCHED_VALUES`` values or
-    fewer, as in a log's question column; otherwise the count of distinct
-    values up to each sorted value is put in place through the sorting
-    permutation, whose cost does not grow with the number of distinct values."""
-    ordered = np.sort(values)
-    firsts = np.empty(values.size, dtype=bool)
-    firsts[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=firsts[1:])
-    count = int(np.count_nonzero(firsts))
-    if count * _SEARCHED_VALUES <= values.size:
-        return np.searchsorted(ordered[firsts], values), count
-    ranks = np.empty(values.size, dtype=np.intp)
-    ranks[np.argsort(values)] = np.cumsum(firsts) - 1
-    return ranks, count
+def _numbered(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``values``, which are not empty, numbered among the distinct
+    values in order of first appearance, and where each of those first
+    appears: the least position in its run of equal values once sorted."""
+    order = np.argsort(values)
+    ordered = values[order]
+    runs = np.empty(values.size, dtype=bool)
+    runs[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=runs[1:])
+    at = np.flatnonzero(runs)
+    firsts = np.minimum.reduceat(order, at)
+    by_first = np.argsort(firsts)
+    numbers = np.empty(firsts.size, dtype=np.intp)
+    numbers[by_first] = np.arange(firsts.size)
+    codes = np.empty(values.size, dtype=np.intp)
+    codes[order] = numbers[np.cumsum(runs) - 1]
+    return codes, firsts[by_first]
 
 
 def _read_interaction_rows(data: bytes) -> InteractionLog:

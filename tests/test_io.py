@@ -592,19 +592,43 @@ class TestInteractionsOnePass:
         assert got == read_outcome(interaction_rows, path)
         assert issubclass(got[0], ValueError)
 
+    @pytest.mark.parametrize("time_ordered", [False, True])
+    def test_numbering_grows_with_the_file(self, tmp_path, monkeypatch, time_ordered):
+        # 2000 learners of two records each in about 390 blocks of 128 bytes:
+        # ids recur across blocks and new ones come in every block. The id
+        # columns number a few values per field (12,000 and 21,000 for the
+        # 8000 fields, as written and in time order); ranking the ids seen
+        # so far again in every block took 440,000 and 650,000.
+        monkeypatch.setattr(diaggen.io, "_BLOCK_BYTES", 128)
+        sizes = []
+        numbered = diaggen.io._numbered
+        monkeypatch.setattr(
+            diaggen.io, "_numbered", lambda values: sizes.append(values.size) or numbered(values)
+        )
+        records = [(f"l{i}", f"q{(i + step) % 7}", step) for i in range(2000) for step in (0, 1)]
+        if time_ordered:
+            records.sort(key=lambda record: record[2])
+        path = tmp_path / "log.csv"
+        path.write_text(
+            "learner_id,question_id,correct,order\n"
+            + "".join(f"{l},{q},1,{step}\n" for l, q, step in records)
+        )
+        self.assert_one_pass_equals_row_loop(path)
+        sizes.clear()
+        _interaction_columns(path.read_bytes())
+        assert sum(sizes) <= 4 * 2 * len(records)  # four per field
+
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_ranks_equal_unique_inverse(self, data):
+    def test_numbered_in_order_of_first_appearance(self, data):
         # Mostly a few words, both ends of the range among them, so most arrays repeat some.
         edges = st.sampled_from([0, 1, 2**32, 2**63, 2**64 - 2, 2**64 - 1])
         words = st.one_of(edges, edges, st.integers(0, 2**64 - 1))
-        values = np.array(data.draw(st.lists(words, min_size=1, max_size=40)), dtype=np.uint64)
-        # Repeated, the distinct values are few enough to be binary-searched.
-        for repeats in (1, diaggen.io._SEARCHED_VALUES):
-            ranks, count = diaggen.io._ranks(np.tile(values, repeats))
-            distinct, inverse = np.unique(np.tile(values, repeats), return_inverse=True)
-            assert ranks.tolist() == inverse.tolist()
-            assert count == distinct.size
+        values = data.draw(st.lists(words, min_size=1, max_size=40))
+        codes, firsts = diaggen.io._numbered(np.array(values, dtype=np.uint64))
+        distinct = list(dict.fromkeys(values))
+        assert codes.tolist() == [distinct.index(value) for value in values]
+        assert firsts.tolist() == [values.index(value) for value in distinct]
 
 
 def csv_line(cells):
@@ -829,22 +853,30 @@ class TestSnapshotOnePass:
         assert got.values.tobytes() == snapshot_rows(path).values.tobytes()
 
 
-@pytest.mark.parametrize("questions, mib", [(50, 16), (30, 10)])
-def test_interaction_read_memory(tmp_path, questions, mib):
+@pytest.mark.parametrize("questions, time_ordered", [(50, False), (30, False), (50, True)])
+def test_interaction_parse_memory(tmp_path, questions, time_ordered):
     # The benchmark's seed-101 logs, parsed a block of lines at a time: beyond
-    # the file's bytes and the log's columns, the log's checks take the most.
-    # Parsing the whole file at once peaked at 24.5 and 14.8 MiB.
+    # the file's bytes and the log's columns, the parse holds one block's
+    # temporaries and the kept fields of the ids, 2.3 MiB as written and 4.7
+    # MiB in time order, where every block holds most learners. Parsing the
+    # whole file at once took 13.2, 8.1 and 10.2 MiB; keeping every block's
+    # learners until the end, 10.5 MiB in time order. The bound does not grow
+    # with the log.
     _, log, _ = simulate(SimConfig(num_learners=6000, num_questions=questions, seed=101))
     path = tmp_path / "log.csv"
     write_interactions(log, path)
+    if time_ordered:
+        header, *lines = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(lines[i] for i in np.lexsort((log.learner, log.order))))
+    data = path.read_bytes()
     tracemalloc.start()
     try:
-        got = read_interactions(path)
+        columns = _interaction_columns(data)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= mib * 2**20
-    assert got == log
+    assert peak - sum(column.nbytes for column in columns[2:]) <= 6 << 20
+    assert InteractionLog._own(*columns) == _read_interaction_rows(data)
 
 
 @pytest.mark.parametrize(
