@@ -257,29 +257,46 @@ class LearnerSplit:
             raise ValueError("train and test learners overlap")
 
 
+def _index_array(values) -> np.ndarray:
+    """``values`` as an intp array of their shape. Raises TypeError unless
+    each is an integer and not a bool, and OverflowError if one lies past
+    intp: an array of an integer dtype passes on its dtype, anything else is
+    checked element by element."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        if not issubclass(values.dtype.type, np.integer):
+            raise TypeError("indices must be integers")
+        array = values.astype(np.intp, copy=False)
+        # A uint64 past 2**63 - 1 wraps negative.
+        if not np.can_cast(values.dtype, np.intp) and np.any(array < 0):
+            raise OverflowError("index past intp")
+        return array
+    values = np.asarray(values, dtype=object)
+    if not all(
+        issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+        for kind in set(map(type, values.ravel()))
+    ):
+        raise TypeError("indices must be integers")
+    return values.astype(np.intp)
+
+
 def _learner_indices(
     learners: Sequence[int], stop: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``learners`` as an intp array, in their order and sorted. Raises
-    unless each is an integer and not a bool, each lies in [0, stop) when
-    ``stop`` is given, and no two are equal."""
-    if isinstance(learners, np.ndarray) and learners.dtype != object and learners.ndim == 1:
-        kinds = {learners.dtype.type}
-    else:
-        kinds = {int} if isinstance(learners, range) else set(map(type, learners))
-    if not all(issubclass(k, (int, np.integer)) and not issubclass(k, bool) for k in kinds):
-        raise ValueError("learner indices must be integers")
+    unless they are one row of integers (``_index_array``), each lies in
+    [0, stop) when ``stop`` is given, and no two are equal."""
     try:
         array = (
             np.arange(learners.start, learners.stop, learners.step, dtype=np.intp)
             if isinstance(learners, range)
-            else np.asarray(learners, dtype=np.intp)
+            else _index_array(learners)
         )
+    except TypeError:
+        raise ValueError("learner indices must be integers") from None
     except OverflowError:
         raise ValueError("learner index out of range") from None
-    # A uint64 array wraps past 2**63 - 1 where a list raises.
-    if isinstance(learners, np.ndarray) and not np.array_equal(array, learners):
-        raise ValueError("learner index out of range")
+    if array.ndim != 1:
+        raise ValueError("learner indices must be integers")
     ordered = np.sort(array)
     if stop is not None and ordered.size and (ordered[0] < 0 or ordered[-1] >= stop):
         raise ValueError("learner index out of range")

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Snapshot, _learner_indices
+from .core import Snapshot, _index_array, _learner_indices
 
 # Rows of uniforms that ``sample_subsets`` holds at a time.
 _SAMPLE_ROWS = 1024
@@ -128,7 +128,12 @@ def _sorted_rows(ctx: CriteriaContext, genes_matrix: np.ndarray) -> np.ndarray:
     genes produces bitwise-identical scores. Rows that are all strictly
     increasing are used as they are; any others are sorted into a copy.
     """
-    idx = _gene_array(genes_matrix)
+    try:
+        idx = _index_array(genes_matrix)
+    except TypeError:
+        raise ValueError("gene indices must be integers") from None
+    except OverflowError:
+        raise ValueError("gene index out of range for this snapshot") from None
     if idx.ndim != 2 or idx.shape[1] == 0:
         raise ValueError("genes must give each assessment at least one question index")
     if idx.size and (idx.min() < 0 or idx.max() >= ctx.n_questions):
@@ -139,27 +144,6 @@ def _sorted_rows(ctx: CriteriaContext, genes_matrix: np.ndarray) -> np.ndarray:
     if np.any(idx[:, 1:] == idx[:, :-1]):
         raise ValueError("genes must be distinct")
     return idx
-
-
-def _gene_array(genes) -> np.ndarray:
-    """``genes`` as an intp array. Raises unless each is an integer and not a
-    bool: an array of an integer dtype passes on its dtype, anything else is
-    checked element by element."""
-    if isinstance(genes, np.ndarray) and genes.dtype != object:
-        if not issubclass(genes.dtype.type, np.integer):
-            raise ValueError("gene indices must be integers")
-        # A uint64 past 2**63 - 1 wraps negative, out of range.
-        return genes.astype(np.intp, copy=False)
-    genes = np.asarray(genes, dtype=object)
-    if not all(
-        issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
-        for kind in set(map(type, genes.ravel()))
-    ):
-        raise ValueError("gene indices must be integers")
-    try:
-        return genes.astype(np.intp)
-    except OverflowError:
-        raise ValueError("gene index out of range for this snapshot") from None
 
 
 def _fold(

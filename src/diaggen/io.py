@@ -34,8 +34,8 @@ def read_interactions(path: str | Path) -> InteractionLog:
     A file in the plain form that ``write_interactions`` gives plain ids is
     parsed in numpy a block of ``_BLOCK_BYTES`` of whole lines at a time,
     straight into the log's columns: beyond the file's bytes and the
-    columns, it holds about one block's temporaries and, per id column, the
-    positions of at most a few fields per distinct id. It qualifies when it
+    columns, it holds about one block's temporaries and, per id column, a
+    dict of its distinct ids and their numbers. It qualifies when it
     starts with the exact header line; holds no ``"``, CR or NUL byte and
     no blank line; every line has exactly three commas; ``correct`` is the
     single byte 0 or 1 and ``order`` 1-18 ASCII digits; no field is longer
@@ -111,10 +111,7 @@ def _interaction_columns(data: bytes) -> tuple | None:
         if lines is None:
             return None
         at, row = end, row + lines
-    learner_ids, question_ids = (table.finish(column) for table, column in zip(ids, columns))
-    if learner_ids is None or question_ids is None:
-        return None
-    return learner_ids, question_ids, *columns
+    return tuple(ids[0].ids), tuple(ids[1].ids), *columns
 
 
 def _read_lines(buf: np.ndarray, at: int, end: int, ids: tuple, columns: list) -> int | None:
@@ -173,13 +170,10 @@ def _digits(buf: np.ndarray, before: np.ndarray, ends: np.ndarray, out: np.ndarr
 class _IdColumn:
     """One id column of the file ``buf``, read a block of fields at a time.
 
-    Of each block, the first field of each distinct id is kept, and the
-    block's fields are numbered by it. Once the kept fields outnumber twice
-    their distinct ids by a block's worth, they are merged to the first of
-    each distinct id. ``finish`` merges a last time and renumbers the column
-    to the file's distinct ids, in order of first appearance. A field is
-    numbered once in its block and a kept field in a few merges, however
-    many blocks its id recurs in.
+    ``ids`` maps each distinct id of the fields read so far to its number,
+    in order of first appearance. A block's fields are numbered among the
+    block's distinct ids, which are decoded once and looked up in ``ids``:
+    an id is looked up once in each block it appears in.
 
     An id's key is its bytes zero-padded in front to whole 8-byte words. The
     file has no NUL, so no two ids share a key. The keys of a column of
@@ -192,62 +186,31 @@ class _IdColumn:
         # Element i is the little-endian word of buf[i:i + 8].
         self.ending = np.ndarray((buf.size - 7,), np.dtype("<u8"), buf, strides=(1,))
         self.most_words = buf.size // (8 * n)
-        # The start and end of each kept field, and how many there are, in
-        # all and after the last merge.
-        self.kept: list[tuple[np.ndarray, np.ndarray]] = []
-        self.count = self.merged = 0
-        # The rows read so far; and per merge, the rows read before it and
-        # each kept field's number after it.
-        self.rows = 0
-        self.merges: list[tuple[int, np.ndarray]] = []
+        self.ids: dict[str, int] = {}
 
     def number(self, starts: np.ndarray, ends: np.ndarray, out: np.ndarray) -> bool:
         """Whether the keys of the fields ``buf[start:end]`` would not
-        outgrow the file; if so, each field's index among the kept fields
-        is in ``out``."""
+        outgrow the file and their distinct ids are strict UTF-8; if so,
+        each field's number in ``ids`` is in ``out``."""
         found = self._distinct(starts, ends)
         if found is None:
             return False
         code, firsts = found
-        np.add(code, self.count, out=out)
-        self.kept.append((starts[firsts], ends[firsts]))
-        self.count += firsts.size
-        self.rows += out.size
-        # A kept field's start and end take 16 bytes.
-        if self.count > 2 * self.merged + _BLOCK_BYTES // 16:
-            self.merges.append((self.rows, self._merge()))
-        return True
-
-    def finish(self, column: np.ndarray) -> tuple[str, ...] | None:
-        """The distinct ids of the file, with ``column`` renumbered from
-        indices among the kept fields to indices among them; None when an id
-        is not strict UTF-8."""
-        code = self._merge()
-        ((starts, ends),) = self.kept
         # Each id is followed by a comma: decode "id,id,...,id," in one piece.
+        starts, ends = starts[firsts], ends[firsts]
         spans = ends - starts + 1
         at = np.arange(spans.sum()) + np.repeat(starts - np.cumsum(spans) + spans, spans)
         try:
-            ids = tuple(self.buf[at].tobytes().decode("utf-8").split(",")[:-1])
+            names = self.buf[at].tobytes().decode("utf-8").split(",")[:-1]
         except UnicodeDecodeError:
-            return None
-        # The rows read since each merge, the last first, index the fields
-        # kept then. With the mode "clip", take writes them in place.
-        end = column.size
-        for rows, earlier in reversed(self.merges):
-            np.take(code, column[rows:end], out=column[rows:end], mode="clip")
-            code, end = code[earlier], rows
-        np.take(code, column[:end], out=column[:end], mode="clip")
-        return ids
-
-    def _merge(self) -> np.ndarray:
-        """Keep only the first kept field of each distinct id; each kept
-        field's index among those."""
-        starts, ends = (np.concatenate(edges) for edges in zip(*self.kept))
-        code, firsts = self._distinct(starts, ends)
-        self.kept = [(starts[firsts], ends[firsts])]
-        self.count = self.merged = firsts.size
-        return code
+            return False
+        ids = self.ids
+        numbers = np.fromiter(
+            (ids.setdefault(name, len(ids)) for name in names), dtype=np.intp, count=len(names)
+        )
+        # With the mode "clip", take writes into ``out`` without a buffer.
+        np.take(numbers, code, out=out, mode="clip")
+        return True
 
     def _distinct(self, starts: np.ndarray, ends: np.ndarray) -> tuple | None:
         """Each field's index among the distinct ids of the fields

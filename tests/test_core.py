@@ -302,6 +302,8 @@ class TestSplitLearners:
             ([True, False, 3, 4], "^learner indices must be integers$"),
             (np.array([0.0, 1.0, 2.0]), "^learner indices must be integers$"),
             (np.array([True, False]), "^learner indices must be integers$"),
+            ([[0, 1], [2, 3]], "^learner indices must be integers$"),
+            (np.array([[0, 1], [2, 3]]), "^learner indices must be integers$"),
             # Once reported as "train and test learners overlap".
             ([1, 1, 2, 3], "^learner indices must be distinct$"),
             (np.array([4, 2, 4]), "^learner indices must be distinct$"),

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -595,10 +596,12 @@ class TestInteractionsOnePass:
     @pytest.mark.parametrize("time_ordered", [False, True])
     def test_numbering_grows_with_the_file(self, tmp_path, monkeypatch, time_ordered):
         # 2000 learners of two records each in about 390 blocks of 128 bytes:
-        # ids recur across blocks and new ones come in every block. The id
-        # columns number a few values per field (12,000 and 21,000 for the
-        # 8000 fields, as written and in time order); ranking the ids seen
-        # so far again in every block took 440,000 and 650,000.
+        # ids recur across blocks and new ones come in every block. Each
+        # block numbers the run heads of its own fields, and its distinct ids
+        # are looked up in the column's dict, so the id columns number at
+        # most one value per field (4400 and 8000 for the 8000 fields, as
+        # written and in time order); ranking the ids seen so far again in
+        # every block took 440,000 and 650,000.
         monkeypatch.setattr(diaggen.io, "_BLOCK_BYTES", 128)
         sizes = []
         numbered = diaggen.io._numbered
@@ -857,11 +860,10 @@ class TestSnapshotOnePass:
 def test_interaction_parse_memory(tmp_path, questions, time_ordered):
     # The benchmark's seed-101 logs, parsed a block of lines at a time: beyond
     # the file's bytes and the log's columns, the parse holds one block's
-    # temporaries and the kept fields of the ids, 2.3 MiB as written and 4.7
-    # MiB in time order, where every block holds most learners. Parsing the
-    # whole file at once took 13.2, 8.1 and 10.2 MiB; keeping every block's
-    # learners until the end, 10.5 MiB in time order. The bound does not grow
-    # with the log.
+    # temporaries and a dict of each column's distinct ids, 2.8 MiB as
+    # written and 3.1 MiB in time order, where every block holds most
+    # learners. Parsing the whole file at once took 13.2, 8.1 and 10.2 MiB.
+    # The bound does not grow with the log.
     _, log, _ = simulate(SimConfig(num_learners=6000, num_questions=questions, seed=101))
     path = tmp_path / "log.csv"
     write_interactions(log, path)
@@ -876,6 +878,29 @@ def test_interaction_parse_memory(tmp_path, questions, time_ordered):
     finally:
         tracemalloc.stop()
     assert peak - sum(column.nbytes for column in columns[2:]) <= 6 << 20
+    assert InteractionLog._own(*columns) == _read_interaction_rows(data)
+
+
+def test_distinct_learners_parse_memory():
+    # 100,000 records of 100,000 learners: every block brings only new ids.
+    # Beyond the fields it returns, the parse holds one block's temporaries
+    # and the learners' dict, 9.3 MiB. Keeping the first field of each id
+    # and merging the kept fields each time they doubled took 19.1 MiB.
+    n = 100_000
+    data = b"learner_id,question_id,correct,order\n" + b"".join(
+        b"learner-%d,q%d,%d,%d\n" % (i, i % 50, i % 2, i % 7) for i in range(n)
+    )
+    tracemalloc.start()
+    try:
+        columns = _interaction_columns(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = sum(column.nbytes for column in columns[2:]) + sum(
+        sys.getsizeof(ids) + sum(map(sys.getsizeof, ids)) for ids in columns[:2]
+    )
+    assert peak - returned <= 12 << 20
+    assert columns[0] == tuple(f"learner-{i}" for i in range(n))
     assert InteractionLog._own(*columns) == _read_interaction_rows(data)
 
 
