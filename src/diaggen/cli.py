@@ -72,16 +72,19 @@ def _print(doc: dict[str, Any]) -> None:
     print(json.dumps(doc, sort_keys=True))
 
 
+# The dest of each simulate and GA flag, and the SimConfig or GaConfig field it sets.
+_SIM_FIELDS = {
+    "learners": "num_learners", "questions": "num_questions", "concepts": "num_concepts",
+    "slip": "slip", "growth_mean": "growth_mean", "growth_std": "growth_std", "seed": "seed",
+}
+_GA_FIELDS = {
+    "population": "population_size", "generations": "generations", "pc": "p_c",
+    "pm1": "p_m1", "pm2": "p_m2", "tournament_fraction": "tournament_fraction",
+}
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = SimConfig(
-        num_learners=args.learners,
-        num_questions=args.questions,
-        num_concepts=args.concepts,
-        slip=args.slip,
-        growth_mean=args.growth_mean,
-        growth_std=args.growth_std,
-        seed=args.seed,
-    )
+    cfg = SimConfig(**{field: getattr(args, dest) for dest, field in _SIM_FIELDS.items()})
     _, log, truth = simulate(cfg)
     write_interactions(log, args.interactions_out)
     write_snapshot(truth, args.snapshot_out)
@@ -163,17 +166,8 @@ def _run_algorithm(
     if args.algo == "brute":
         return brute_force(ctx, args.k)
     if args.algo == "ga":
-        cfg = GaConfig(
-            k=args.k,
-            population_size=args.population,
-            generations=args.generations,
-            p_c=args.pc,
-            p_m1=args.pm1,
-            p_m2=args.pm2,
-            tournament_fraction=args.tournament_fraction,
-            seed=seed,
-        )
-        return ga_search(ctx, cfg)
+        fields = {field: getattr(args, dest) for dest, field in _GA_FIELDS.items()}
+        return ga_search(ctx, GaConfig(k=args.k, seed=seed, **fields))
     raise ValueError(f"unknown algorithm {args.algo!r}")
 
 
@@ -215,14 +209,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             "seed": run_seed,
         }
         if args.algo == "ga":
-            config |= {
-                "population": args.population,
-                "generations": args.generations,
-                "pc": args.pc,
-                "pm1": args.pm1,
-                "pm2": args.pm2,
-                "tournament_fraction": args.tournament_fraction,
-            }
+            config |= {dest: getattr(args, dest) for dest in _GA_FIELDS}
         runs.append(
             result_record(
                 result,
@@ -347,6 +334,11 @@ def _add_split_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_lambda_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--samples", type=int, default=10_000)
+    parser.add_argument("--lambda-seed", type=int, default=1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diaggen",
@@ -356,12 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic population")
     p.add_argument("--learners", type=int, required=True)
-    p.add_argument("--questions", type=int, default=50)
-    p.add_argument("--concepts", type=int, default=5)
-    p.add_argument("--slip", type=float, default=0.25)
-    p.add_argument("--growth-mean", type=float, default=0.4)
-    p.add_argument("--growth-std", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--questions", type=int, default=SimConfig.num_questions)
+    p.add_argument("--concepts", type=int, default=SimConfig.num_concepts)
+    p.add_argument("--slip", type=float, default=SimConfig.slip)
+    p.add_argument("--growth-mean", type=float, default=SimConfig.growth_mean)
+    p.add_argument("--growth-std", type=float, default=SimConfig.growth_std)
+    p.add_argument("--seed", type=int, default=SimConfig.seed)
     p.add_argument("--interactions-out", required=True)
     p.add_argument("--snapshot-out", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -381,8 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="calibrate the criteria mixing weight")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--lambda-seed", type=int, default=1)
+    _add_lambda_flags(p)
     _add_split_flags(p)
     p.set_defaults(func=cmd_calibrate)
 
@@ -392,19 +383,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True)
     _add_split_flags(p)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--lambda-seed", type=int, default=1)
+    _add_lambda_flags(p)
     p.add_argument(
         "--lam", type=float, default=None, help="skip calibration, use this weight"
     )
     p.add_argument("--seed", type=int, default=0, help="search seed")
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--population", type=int, default=1000)
-    p.add_argument("--generations", type=int, default=5)
-    p.add_argument("--pc", type=float, default=0.75)
-    p.add_argument("--pm1", type=float, default=0.5)
-    p.add_argument("--pm2", type=float, default=0.25)
-    p.add_argument("--tournament-fraction", type=float, default=0.10)
+    p.add_argument("--population", type=int, default=GaConfig.population_size)
+    p.add_argument("--generations", type=int, default=GaConfig.generations)
+    p.add_argument("--pc", type=float, default=GaConfig.p_c)
+    p.add_argument("--pm1", type=float, default=GaConfig.p_m1)
+    p.add_argument("--pm2", type=float, default=GaConfig.p_m2)
+    p.add_argument("--tournament-fraction", type=float, default=GaConfig.tournament_fraction)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("evaluate", help="re-score an existing gene list")

@@ -59,15 +59,26 @@ class InteractionLog(_Owned):
     order: np.ndarray
 
     def _freeze(self, convert) -> None:
-        """Convert the columns with ``convert`` (``np.array`` copies, and
-        ``np.asarray`` only when the dtype changes), freeze them and check
-        the log."""
+        """Check that the columns hold integers (``_index_array``) and
+        flags (``_correct_array``), convert them with ``convert``
+        (``np.array`` copies, and ``np.asarray`` only when the dtype
+        changes), freeze them and check the log."""
         columns = {
-            "learner": convert(self.learner, dtype=np.intp),
-            "question": convert(self.question, dtype=np.intp),
-            "correct": convert(self.correct, dtype=bool),
-            "order": convert(self.order, dtype=np.int64),
+            name: convert(
+                _index_array(
+                    getattr(self, name),
+                    f"{name} indices must be integers",
+                    f"{name} index out of range",
+                ),
+                dtype=np.intp,
+            )
+            for name in ("learner", "question")
         }
+        columns["correct"] = convert(_correct_array(self.correct), dtype=bool)
+        columns["order"] = convert(
+            _index_array(self.order, "order must be an integer", "order must be below 2**63"),
+            dtype=np.int64,
+        )
         if len({column.shape for column in columns.values()}) != 1 or columns["order"].ndim != 1:
             raise ValueError("interaction columns must be 1-D arrays of equal length")
         if columns["order"].size and columns["order"].min() < 0:
@@ -257,26 +268,48 @@ class LearnerSplit:
             raise ValueError("train and test learners overlap")
 
 
-def _index_array(values) -> np.ndarray:
-    """``values`` as an intp array of their shape. Raises TypeError unless
-    each is an integer and not a bool, and OverflowError if one lies past
-    intp: an array of an integer dtype passes on its dtype, anything else is
-    checked element by element."""
+def _index_array(values, not_integer: str, past_intp: str) -> np.ndarray:
+    """``values`` as an intp array of their shape. Raises ValueError with
+    the message ``not_integer`` unless each is an integer and not a bool,
+    and with ``past_intp`` if one lies past intp: an array of an integer
+    dtype passes on its dtype, anything else is checked element by element."""
     if isinstance(values, np.ndarray) and values.dtype != object:
         if not issubclass(values.dtype.type, np.integer):
-            raise TypeError("indices must be integers")
+            raise ValueError(not_integer)
         array = values.astype(np.intp, copy=False)
         # A uint64 past 2**63 - 1 wraps negative.
         if not np.can_cast(values.dtype, np.intp) and np.any(array < 0):
-            raise OverflowError("index past intp")
+            raise ValueError(past_intp)
         return array
     values = np.asarray(values, dtype=object)
     if not all(
         issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
         for kind in set(map(type, values.ravel()))
     ):
-        raise TypeError("indices must be integers")
-    return values.astype(np.intp)
+        raise ValueError(not_integer)
+    try:
+        return values.astype(np.intp)
+    except OverflowError:
+        raise ValueError(past_intp) from None
+
+
+def _correct_array(values) -> np.ndarray:
+    """``values`` as a bool array of their shape. Raises ValueError unless
+    each is a bool or the integer 0 or 1: an array of a bool or integer
+    dtype is checked as a whole, anything else element by element."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        if values.dtype == bool:
+            return values
+        if issubclass(values.dtype.type, np.integer) and np.all((values == 0) | (values == 1)):
+            return values == 1
+        raise ValueError("correct must be 0 or 1")
+    values = np.asarray(values, dtype=object)
+    if not all(
+        isinstance(value, (int, np.integer, np.bool_)) and value in (0, 1)
+        for value in values.ravel()
+    ):
+        raise ValueError("correct must be 0 or 1")
+    return values.astype(bool)
 
 
 def _learner_indices(
@@ -285,16 +318,13 @@ def _learner_indices(
     """``learners`` as an intp array, in their order and sorted. Raises
     unless they are one row of integers (``_index_array``), each lies in
     [0, stop) when ``stop`` is given, and no two are equal."""
-    try:
-        array = (
-            np.arange(learners.start, learners.stop, learners.step, dtype=np.intp)
-            if isinstance(learners, range)
-            else _index_array(learners)
+    array = (
+        np.arange(learners.start, learners.stop, learners.step, dtype=np.intp)
+        if isinstance(learners, range)
+        else _index_array(
+            learners, "learner indices must be integers", "learner index out of range"
         )
-    except TypeError:
-        raise ValueError("learner indices must be integers") from None
-    except OverflowError:
-        raise ValueError("learner index out of range") from None
+    )
     if array.ndim != 1:
         raise ValueError("learner indices must be integers")
     ordered = np.sort(array)

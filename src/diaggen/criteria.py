@@ -128,12 +128,9 @@ def _sorted_rows(ctx: CriteriaContext, genes_matrix: np.ndarray) -> np.ndarray:
     genes produces bitwise-identical scores. Rows that are all strictly
     increasing are used as they are; any others are sorted into a copy.
     """
-    try:
-        idx = _index_array(genes_matrix)
-    except TypeError:
-        raise ValueError("gene indices must be integers") from None
-    except OverflowError:
-        raise ValueError("gene index out of range for this snapshot") from None
+    idx = _index_array(
+        genes_matrix, "gene indices must be integers", "gene index out of range for this snapshot"
+    )
     if idx.ndim != 2 or idx.shape[1] == 0:
         raise ValueError("genes must give each assessment at least one question index")
     if idx.size and (idx.min() < 0 or idx.max() >= ctx.n_questions):

@@ -39,7 +39,8 @@ class GaConfig:
     ``p_c`` is the crossover probability per pair, ``p_m1`` the probability
     of selecting an individual for mutation and ``p_m2`` the per-gene
     replacement probability within a selected individual. Defaults follow
-    the synthetic-dataset configuration used throughout the test suite.
+    the synthetic-dataset configuration used throughout the test suite;
+    the GA flags of ``diaggen search`` read their defaults from here.
     """
 
     k: int

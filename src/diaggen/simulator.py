@@ -25,6 +25,9 @@ from .core import InteractionLog, Snapshot, sigmoid
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Sizes, slip, skill growth and seed of a simulated world. The flags
+    of ``diaggen simulate`` read their defaults from here."""
+
     num_learners: int
     num_questions: int = 50
     num_concepts: int = 5

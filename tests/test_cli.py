@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -10,10 +12,17 @@ import pytest
 
 from diaggen import CriteriaContext, calibrate_lambda, split_learners
 from diaggen.core import sigmoid
-from diaggen.estimation import fit_abilities, fit_rasch
-from diaggen.io import read_interactions, read_snapshot
-from diaggen.cli import derive_seeds, main
-from diaggen.search import swap_gain
+from diaggen.estimation import (
+    correct_ratio_snapshot,
+    fit_abilities,
+    fit_rasch,
+    per_question_sufficiency_curve,
+    sufficiency_curve,
+)
+from diaggen.io import read_interactions, read_snapshot, write_interactions, write_snapshot
+from diaggen.cli import build_parser, derive_seeds, main
+from diaggen.search import GaConfig, ga_search, swap_gain
+from diaggen.simulator import SimConfig, simulate
 
 
 def run_cli(capsys, *argv):
@@ -865,6 +874,117 @@ class TestConfigOverride:
         assert code == 0, err
         doc = json.loads((tmp_path / "res.json").read_text())
         assert doc["config"]["lambda"] == 1.0
+
+
+# A non-default value for each simulate and GA flag, under its dest, and the
+# SimConfig or GaConfig field the flag sets; no two values of a table are equal.
+SIM_FLAGS = {
+    "learners": ("num_learners", 30),
+    "questions": ("num_questions", 14),
+    "concepts": ("num_concepts", 3),
+    "slip": ("slip", 0.2),
+    "growth_mean": ("growth_mean", 0.3),
+    "growth_std": ("growth_std", 0.07),
+    "seed": ("seed", 9),
+}
+GA_FLAGS = {
+    "population": ("population_size", 40),
+    "generations": ("generations", 3),
+    "pc": ("p_c", 0.6),
+    "pm1": ("p_m1", 0.4),
+    "pm2": ("p_m2", 0.15),
+    "tournament_fraction": ("tournament_fraction", 0.2),
+}
+
+# The required flags of each subcommand, with placeholder values.
+REQUIRED = {
+    "simulate": ["--learners", "1", "--interactions-out", "i.csv", "--snapshot-out", "s.csv"],
+    "estimate": ["--interactions", "i.csv", "--out", "s.csv"],
+    "calibrate": ["--snapshot", "s.csv", "--k", "1"],
+    "search": ["--snapshot", "s.csv", "--algo", "ga", "--k", "1", "--out", "r.json"],
+    "sufficiency": ["--snapshot", "s.csv", "--out", "c.csv"],
+}
+
+
+def flag_argv(flags):
+    return [
+        arg
+        for dest, (_, value) in flags.items()
+        for arg in (f"--{dest.replace('_', '-')}", str(value))
+    ]
+
+
+def parser_defaults(command):
+    return vars(build_parser().parse_args([command, *REQUIRED[command]]))
+
+
+class TestFlagsReachTheLibrary:
+    def test_simulate_flags_reach_sim_config(self, tmp_path, capsys):
+        got = tmp_path / "i.csv", tmp_path / "s.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", *flag_argv(SIM_FLAGS),
+            "--interactions-out", str(got[0]), "--snapshot-out", str(got[1]),
+        )
+        assert code == 0, err
+        _, log, truth = simulate(SimConfig(**dict(SIM_FLAGS.values())))
+        want = tmp_path / "want-i.csv", tmp_path / "want-s.csv"
+        write_interactions(log, want[0])
+        write_snapshot(truth, want[1])
+        for got_path, want_path in zip(got, want):
+            assert got_path.read_bytes() == want_path.read_bytes()
+
+    def test_ga_flags_reach_ga_config_and_the_echo(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        out_path = tmp_path / "res.json"
+        code, _, err = run_cli(
+            capsys, "search", "--snapshot", str(truth), "--algo", "ga", "--k", "3",
+            "--lam", "0.4", "--seed", "4", "--out", str(out_path), *flag_argv(GA_FLAGS),
+        )
+        assert code == 0, err
+        doc = json.loads(out_path.read_text())
+        snapshot = read_snapshot(truth)
+        split = split_learners(range(snapshot.n_learners), 0.8, 0)
+        ctx = CriteriaContext.build(snapshot, split.train, lam=0.4)
+        result = ga_search(ctx, GaConfig(k=3, seed=4, **dict(GA_FLAGS.values())))
+        assert doc["selected_questions"] == [snapshot.question_ids[g] for g in result.best]
+        assert doc["history"] == json.loads(json.dumps([list(h) for h in result.history]))
+        assert {dest: doc["config"][dest] for dest in GA_FLAGS} == {
+            dest: value for dest, (_, value) in GA_FLAGS.items()
+        }
+
+    @pytest.mark.parametrize(
+        "command, config, flags",
+        [("simulate", SimConfig, SIM_FLAGS), ("search", GaConfig, GA_FLAGS)],
+    )
+    def test_config_flag_defaults_are_the_dataclass_defaults(self, command, config, flags):
+        defaults = parser_defaults(command)
+        fields = {field.name: field.default for field in dataclasses.fields(config)}
+        for dest, (field, _) in flags.items():
+            # --learners is required, as num_learners has no default.
+            if fields[field] is not dataclasses.MISSING:
+                assert defaults[dest] == fields[field], dest
+
+    @pytest.mark.parametrize(
+        "command, dest, functions, parameter",
+        [
+            ("calibrate", "samples", [calibrate_lambda], "n_samples"),
+            ("calibrate", "lambda_seed", [calibrate_lambda], "seed"),
+            ("search", "samples", [calibrate_lambda], "n_samples"),
+            ("search", "lambda_seed", [calibrate_lambda], "seed"),
+            ("estimate", "reg", [fit_rasch], "reg"),
+            ("estimate", "max_epochs", [fit_rasch], "max_epochs"),
+            ("estimate", "tol", [fit_rasch], "tol"),
+            ("estimate", "smoothing", [correct_ratio_snapshot], "smoothing"),
+            *(
+                ("sufficiency", name, [sufficiency_curve, per_question_sufficiency_curve], name)
+                for name in ("epsilon", "window", "seed")
+            ),
+        ],
+    )
+    def test_flag_defaults_are_the_library_defaults(self, command, dest, functions, parameter):
+        for function in functions:
+            default = inspect.signature(function).parameters[parameter].default
+            assert parser_defaults(command)[dest] == default
 
 
 def test_cli_import_loads_no_scipy():

@@ -123,6 +123,38 @@ class TestInteractionLog:
         with pytest.raises(ValueError, match=message):
             InteractionLog(("l0",), ("a", "b"), learner, question, [True] * n, list(range(n)))
 
+    @pytest.mark.parametrize(
+        "column, values, message",
+        [
+            # Each was once truncated, coerced or parsed instead of rejected.
+            ("learner", [0.9], "learner indices must be integers"),
+            ("question", [0.5], "question indices must be integers"),
+            ("order", [2.7], "order must be an integer"),
+            ("correct", [2], "correct must be 0 or 1"),
+            ("correct", [0.5], "correct must be 0 or 1"),
+            ("correct", ["0"], "correct must be 0 or 1"),
+            ("correct", [float("nan")], "correct must be 0 or 1"),
+            ("learner", ["0"], "learner indices must be integers"),
+            ("order", ["7"], "order must be an integer"),
+            ("order", [2**64], r"order must be below 2\*\*63"),
+            ("order", np.array([1e30]), "order must be an integer"),
+            ("learner", [True], "learner indices must be integers"),
+            ("correct", np.array([2]), "correct must be 0 or 1"),
+            ("correct", np.array([1.0]), "correct must be 0 or 1"),
+        ],
+    )
+    def test_constructor_checks_column_values(self, column, values, message):
+        columns = {"learner": [0], "question": [0], "correct": [True], "order": [0]}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            InteractionLog(("l0",), ("a",), **(columns | {column: values}))
+
+    @pytest.mark.parametrize(
+        "correct", [[1, 0], [True, False], [np.int8(1), np.False_], np.array([1, 0], np.uint8)]
+    )
+    def test_correct_takes_bools_and_integer_flags(self, correct):
+        log = InteractionLog(("l0",), ("a",), [0, 0], [0, 0], correct, [0, 1])
+        assert log.correct.dtype == bool and log.correct.tolist() == [True, False]
+
 
 class TestSnapshot:
     def test_rejects_nan(self):
