@@ -108,7 +108,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     doc: dict[str, Any] = {"estimator": args.estimator}
     if args.estimator == "rasch":
         model = fit_rasch(
-            log.restrict_learners(train_ids), reg=args.reg, max_epochs=args.max_epochs, tol=args.tol
+            log, fit_learners=train_ids, reg=args.reg, max_epochs=args.max_epochs, tol=args.tol
         )
         scored = fit_abilities(model, log)
         snapshot = rasch_snapshot(scored)
@@ -465,7 +465,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         and action.dest != "config"
     }
     for key, value in overrides.items():
-        dest = key.replace("-", "_")
+        # A result document's config block names --lam's value "lambda".
+        dest = "lam" if key == "lambda" else key.replace("-", "_")
         if dest not in actions:
             raise ValueError(f"unknown config key {key!r}")
         setattr(args, dest, _config_value(actions[dest], key, value))

@@ -126,6 +126,9 @@ class InteractionLog(_Owned):
     def __len__(self) -> int:
         return len(self.order)
 
+    # Nothing in src/ calls restrict_learners (fit_rasch and
+    # correct_ratio_snapshot take fit_learners); perfbench/tracing.py wraps it
+    # under this name.
     def restrict_learners(self, learner_ids: set[str]) -> "InteractionLog":
         """Sub-log containing only the given learners, order preserved."""
         wanted = np.array([lid in learner_ids for lid in self.learner_ids], dtype=bool)
@@ -220,7 +223,11 @@ class Snapshot(_Owned):
     def _freeze(self, convert) -> None:
         """Convert the values to C-ordered float64 with ``convert`` (as in
         ``InteractionLog._freeze``), check the snapshot and freeze it."""
-        values = convert(self.values, dtype=np.float64, order="C")
+        values = np.asarray(self.values)
+        # A cast would parse strings and read None as NaN.
+        if values.dtype.kind not in "biufc":
+            raise ValueError(f"snapshot values must be numbers, got dtype {values.dtype}")
+        values = convert(values, dtype=np.float64, order="C")
         if values.ndim != 2:
             raise ValueError("snapshot values must be a 2-D matrix")
         if values.shape[0] != len(self.question_ids):

@@ -6,7 +6,9 @@ smoothed per-question and per-learner correct ratios, counted with
 estimator fits a per-learner ability and per-question difficulty by
 L2-penalized joint maximum likelihood and predicts
 sigmoid(ability - difficulty). One Newton solver serves both the joint fit
-(``fit_rasch``) and the ability-only fit with difficulties frozen
+(``fit_rasch``, which fits on the records of its ``fit_learners`` alone,
+such as a training split, in place, and gives b = 0 to a question none of
+them answered) and the ability-only fit with difficulties frozen
 (``fit_abilities``, which appends a question the fitted model lacks with
 b = 0), both returning a ``RaschModel``. It alternates diagonal Newton
 steps on the two blocks, halving each ability's or difficulty's step on
@@ -40,6 +42,7 @@ a practical snapshot size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -56,9 +59,10 @@ class RaschModel:
     """Fitted one-parameter logistic model: P(correct) = sigmoid(theta - b).
 
     ``fit_rasch`` and ``fit_abilities`` both return one, with one ``theta`` per
-    learner of ``learner_ids``, one ``b`` per question of ``question_ids``;
-    ``fit_abilities`` appends the questions of its log that the fitted model
-    lacks, with b = 0.
+    learner of ``learner_ids``, one ``b`` per question of ``question_ids``.
+    ``fit_rasch`` keeps every question of its log, with b = 0 for one that
+    no fitting learner answered; ``fit_abilities`` appends the questions of
+    its log that the fitted model lacks, with b = 0.
     ``nll_history`` records the penalized negative log-likelihood at the
     start and after each iteration, so ``iterations`` is one less than its
     length. ``converged`` says whether an iteration within ``max_epochs``
@@ -287,6 +291,7 @@ def _newton(
 def fit_rasch(
     log: InteractionLog,
     *,
+    fit_learners: set[str] | None = None,
     reg: float = 1e-4,
     max_epochs: int = 500,
     tol: float = 1e-6,
@@ -294,6 +299,11 @@ def fit_rasch(
     """Fit abilities and difficulties by penalized joint maximum
     likelihood with the Newton solver above.
 
+    ``fit_learners`` optionally restricts the fit to those learners'
+    records, as ``correct_ratio_snapshot`` does, without building a
+    sub-log. The model's learners are the fitting learners in log order;
+    its questions are the log's, in log order, and a question no fitting
+    learner answered keeps b = 0, as ``fit_abilities`` would give it.
     ``reg`` is the L2 weight on both blocks, ``max_epochs`` the iteration
     cap and ``tol`` the largest parameter change of an iteration that
     counts as converged; all three must be positive and finite.
@@ -305,11 +315,19 @@ def fit_rasch(
             raise ValueError(f"{name} must be positive")
     if max_epochs < 1:
         raise ValueError("max_epochs must be at least 1")
-    if not len(log):
+    l_idx, q_idx, y, learner_ids = log.learner, log.question, log.correct, log.learner_ids
+    if fit_learners is not None:
+        wanted = np.array([lid in fit_learners for lid in learner_ids], dtype=bool)
+        keep = wanted.take(l_idx)
+        # Fitting learners keep every record, so a running count numbers them.
+        l_idx = (np.cumsum(wanted) - 1).take(l_idx.compress(keep))
+        q_idx, y = q_idx.compress(keep), y.compress(keep)
+        del keep
+        learner_ids = tuple(compress(learner_ids, wanted))
+    if not y.size:
         raise ValueError("empty interaction log")
     return _newton(
-        log.learner, log.question, log.correct, np.zeros(len(log.question_ids)),
-        log.learner_ids, log.question_ids,
+        l_idx, q_idx, y, np.zeros(len(log.question_ids)), learner_ids, log.question_ids,
         reg=reg, max_epochs=max_epochs, tol=tol, fit_b=True,
     )
 
@@ -327,13 +345,18 @@ def fit_abilities(model: RaschModel, log: InteractionLog) -> RaschModel:
     """
     if not len(log):
         raise ValueError("empty interaction log")
-    position = {qid: i for i, qid in enumerate(model.question_ids)}
-    for qid in log.question_ids:
-        position.setdefault(qid, len(position))
-    lookup = np.array([position[qid] for qid in log.question_ids], dtype=np.intp)
-    b = np.concatenate((model.b, np.zeros(len(position) - model.b.size)))
+    if model.question_ids == log.question_ids:
+        # The model's questions are the log's, in the same order: no remap.
+        question, question_ids, b = log.question, model.question_ids, model.b.copy()
+    else:
+        position = {qid: i for i, qid in enumerate(model.question_ids)}
+        for qid in log.question_ids:
+            position.setdefault(qid, len(position))
+        lookup = np.array([position[qid] for qid in log.question_ids], dtype=np.intp)
+        question, question_ids = lookup.take(log.question), tuple(position)
+        b = np.concatenate((model.b, np.zeros(len(position) - model.b.size)))
     return _newton(
-        log.learner, lookup.take(log.question), log.correct, b, log.learner_ids, tuple(position),
+        log.learner, question, log.correct, b, log.learner_ids, question_ids,
         reg=model.reg, max_epochs=model.max_epochs, tol=model.tol, fit_b=False,
     )
 

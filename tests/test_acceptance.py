@@ -66,7 +66,7 @@ def pipeline(world_seed: int):
         _, log, truth = simulate(SimConfig(num_learners=6000, seed=world_seed))
         ids = log.learner_ids
         split = split_learners(range(len(ids)), 0.8, seed=0)
-        model = fit_rasch(log.restrict_learners({ids[i] for i in split.train}))
+        model = fit_rasch(log, fit_learners={ids[i] for i in split.train})
         predicted = rasch_snapshot(fit_abilities(model, log))
         _pipeline_cache[world_seed] = (log, truth, predicted, split)
     return _pipeline_cache[world_seed]

@@ -792,6 +792,38 @@ class TestConfigOverride:
         assert doc["config"]["k"] == 2
         assert len(doc["selected_questions"]) == 2
 
+    def test_result_config_block_reruns_the_search(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        first = tmp_path / "first.json"
+        code, _, err = run_cli(
+            capsys, "search", "--snapshot", str(truth), "--algo", "ga", "--k", "3",
+            "--ratio", "0.7", "--split-seed", "2", "--samples", "300", "--lambda-seed", "3",
+            "--seed", "4", "--out", str(first), *flag_argv(GA_FLAGS),
+        )
+        assert code == 0, err
+        doc = json.loads(first.read_text())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc["config"]))
+        # The block's keys override every flag given here, "lambda" as --lam.
+        again = tmp_path / "again.json"
+        code, _, err = run_cli(
+            capsys, "search", "--snapshot", str(truth), "--algo", "greedy", "--k", "1",
+            "--out", str(again), "--config", str(cfg_path),
+        )
+        assert code == 0, err
+        rerun = json.loads(again.read_text())
+        assert rerun["selected_questions"] == doc["selected_questions"]
+        assert rerun["config"] == doc["config"]
+
+    def test_lambda_key_rejected_where_there_is_no_lam(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lambda": 0.5}))
+        code, _, err = run_cli(
+            capsys, "calibrate", "--snapshot", str(truth), "--k", "3", "--config", str(cfg_path)
+        )
+        assert code == 1 and err == "error: unknown config key 'lambda'\n"
+
     def test_unknown_key_rejected(self, small_world, tmp_path, capsys):
         _, truth = small_world
         cfg_path = tmp_path / "cfg.json"

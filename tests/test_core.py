@@ -161,6 +161,32 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="NaN"):
             Snapshot(np.array([[0.5, np.nan]]), ("q0",), ("l0", "l1"))
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([["0.5"]]),
+            [["0.5"]],
+            np.array([[b"0.5"]]),
+            np.array([[None]]),
+            [[None]],
+            np.array([[0.5]], dtype=object),
+        ],
+    )
+    def test_rejects_strings_and_objects(self, values):
+        with pytest.raises(ValueError, match="^snapshot values must be numbers, got dtype "):
+            Snapshot(values, ("q0",), ("l0",))
+        with pytest.raises(ValueError, match="^snapshot values must be numbers, got dtype "):
+            Snapshot._own(np.asarray(values), ("q0",), ("l0",))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[[1]], np.array([[True]]), np.array([[1]], dtype=np.uint8), np.array([[0.5]], np.float16)],
+    )
+    def test_numeric_values_are_cast(self, values):
+        snap = Snapshot(values, ("q0",), ("l0",))
+        assert snap.values.dtype == np.float64
+        assert snap.values.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             Snapshot(np.array([[1.2]]), ("q0",), ("l0",))

@@ -16,7 +16,7 @@ from diaggen import (
     rasch_snapshot,
     sufficiency_curve,
 )
-from diaggen.core import sigmoid, to_index_arrays
+from diaggen.core import sigmoid, split_learners, to_index_arrays
 from diaggen.estimation import _newton, per_question_sufficiency_curve
 from diaggen.simulator import SimConfig, simulate
 
@@ -326,6 +326,110 @@ class TestFitRasch:
             np.testing.assert_allclose(
                 joint, np.concatenate((alone.theta, alone.b)), rtol=0, atol=1e-6
             )
+
+
+def shuffled_log(seed, n_learners, n_questions):
+    """Every learner answers every question once, in an order of their own,
+    after l0 answers qH, which no one else answers: qH is the log's first
+    question, and the other learners meet the rest in other orders."""
+    rng = np.random.default_rng(seed)
+    return make_log(
+        [("l0", "qH", 1, 0)]
+        + [
+            (f"l{l}", f"q{q}", int(rng.random() < 0.5), o + 1)
+            for l in range(n_learners)
+            for o, q in enumerate(rng.permutation(n_questions))
+        ]
+    )
+
+
+def train_ids(log):
+    split = split_learners(range(len(log.learner_ids)), 0.8, 0)
+    return {log.learner_ids[i] for i in split.train}
+
+
+class TestFitLearners:
+    """``fit_rasch(log, fit_learners=S)`` against ``fit_rasch(log.restrict_learners(S))``."""
+
+    @pytest.mark.parametrize(
+        "log",
+        [
+            simulate(SimConfig(num_learners=300, seed=101))[1],
+            bernoulli_log(np.linspace(-2, 2, 40), np.linspace(-1, 1, 9), 3),
+        ],
+        ids=["simulated", "bernoulli"],
+    )
+    def test_log_order_is_bitwise_the_restricted_fit(self, log):
+        fit = train_ids(log)
+        got = fit_rasch(log, fit_learners=fit)
+        want = fit_rasch(log.restrict_learners(fit))
+        # The fitting learners meet the questions in log order.
+        assert want.question_ids == got.question_ids == log.question_ids
+        assert got.learner_ids == want.learner_ids
+        for name in ("theta", "b"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert (got.nll_history, got.converged, got.groups) == (
+            want.nll_history, want.converged, want.groups
+        )
+
+    @pytest.mark.parametrize("case", ["shuffled", "thinned"])
+    def test_other_orders_agree_with_the_restricted_fit(self, case):
+        if case == "shuffled":
+            log = shuffled_log(7, 60, 12)
+            fit = set(log.learner_ids) - {"l0", "l1"}
+        else:
+            _, log, _ = simulate(SimConfig(num_learners=600, seed=101))
+            log = kept_records(log, np.random.default_rng(0).random(len(log)) < 0.1)
+            fit = train_ids(log)
+        got = fit_rasch(log, fit_learners=fit)
+        want = fit_rasch(log.restrict_learners(fit))
+        assert got.question_ids == log.question_ids != want.question_ids
+        assert got.learner_ids == want.learner_ids
+        # Each learner's records are summed in another order. The thinned
+        # log's learners with few records have abilities near 6, which agree
+        # to 1e-12 relative.
+        b = dict(zip(got.question_ids, got.b))
+        close = {"rtol": 1e-12, "atol": 1e-12}
+        np.testing.assert_allclose([b[q] for q in want.question_ids], want.b, **close)
+        unanswered = [b[q] for q in got.question_ids if q not in want.question_ids]
+        assert unanswered == ([0.0] if case == "shuffled" else [])
+        np.testing.assert_allclose(got.theta, want.theta, **close)
+        np.testing.assert_allclose(got.nll_history, want.nll_history, rtol=1e-12, atol=0)
+        assert (got.converged, got.groups) == (want.converged, want.groups)
+
+    def test_question_only_held_out_learners_answered_keeps_zero_difficulty(self):
+        # Only l19 answers qX, and l19 is held out.
+        log = make_log(
+            [(f"l{l}", f"q{q}", int(l * (q + 2) % 7 < 4), q) for l in range(20) for q in range(3)]
+            + [("l19", "qX", 1, 9)]
+        )
+        fit = {f"l{l}" for l in range(19)}
+        model = fit_rasch(log, fit_learners=fit)
+        assert model.question_ids == log.question_ids == ("q0", "q1", "q2", "qX")
+        assert model.b[3] == 0.0
+        want = fit_rasch(log.restrict_learners(fit))
+        assert model.b[:3].tobytes() == want.b.tobytes()
+        assert model.theta.tobytes() == want.theta.tobytes()
+        scored = fit_abilities(model, log)
+        assert scored.question_ids == log.question_ids and scored.b.tobytes() == model.b.tobytes()
+
+    @pytest.mark.parametrize("fit", [set(), {"nobody"}])
+    def test_fit_learners_without_records_rejected(self, fit):
+        with pytest.raises(ValueError, match="^empty interaction log$"):
+            fit_rasch(make_log([("l0", "q0", 1, 0), ("l1", "q0", 0, 0)]), fit_learners=fit)
+
+    def test_abilities_take_the_log_questions_as_they_are(self):
+        rng = np.random.default_rng(53)
+        log = bernoulli_log(rng.standard_normal(40), rng.standard_normal(8), 53)
+        model = fit_rasch(log, fit_learners=train_ids(log))
+        scored = fit_abilities(model, log)
+        assert scored.b.tobytes() == model.b.tobytes() and not np.shares_memory(scored.b, model.b)
+        # A model with one more question remaps the log's questions onto the
+        # same positions, and scores every learner bitwise alike.
+        extended = dataclasses.replace(
+            model, question_ids=model.question_ids + ("qZ",), b=np.append(model.b, 0.7)
+        )
+        assert fit_abilities(extended, log).theta.tobytes() == scored.theta.tobytes()
 
 
 class TestRaschSnapshot:
