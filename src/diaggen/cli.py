@@ -261,8 +261,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     snapshot = read_snapshot(args.snapshot)
     doc: dict[str, Any] = {}
     if args.result is not None:
-        with open(args.result, encoding="utf-8") as fh:
-            record = json.load(fh)
+        if args.genes is not None or args.lam is not None:
+            raise ValueError("--genes and --lam cannot be combined with --result")
+        record = _load_json(args.result)
         if isinstance(record, dict) and "runs" in record:
             # A --repeats document: re-score the run with the highest train
             # fitness, the earliest one on ties.
@@ -422,6 +423,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_json(path: str) -> Any:
+    """The JSON document in ``path``; an error in it names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _config_value(action: argparse.Action, key: str, value: Any) -> Any:
     """A config value checked as strictly as the flag it overrides.
 
@@ -453,8 +463,7 @@ def _config_value(action: argparse.Action, key: str, value: Any) -> Any:
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if getattr(args, "config", None) is None:
         return
-    with open(args.config, encoding="utf-8") as fh:
-        overrides = json.load(fh)
+    overrides = _load_json(args.config)
     if not isinstance(overrides, dict):
         raise ValueError("config file must contain a JSON object")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

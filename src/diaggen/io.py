@@ -98,10 +98,7 @@ def _interaction_columns(data: bytes) -> tuple | None:
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
     n = data.count(b"\n") - 1
-    if n == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return (), (), empty, empty, empty.astype(bool), empty
-    ids = _IdColumn(buf, n), _IdColumn(buf, n)
+    ids = _IdColumn(buf, max(n, 1)), _IdColumn(buf, max(n, 1))
     columns = tuple(np.empty(n, dtype=dtype) for dtype in (np.intp, np.intp, bool, np.int64))
     at, row = len(_HEADER_LINE), 0
     while at < len(data):
@@ -310,38 +307,36 @@ def write_interactions(log: InteractionLog, path: str | Path) -> None:
     spelled as ``str`` spells them.
 
     Each chunk of about ``_WRITE_BYTES`` is one byte matrix, a row per
-    record, each field right-aligned in columns as wide as its widest value;
-    a mask of each field's length keeps the line. A chunk holding an id
-    field wider than ``_FIELD_BYTES`` is written record by record.
+    record, each field NUL-padded to columns as wide as its widest value;
+    the matrix less its NULs is the chunk's lines, since ids hold no NUL.
+    A chunk holding an id field wider than ``_FIELD_BYTES`` is written
+    record by record.
     """
-    tables = [_Fields(ids) for ids in (log.learner_ids, log.question_ids)]
+    fields, tables, wide = zip(*map(_field_table, (log.learner_ids, log.question_ids)))
     order_width = len(str(int(log.order.max(initial=0))))
-    edges = np.cumsum([0, tables[0].width, tables[1].width, 2, order_width + 1])
+    edges = np.cumsum([0, tables[0].itemsize, tables[1].itemsize, 2, order_width + 1])
     rows = max(_WRITE_BYTES // edges[-1], 1)
     lines = np.empty((min(rows, len(log)), edges[-1]), dtype=np.uint8)
-    keep = np.ones_like(lines, dtype=bool)
     lines[:, edges[3] - 1], lines[:, -1] = ord(","), ord("\n")
     with open(path, "wb") as fh:
         fh.write(_HEADER_LINE)
         for at in range(0, len(log), rows):
             chunk = slice(at, at + rows)
             indices = (log.learner[chunk], log.question[chunk])
-            if any(np.any(table.lengths[i] > table.width) for table, i in zip(tables, indices)):
+            if any(w[i].any() for w, i in zip(wide, indices)):
                 columns = (*indices, log.correct[chunk], log.order[chunk])
-                learners, questions = (table.fields for table in tables)
                 fh.writelines(
-                    b"%s%s%d,%d\n" % (learners[l], questions[q], c, o)
+                    b"%s%s%d,%d\n" % (fields[0][l], fields[1][q], c, o)
                     for l, q, c, o in zip(*(column.tolist() for column in columns))
                 )
                 continue
-            n = len(log.order[chunk])
-            block = [(lines[:n, a:b], keep[:n, a:b]) for a, b in zip(edges, edges[1:])]
-            for table, i, field in zip(tables, indices, block):
-                table.put(i, *field)
-            lines[:n, edges[2]] = log.correct[chunk] + np.uint8(ord("0"))
-            length = _put_digits(log.order[chunk], block[3][0][:, :-1]) + 1
-            _items(block[3][1])[:] = _tail_masks(order_width + 1)[length]
-            fh.write(lines[:n][keep[:n]])
+            n = len(indices[0])
+            block = lines[:n]
+            for table, i, a, b in zip(tables, indices, edges, edges[1:]):
+                block[:, a:b] = table[i].view(np.uint8).reshape(n, b - a)
+            block[:, edges[2]] = log.correct[chunk] + np.uint8(ord("0"))
+            _put_digits(log.order[chunk], block[:, edges[3] : -1])
+            fh.write(block[block != 0])
 
 
 # Bytes of the record matrix ``write_interactions`` assembles at a time, and
@@ -352,48 +347,28 @@ _FIELD_BYTES = 256
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
-def _items(block: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D array whose rows are contiguous bytes as one item."""
-    return block.view(np.dtype((np.void, block.shape[1] * block.itemsize)))[:, 0]
+def _field_table(ids: Sequence[str]) -> tuple[list[bytes], np.ndarray, np.ndarray]:
+    """Ids as CSV fields, each with its comma, in UTF-8; the same as a
+    NUL-padded bytes table as wide as the widest, at most ``_FIELD_BYTES``;
+    and which fields are wider, each an empty entry in the table."""
+    fields = [(_csv_field(i) + ",").encode() for i in ids]
+    lengths = np.fromiter(map(len, fields), dtype=np.intp, count=len(fields))
+    width = int(min(lengths.max(initial=1), _FIELD_BYTES))
+    wide = lengths > width
+    table = np.array([b"" if w else f for f, w in zip(fields, wide.tolist())], dtype=f"S{width}")
+    return fields, table, wide
 
 
-def _tail_masks(width: int) -> np.ndarray:
-    """Item ``j``: ``width - j`` falses, then ``j`` trues."""
-    return _items(np.lib.stride_tricks.sliding_window_view(np.arange(2 * width) >= width, width))
-
-
-class _Fields:
-    """Ids as CSV fields, each with its comma, in UTF-8. A byte matrix
-    shows them right-aligned in ``width`` columns, at most ``_FIELD_BYTES``."""
-
-    def __init__(self, ids: Sequence[str]) -> None:
-        self.fields = [(_csv_field(i) + ",").encode() for i in ids]
-        self.lengths = np.fromiter(map(len, self.fields), dtype=np.intp, count=len(ids))
-        self.width = int(min(self.lengths.max(initial=1), _FIELD_BYTES))
-        # Window ends[i] of the fields, joined after a zero pad, ends where field i does.
-        self.ends = np.cumsum(self.lengths)
-        joined = np.frombuffer(bytes(self.width) + b"".join(self.fields), dtype=np.uint8)
-        self.windows = _items(np.lib.stride_tricks.sliding_window_view(joined, self.width))
-
-    def put(self, index: np.ndarray, columns: np.ndarray, keep: np.ndarray) -> None:
-        """The fields of ``index``, none wider than ``width``, in
-        ``columns``, and ``keep`` true over them."""
-        _items(columns)[:] = self.windows[self.ends[index]]
-        _items(keep)[:] = _tail_masks(self.width)[self.lengths[index]]
-
-
-def _put_digits(order: np.ndarray, digits: np.ndarray) -> np.ndarray:
+def _put_digits(order: np.ndarray, digits: np.ndarray) -> None:
     """``str`` of each non-negative order right-aligned in its row of
-    ``digits``; their lengths."""
+    ``digits``, NUL in place of leading zeros."""
     value = order.astype(np.uint64)
-    length = np.ones(order.size, dtype=np.intp)
     ten = np.uint64(10)
+    shown = True  # the last column spells 0 too
     for col in range(digits.shape[1] - 1, -1, -1):
         quotient = value // ten
-        digits[:, col] = value - quotient * ten + np.uint64(ord("0"))
-        value = quotient
-        length += value > 0
-    return length
+        digits[:, col] = (value - quotient * ten + np.uint64(ord("0"))) * shown
+        value, shown = quotient, quotient > 0
 
 
 def write_snapshot(snapshot: Snapshot, path: str | Path) -> None:

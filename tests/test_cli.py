@@ -658,6 +658,29 @@ class TestEvaluate:
         code, _, err = run_cli(capsys, "evaluate", "--snapshot", str(truth))
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("flag", [["--genes", "q2,q3"], ["--lam", "0.9"]], ids=["genes", "lam"])
+    def test_flag_beside_result_rejected(self, small_world, tmp_path, capsys, flag):
+        # The result's genes and lambda are the ones scored: another given
+        # beside them would be ignored.
+        _, truth = small_world
+        res_path = tmp_path / "res.json"
+        res_path.write_text(json.dumps(RESULT))
+        code, out, err = run_cli(
+            capsys, "evaluate", "--snapshot", str(truth), "--result", str(res_path), *flag
+        )
+        assert code == 1 and out == ""
+        assert err == "error: --genes and --lam cannot be combined with --result\n"
+
+    def test_invalid_json_result_names_the_file(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        res_path = tmp_path / "res.json"
+        res_path.write_text("")
+        code, out, err = run_cli(
+            capsys, "evaluate", "--snapshot", str(truth), "--result", str(res_path)
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {res_path}: Expecting value: line 1 column 1 (char 0)\n"
+
     @pytest.mark.parametrize(
         "document, message",
         [
@@ -823,6 +846,19 @@ class TestConfigOverride:
             capsys, "calibrate", "--snapshot", str(truth), "--k", "3", "--config", str(cfg_path)
         )
         assert code == 1 and err == "error: unknown config key 'lambda'\n"
+
+    def test_invalid_json_names_the_file(self, small_world, tmp_path, capsys):
+        _, truth = small_world
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"k": 3,}')
+        code, out, err = run_cli(
+            capsys, "calibrate", "--snapshot", str(truth), "--k", "3", "--config", str(cfg_path)
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: {cfg_path}: Expecting property name enclosed in double quotes: "
+            "line 1 column 9 (char 8)\n"
+        )
 
     def test_unknown_key_rejected(self, small_world, tmp_path, capsys):
         _, truth = small_world

@@ -290,7 +290,7 @@ class TestInteractionWriter:
         assert read_interactions(tmp_path / "log.csv") == log
 
     def test_memory(self, tmp_path):
-        # The world of the benchmark: the former writer peaked at 20.4 MiB.
+        # The world of the benchmark, where the writer peaks at about 3.5 MiB.
         _, log, _ = simulate(SimConfig(num_learners=6000, num_questions=50, seed=101))
         tracemalloc.start()
         try:
@@ -298,7 +298,7 @@ class TestInteractionWriter:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 20.4 * 2**20
+        assert peak <= 4.5 * 2**20
 
 
 def read_outcome(read, path):
