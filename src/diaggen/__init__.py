@@ -4,7 +4,6 @@ learner-performance snapshots."""
 from .core import (
     InteractionLog,
     Snapshot,
-    build_pool,
     split_learners,
 )
 from .criteria import (
@@ -50,7 +49,6 @@ __all__ = [
     "Snapshot",
     "SufficiencyCurve",
     "brute_force",
-    "build_pool",
     "calibrate_lambda",
     "combined",
     "correct_ratio_snapshot",

@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
-from typing import Any, Sequence
+from typing import Any, Sequence, get_type_hints
 
 import numpy as np
 
@@ -81,6 +81,10 @@ _GA_FIELDS = {
     "population": "population_size", "generations": "generations", "pc": "p_c",
     "pm1": "p_m1", "pm2": "p_m2", "tournament_fraction": "tournament_fraction",
 }
+# Each config's field types, evaluated once: at every parse they raised peak RSS by 1 MiB.
+_FIELD_TYPES = {cls: get_type_hints(cls) for cls in (SimConfig, GaConfig)}
+# The learner split's defaults; evaluate --genes falls back to them.
+_RATIO, _SPLIT_SEED = 0.8, 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -103,12 +107,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     log = read_interactions(args.interactions)
     split = split_learners(range(len(log.learner_ids)), args.ratio, args.split_seed)
-    train_ids = {log.learner_ids[i] for i in split.train}
 
     doc: dict[str, Any] = {"estimator": args.estimator}
     if args.estimator == "rasch":
         model = fit_rasch(
-            log, fit_learners=train_ids, reg=args.reg, max_epochs=args.max_epochs, tol=args.tol
+            log, fit_learners=split.train, reg=args.reg, max_epochs=args.max_epochs, tol=args.tol
         )
         scored = fit_abilities(model, log)
         snapshot = rasch_snapshot(scored)
@@ -120,9 +123,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "abilities_iterations": scored.iterations,
         }
     else:
-        snapshot = correct_ratio_snapshot(
-            log, smoothing=args.smoothing, fit_learners=train_ids
-        )
+        snapshot = correct_ratio_snapshot(log, smoothing=args.smoothing, fit_learners=split.train)
     write_snapshot(snapshot, args.out)
 
     doc |= {
@@ -261,8 +262,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     snapshot = read_snapshot(args.snapshot)
     doc: dict[str, Any] = {}
     if args.result is not None:
-        if args.genes is not None or args.lam is not None:
-            raise ValueError("--genes and --lam cannot be combined with --result")
+        if any(v is not None for v in (args.genes, args.lam, args.ratio, args.split_seed)):
+            raise ValueError("--result takes no --genes, --lam, --ratio or --split-seed")
         record = _load_json(args.result)
         if isinstance(record, dict) and "runs" in record:
             # A --repeats document: re-score the run with the highest train
@@ -282,8 +283,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         if args.genes is None or args.lam is None:
             raise ValueError("evaluate needs either --result or both --genes and --lam")
-        ratio = args.ratio
-        split_seed = args.split_seed
+        ratio = _RATIO if args.ratio is None else args.ratio
+        split_seed = _SPLIT_SEED if args.split_seed is None else args.split_seed
         lam = args.lam
         selected = [g.strip() for g in args.genes.split(",") if g.strip()]
 
@@ -328,11 +329,19 @@ def cmd_sufficiency(args: argparse.Namespace) -> int:
 
 def _add_split_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--ratio", type=float, default=0.8, help="train fraction of learners"
+        "--ratio", type=float, default=_RATIO, help="train fraction of learners"
     )
     parser.add_argument(
-        "--split-seed", type=int, default=0, help="seed for the learner split"
+        "--split-seed", type=int, default=_SPLIT_SEED, help="seed for the learner split"
     )
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, flags: dict[str, str], cls: type) -> None:
+    """One flag per dest of ``flags``, typed and defaulted by the field of
+    ``cls`` that it sets, and required when that field has no default."""
+    for dest, field in flags.items():
+        kwargs = {"default": getattr(cls, field)} if hasattr(cls, field) else {"required": True}
+        parser.add_argument("--" + dest.replace("_", "-"), type=_FIELD_TYPES[cls][field], **kwargs)
 
 
 def _add_lambda_flags(parser: argparse.ArgumentParser) -> None:
@@ -348,13 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic population")
-    p.add_argument("--learners", type=int, required=True)
-    p.add_argument("--questions", type=int, default=SimConfig.num_questions)
-    p.add_argument("--concepts", type=int, default=SimConfig.num_concepts)
-    p.add_argument("--slip", type=float, default=SimConfig.slip)
-    p.add_argument("--growth-mean", type=float, default=SimConfig.growth_mean)
-    p.add_argument("--growth-std", type=float, default=SimConfig.growth_std)
-    p.add_argument("--seed", type=int, default=SimConfig.seed)
+    _add_config_flags(p, _SIM_FIELDS, SimConfig)
     p.add_argument("--interactions-out", required=True)
     p.add_argument("--snapshot-out", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -390,12 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="search seed")
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--population", type=int, default=GaConfig.population_size)
-    p.add_argument("--generations", type=int, default=GaConfig.generations)
-    p.add_argument("--pc", type=float, default=GaConfig.p_c)
-    p.add_argument("--pm1", type=float, default=GaConfig.p_m1)
-    p.add_argument("--pm2", type=float, default=GaConfig.p_m2)
-    p.add_argument("--tournament-fraction", type=float, default=GaConfig.tournament_fraction)
+    _add_config_flags(p, _GA_FIELDS, GaConfig)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("evaluate", help="re-score an existing gene list")
@@ -405,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=None)
     _add_split_flags(p)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_evaluate)
+    # None, so that a split flag beside --result is rejected.
+    p.set_defaults(func=cmd_evaluate, ratio=None, split_seed=None)
 
     p = sub.add_parser("sufficiency", help="learner-count sufficiency curve")
     p.add_argument("--snapshot", required=True)

@@ -2,15 +2,15 @@
 
 Identifiers come in two flavors. External ids are the opaque strings found in
 input files. Internal indices are dense 0-based integers assigned in order of
-first appearance; every algorithm works on indices and external ids only
-appear at I/O boundaries.
+first appearance; every algorithm works on indices, and names a subset of
+learners by theirs, such as one side of a ``LearnerSplit``. External ids
+only appear at I/O boundaries.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, fields
-from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -126,21 +126,16 @@ class InteractionLog(_Owned):
     def __len__(self) -> int:
         return len(self.order)
 
-    # Nothing in src/ calls restrict_learners (fit_rasch and
-    # correct_ratio_snapshot take fit_learners); perfbench/tracing.py wraps it
-    # under this name.
-    def restrict_learners(self, learner_ids: set[str]) -> "InteractionLog":
-        """Sub-log containing only the given learners, order preserved."""
-        wanted = np.array([lid in learner_ids for lid in self.learner_ids], dtype=bool)
-        keep = wanted[self.learner]
-        kept = self.question[keep]
-        positions, question = _first_appearances(kept, len(self.question_ids))
-        question_ids = tuple(self.question_ids[q] for q in kept[positions].tolist())
-        # Kept learners keep every record, so a running count numbers them.
-        learner = (np.cumsum(wanted) - 1)[self.learner[keep]]
-        learner_ids = tuple(compress(self.learner_ids, wanted))
-        return InteractionLog._own(
-            learner_ids, question_ids, learner, question, self.correct[keep], self.order[keep]
+    # Nothing in src/ calls restrict_learners; the tests take it as the plain
+    # reference sub-log, and perfbench/tracing.py wraps it under this name.
+    def restrict_learners(self, learners: Sequence[int]) -> "InteractionLog":
+        """Sub-log of the records of the learners at the given indices, in
+        order, renumbered as ``from_records`` numbers them."""
+        keep = _learner_mask(learners, len(self.learner_ids)).take(self.learner)
+        columns = (self.learner, self.question, self.correct, self.order)
+        records = zip(*(column[keep].tolist() for column in columns))
+        return InteractionLog.from_records(
+            (self.learner_ids[i], self.question_ids[q], c, o) for i, q, c, o in records
         )
 
 
@@ -164,17 +159,6 @@ def _check_first_appearance(name: str, index: np.ndarray, ids: tuple[str, ...]) 
         raise ValueError(
             f"{name} ids must each appear in the records, numbered in order of first appearance"
         )
-
-
-def _first_appearances(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where each value in [0, n) that ``index`` holds first appears, in
-    order of first appearance, and ``index`` renumbered in that order."""
-    first = np.full(n, index.size)
-    np.minimum.at(first, index, np.arange(index.size))
-    by_first = np.argsort(first)[: np.count_nonzero(first < index.size)]
-    lookup = np.empty(n, dtype=np.intp)
-    lookup[by_first] = np.arange(by_first.size)
-    return first[by_first], lookup[index]
 
 
 def sigmoid(x) -> np.ndarray:
@@ -340,6 +324,11 @@ def _learner_indices(
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("learner indices must be distinct")
     return array, ordered
+
+
+def _learner_mask(learners: Sequence[int], n: int) -> np.ndarray:
+    """Bool mask over ``n`` learners, True at ``learners`` (``_learner_indices``)."""
+    return np.bincount(_learner_indices(learners, n)[0], minlength=n).astype(bool)
 
 
 def split_learners(

@@ -7,7 +7,7 @@ estimator fits a per-learner ability and per-question difficulty by
 L2-penalized joint maximum likelihood and predicts
 sigmoid(ability - difficulty). One Newton solver serves both the joint fit
 (``fit_rasch``, which fits on the records of its ``fit_learners`` alone,
-such as a training split, in place, and gives b = 0 to a question none of
+such as a split's ``train``, in place, and gives b = 0 to a question none of
 them answered) and the ability-only fit with difficulties frozen
 (``fit_abilities``, which appends a question the fitted model lacks with
 b = 0), both returning a ``RaschModel``. It alternates diagonal Newton
@@ -43,13 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 # build_pool and to_index_arrays are not called here; perfbench/tracing.py
 # wraps them under these names.
-from .core import InteractionLog, Snapshot, build_pool, sigmoid, to_index_arrays
+from .core import InteractionLog, Snapshot, _learner_mask, build_pool, sigmoid, to_index_arrays
 
 _CLIP = 1e-3
 
@@ -291,7 +291,7 @@ def _newton(
 def fit_rasch(
     log: InteractionLog,
     *,
-    fit_learners: set[str] | None = None,
+    fit_learners: Sequence[int] | None = None,
     reg: float = 1e-4,
     max_epochs: int = 500,
     tol: float = 1e-6,
@@ -299,11 +299,11 @@ def fit_rasch(
     """Fit abilities and difficulties by penalized joint maximum
     likelihood with the Newton solver above.
 
-    ``fit_learners`` optionally restricts the fit to those learners'
-    records, as ``correct_ratio_snapshot`` does, without building a
-    sub-log. The model's learners are the fitting learners in log order;
-    its questions are the log's, in log order, and a question no fitting
-    learner answered keeps b = 0, as ``fit_abilities`` would give it.
+    ``fit_learners`` optionally restricts the fit to the records of the
+    learners at those indices, as ``correct_ratio_snapshot`` does, without
+    building a sub-log. The model's learners are the fitting learners in log
+    order; its questions are the log's, in log order, and a question no
+    fitting learner answered keeps b = 0, as ``fit_abilities`` would give it.
     ``reg`` is the L2 weight on both blocks, ``max_epochs`` the iteration
     cap and ``tol`` the largest parameter change of an iteration that
     counts as converged; all three must be positive and finite.
@@ -317,7 +317,7 @@ def fit_rasch(
         raise ValueError("max_epochs must be at least 1")
     l_idx, q_idx, y, learner_ids = log.learner, log.question, log.correct, log.learner_ids
     if fit_learners is not None:
-        wanted = np.array([lid in fit_learners for lid in learner_ids], dtype=bool)
+        wanted = _learner_mask(fit_learners, len(learner_ids))
         keep = wanted.take(l_idx)
         # Fitting learners keep every record, so a running count numbers them.
         l_idx = (np.cumsum(wanted) - 1).take(l_idx.compress(keep))
@@ -371,7 +371,7 @@ def correct_ratio_snapshot(
     log: InteractionLog,
     smoothing: float = 1.0,
     *,
-    fit_learners: set[str] | None = None,
+    fit_learners: Sequence[int] | None = None,
 ) -> Snapshot:
     """Additive estimator from smoothed correct ratios.
 
@@ -379,10 +379,11 @@ def correct_ratio_snapshot(
     smoothed correct ratio of question q, a_l the smoothed correct ratio of
     learner l over their own records, and g the smoothed global ratio.
 
-    ``fit_learners`` optionally restricts the records used for p_q and g
-    (per-learner ratios always come from the learner's own records), so a
-    held-out split can be kept out of the question statistics. Without
-    smoothing, a question they left unanswered has no ratio and is rejected.
+    ``fit_learners`` optionally restricts the records used for p_q and g to
+    the learners at those indices (per-learner ratios always come from the
+    learner's own records), so a held-out split can be kept out of the
+    question statistics. Without smoothing, a question they left unanswered
+    has no ratio and is rejected.
     """
     if not np.isfinite(smoothing):
         raise ValueError("smoothing must be finite")
@@ -394,7 +395,7 @@ def correct_ratio_snapshot(
     nq, nl = len(log.question_ids), len(log.learner_ids)
     fit_y = y
     if fit_learners is not None:
-        keep = np.array([lid in fit_learners for lid in log.learner_ids], dtype=bool)[l_idx]
+        keep = _learner_mask(fit_learners, nl)[l_idx]
         q_idx, fit_y = q_idx[keep], y[keep]
     if not fit_y.size:
         raise ValueError("no records available for question statistics")

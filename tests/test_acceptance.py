@@ -64,9 +64,8 @@ def pipeline(world_seed: int):
     """
     if world_seed not in _pipeline_cache:
         _, log, truth = simulate(SimConfig(num_learners=6000, seed=world_seed))
-        ids = log.learner_ids
-        split = split_learners(range(len(ids)), 0.8, seed=0)
-        model = fit_rasch(log, fit_learners={ids[i] for i in split.train})
+        split = split_learners(range(len(log.learner_ids)), 0.8, seed=0)
+        model = fit_rasch(log, fit_learners=split.train)
         predicted = rasch_snapshot(fit_abilities(model, log))
         _pipeline_cache[world_seed] = (log, truth, predicted, split)
     return _pipeline_cache[world_seed]

@@ -207,7 +207,7 @@ class TestEstimate:
         assert set(rasch.question_ids) == set(snapshots["ratio"].question_ids)
         log = read_interactions(path)
         train = split_learners(range(len(log.learner_ids)), 0.8, split_seed).train
-        model = fit_rasch(log.restrict_learners({log.learner_ids[i] for i in train}))
+        model = fit_rasch(log.restrict_learners(train))
         scored = fit_abilities(model, log)
         assert (rasch.question_ids, rasch.learner_ids) == (scored.question_ids, scored.learner_ids)
         assert (19 not in train) == (split_seed in (1, 3))
@@ -658,10 +658,24 @@ class TestEvaluate:
         code, _, err = run_cli(capsys, "evaluate", "--snapshot", str(truth))
         assert code == 1 and "error:" in err
 
-    @pytest.mark.parametrize("flag", [["--genes", "q2,q3"], ["--lam", "0.9"]], ids=["genes", "lam"])
+    def test_genes_split_defaults_to_the_search_split(self, small_world, capsys):
+        _, truth = small_world
+        argv = ["evaluate", "--snapshot", str(truth), "--genes", "q0,q3,q7", "--lam", "0.4"]
+        outs = []
+        for split in ([], ["--ratio", "0.8", "--split-seed", "0"], ["--ratio", "0.5"]):
+            code, out, err = run_cli(capsys, *argv, *split)
+            assert code == 0, err
+            outs.append(last_json(out))
+        assert outs[0] == outs[1] != outs[2]
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--genes", "q2,q3"], ["--lam", "0.9"], ["--ratio", "0.5"], ["--split-seed", "3"]],
+        ids=["genes", "lam", "ratio", "split-seed"],
+    )
     def test_flag_beside_result_rejected(self, small_world, tmp_path, capsys, flag):
-        # The result's genes and lambda are the ones scored: another given
-        # beside them would be ignored.
+        # The result's genes, lambda and split are the ones scored: another
+        # given beside them would be ignored.
         _, truth = small_world
         res_path = tmp_path / "res.json"
         res_path.write_text(json.dumps(RESULT))
@@ -669,7 +683,7 @@ class TestEvaluate:
             capsys, "evaluate", "--snapshot", str(truth), "--result", str(res_path), *flag
         )
         assert code == 1 and out == ""
-        assert err == "error: --genes and --lam cannot be combined with --result\n"
+        assert err == "error: --result takes no --genes, --lam, --ratio or --split-seed\n"
 
     def test_invalid_json_result_names_the_file(self, small_world, tmp_path, capsys):
         _, truth = small_world

@@ -4,10 +4,9 @@ import pytest
 from diaggen import (
     InteractionLog,
     Snapshot,
-    build_pool,
     split_learners,
 )
-from diaggen.core import LearnerSplit
+from diaggen.core import LearnerSplit, build_pool
 
 
 def make_log(triples):
@@ -49,31 +48,32 @@ class TestInteractionLog:
 
     def test_restrict_learners(self):
         log = make_log([("l1", "a", 1, 0), ("l2", "a", 0, 0), ("l1", "b", 1, 1)])
-        sub = log.restrict_learners({"l1"})
+        sub = log.restrict_learners([0])
         assert [sub.learner_ids[i] for i in sub.learner] == ["l1", "l1"]
 
     def test_restrict_learners_renumbers_by_first_appearance(self):
         log = make_log(
             [("l1", "a", 1, 0), ("l2", "b", 0, 0), ("l2", "c", 1, 1), ("l3", "a", 0, 0)]
         )
-        sub = log.restrict_learners({"l2", "l3"})
+        sub = log.restrict_learners([1, 2])
         assert sub == make_log([("l2", "b", 0, 0), ("l2", "c", 1, 1), ("l3", "a", 0, 0)])
         assert sub.question_ids == ("b", "c", "a")
         assert sub.learner.tolist() == [0, 0, 1]
 
     @pytest.mark.parametrize(
-        "kept", [{"l1"}, {"l2", "l4"}, {"l0", "l3"}, {"l0", "l2", "l4"}, set(), {"l9"}]
+        "kept", [[1], [2, 4], [0, 3], [0, 2, 4], [], [4, 0], range(5)]
     )
     def test_restrict_learners_equals_filtered_records(self, kept):
-        # "c" first appears in l0's record and "a" in l1's; l0 and l2 need
-        # not be kept together, so the kept learners are not contiguous.
+        # Learner lN is at index N. "c" first appears in l0's record and "a"
+        # in l1's; l0 and l2 need not be kept together, so the kept learners
+        # are not contiguous.
         records = [
             ("l0", "c", 1, 0), ("l1", "a", 0, 0), ("l2", "b", 1, 5), ("l0", "a", 0, 1),
             ("l3", "c", 1, 2), ("l2", "c", 0, 6), ("l4", "a", 1, 0), ("l1", "b", 1, 3),
             ("l4", "d", 0, 1), ("l3", "b", 1, 3),
         ]
         sub = make_log(records).restrict_learners(kept)
-        assert sub == make_log([r for r in records if r[0] in kept])
+        assert sub == make_log([r for r in records if int(r[0][1:]) in kept])
         for name in ("learner", "question", "correct", "order"):
             assert not getattr(sub, name).flags.writeable
 

@@ -103,7 +103,7 @@ class TestCorrectRatioSnapshot:
     def test_fit_learner_restriction_changes_question_stats(self):
         triples = [("a", "q0", 1, 0), ("b", "q0", 0, 0)]
         full = correct_ratio_snapshot(make_log(triples), fit_learners=None)
-        only_a = correct_ratio_snapshot(make_log(triples), fit_learners={"a"})
+        only_a = correct_ratio_snapshot(make_log(triples), fit_learners=[0])
         assert not np.array_equal(full.values, only_a.values)
 
     def test_values_in_open_unit_interval(self):
@@ -125,8 +125,10 @@ class TestCorrectRatioSnapshot:
             (f"l{rng.integers(9)}", f"q{rng.integers(6)}", int(rng.random() < 0.4), o)
             for o in range(200)
         ]
+        log = make_log(triples)
         fit = {f"l{l}" for l in range(5)}
-        snap = correct_ratio_snapshot(make_log(triples), smoothing=0.5, fit_learners=fit)
+        fit_learners = [i for i, l in enumerate(log.learner_ids) if l in fit]
+        snap = correct_ratio_snapshot(log, smoothing=0.5, fit_learners=fit_learners)
         q_stats, l_stats, g = {}, {}, [0, 0]
         for l, q, c, _ in triples:
             l_stats.setdefault(l, [0, 0])
@@ -319,7 +321,7 @@ class TestFitRasch:
         theta = dict(zip(model.learner_ids, model.theta))
         b = dict(zip(model.question_ids, model.b))
         for parity in (0, 1):
-            form = {l for l in forms.learner_ids if int(l[1:]) % 2 == parity}
+            form = [i for i, l in enumerate(forms.learner_ids) if int(l[1:]) % 2 == parity]
             alone = fit_rasch(forms.restrict_learners(form))
             assert alone.converged
             joint = [theta[l] for l in alone.learner_ids] + [b[q] for q in alone.question_ids]
@@ -343,9 +345,8 @@ def shuffled_log(seed, n_learners, n_questions):
     )
 
 
-def train_ids(log):
-    split = split_learners(range(len(log.learner_ids)), 0.8, 0)
-    return {log.learner_ids[i] for i in split.train}
+def train_learners(log):
+    return split_learners(range(len(log.learner_ids)), 0.8, 0).train
 
 
 class TestFitLearners:
@@ -360,7 +361,7 @@ class TestFitLearners:
         ids=["simulated", "bernoulli"],
     )
     def test_log_order_is_bitwise_the_restricted_fit(self, log):
-        fit = train_ids(log)
+        fit = train_learners(log)
         got = fit_rasch(log, fit_learners=fit)
         want = fit_rasch(log.restrict_learners(fit))
         # The fitting learners meet the questions in log order.
@@ -376,11 +377,11 @@ class TestFitLearners:
     def test_other_orders_agree_with_the_restricted_fit(self, case):
         if case == "shuffled":
             log = shuffled_log(7, 60, 12)
-            fit = set(log.learner_ids) - {"l0", "l1"}
+            fit = range(2, len(log.learner_ids))
         else:
             _, log, _ = simulate(SimConfig(num_learners=600, seed=101))
             log = kept_records(log, np.random.default_rng(0).random(len(log)) < 0.1)
-            fit = train_ids(log)
+            fit = train_learners(log)
         got = fit_rasch(log, fit_learners=fit)
         want = fit_rasch(log.restrict_learners(fit))
         assert got.question_ids == log.question_ids != want.question_ids
@@ -403,7 +404,7 @@ class TestFitLearners:
             [(f"l{l}", f"q{q}", int(l * (q + 2) % 7 < 4), q) for l in range(20) for q in range(3)]
             + [("l19", "qX", 1, 9)]
         )
-        fit = {f"l{l}" for l in range(19)}
+        fit = range(19)
         model = fit_rasch(log, fit_learners=fit)
         assert model.question_ids == log.question_ids == ("q0", "q1", "q2", "qX")
         assert model.b[3] == 0.0
@@ -413,15 +414,42 @@ class TestFitLearners:
         scored = fit_abilities(model, log)
         assert scored.question_ids == log.question_ids and scored.b.tobytes() == model.b.tobytes()
 
-    @pytest.mark.parametrize("fit", [set(), {"nobody"}])
+    @pytest.mark.parametrize("fit", [[], range(0)])
     def test_fit_learners_without_records_rejected(self, fit):
         with pytest.raises(ValueError, match="^empty interaction log$"):
             fit_rasch(make_log([("l0", "q0", 1, 0), ("l1", "q0", 0, 0)]), fit_learners=fit)
 
+    @pytest.mark.parametrize(
+        "learners, message",
+        [
+            ({"l0", "l1"}, "learner indices must be integers"),
+            ([0, 3], "learner index out of range"),
+            ([-1], "learner index out of range"),
+            ([1, 1], "learner indices must be distinct"),
+            ([2.0], "learner indices must be integers"),
+            ([True], "learner indices must be integers"),
+        ],
+        ids=["id-set", "past-end", "negative", "repeated", "float", "bool"],
+    )
+    @pytest.mark.parametrize(
+        "restrict",
+        [
+            lambda log, learners: fit_rasch(log, fit_learners=learners),
+            lambda log, learners: correct_ratio_snapshot(log, fit_learners=learners),
+            lambda log, learners: log.restrict_learners(learners),
+        ],
+        ids=["fit_rasch", "correct_ratio_snapshot", "restrict_learners"],
+    )
+    def test_learners_other_than_distinct_indices_rejected(self, restrict, learners, message):
+        # Learners l0, l1 and l2 are at indices 0, 1 and 2.
+        log = make_log([(f"l{l}", "q0", l % 2, 0) for l in range(3)])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            restrict(log, learners)
+
     def test_abilities_take_the_log_questions_as_they_are(self):
         rng = np.random.default_rng(53)
         log = bernoulli_log(rng.standard_normal(40), rng.standard_normal(8), 53)
-        model = fit_rasch(log, fit_learners=train_ids(log))
+        model = fit_rasch(log, fit_learners=train_learners(log))
         scored = fit_abilities(model, log)
         assert scored.b.tobytes() == model.b.tobytes() and not np.shares_memory(scored.b, model.b)
         # A model with one more question remaps the log's questions onto the
@@ -471,7 +499,7 @@ class TestRaschSnapshot:
     def test_scored_model_predicts_its_own_learners(self):
         rng = np.random.default_rng(43)
         log = bernoulli_log(rng.standard_normal(40), rng.standard_normal(9), 43)
-        scored = fit_abilities(fit_rasch(log.restrict_learners({f"l{l}" for l in range(30)})), log)
+        scored = fit_abilities(fit_rasch(log.restrict_learners(range(30))), log)
         snap = rasch_snapshot(scored)
         want = sigmoid(scored.theta[None, :] - scored.b[:, None])
         assert snap.values.tobytes() == want.tobytes()
@@ -483,7 +511,7 @@ class TestFitAbilities:
         rng = np.random.default_rng(41)
         log = bernoulli_log(rng.standard_normal(50), rng.standard_normal(8), 41)
         # Fitted on learners l10-l49, then scored on every learner of the log.
-        train = log.restrict_learners({f"l{l}" for l in range(10, 50)})
+        train = log.restrict_learners(range(10, 50))
         model = fit_rasch(train, reg=1e-3, max_epochs=200, tol=1e-7)
         scored = fit_abilities(model, log)
         assert isinstance(scored, RaschModel)
@@ -501,11 +529,9 @@ class TestFitAbilities:
         theta_true = rng.standard_normal(120)
         b_true = rng.standard_normal(30)
         log = bernoulli_log(theta_true, b_true, seed=23)
-        train_ids = {f"l{l}" for l in range(100)}
-        test_ids = {f"l{l}" for l in range(100, 120)}
-        model = fit_rasch(log.restrict_learners(train_ids))
-        abilities = fit_abilities(model, log.restrict_learners(test_ids))
-        assert set(abilities.learner_ids) == test_ids
+        model = fit_rasch(log.restrict_learners(range(100)))
+        abilities = fit_abilities(model, log.restrict_learners(range(100, 120)))
+        assert abilities.learner_ids == log.learner_ids[100:]
         truth = np.array([theta_true[int(l[1:])] for l in abilities.learner_ids])
         assert spearmanr(abilities.theta, truth).statistic >= 0.85
 
@@ -540,15 +566,15 @@ class TestFitAbilities:
     def test_difficulties_untouched(self):
         rng = np.random.default_rng(2)
         log = bernoulli_log(rng.standard_normal(30), rng.standard_normal(8), 2)
-        model = fit_rasch(log.restrict_learners({f"l{l}" for l in range(20)}))
+        model = fit_rasch(log.restrict_learners(range(20)))
         before = model.b.copy()
-        fit_abilities(model, log.restrict_learners({f"l{l}" for l in range(20, 30)}))
+        fit_abilities(model, log.restrict_learners(range(20, 30)))
         np.testing.assert_array_equal(model.b, before)
 
     def test_unseen_questions_appended_with_zero_difficulty(self):
         rng = np.random.default_rng(47)
         log = bernoulli_log(rng.standard_normal(30), rng.standard_normal(6), 47)
-        model = fit_rasch(log.restrict_learners({f"l{l}" for l in range(20)}))
+        model = fit_rasch(log.restrict_learners(range(20)))
         # q9 and q8 were never answered in the fit; q3 and q0 were.
         unseen = make_log(
             [("lx", "q9", 1, 0), ("lx", "q3", 0, 1), ("ly", "q8", 0, 0), ("ly", "q0", 1, 1),
