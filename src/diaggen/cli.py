@@ -18,6 +18,7 @@ fitting, or the search itself.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from datetime import datetime, timezone
@@ -72,23 +73,41 @@ def _print(doc: dict[str, Any]) -> None:
     print(json.dumps(doc, sort_keys=True))
 
 
-# The dest of each simulate and GA flag, and the SimConfig or GaConfig field it sets.
-_SIM_FIELDS = {
+# Every flag that sets a library parameter, as (owner, {dest: parameter}):
+# the flag is passed to the owner under that keyword and takes its type and
+# default from the parameter, or is required when it has none.
+_SIM_FLAGS = (SimConfig, {
     "learners": "num_learners", "questions": "num_questions", "concepts": "num_concepts",
     "slip": "slip", "growth_mean": "growth_mean", "growth_std": "growth_std", "seed": "seed",
-}
-_GA_FIELDS = {
+})
+_GA_FLAGS = (GaConfig, {
     "population": "population_size", "generations": "generations", "pc": "p_c",
     "pm1": "p_m1", "pm2": "p_m2", "tournament_fraction": "tournament_fraction",
+})
+_SPLIT_FLAGS = (split_learners, {"ratio": "ratio", "split_seed": "seed"})
+_LAMBDA_FLAGS = (calibrate_lambda, {"samples": "n_samples", "lambda_seed": "seed"})
+_SMOOTHING_FLAGS = (correct_ratio_snapshot, {"smoothing": "smoothing"})
+_RASCH_FLAGS = (fit_rasch, {"reg": "reg", "max_epochs": "max_epochs", "tol": "tol"})
+_SUFFICIENCY_FLAGS = (
+    sufficiency_curve, {"step": "step", "epsilon": "epsilon", "window": "window", "seed": "seed"}
+)
+# Each owner's (parameters, type hints), read once: at every parse they raised peak RSS by
+# 1 MiB. Keyed by the owners above, as perfbench/tracing.py rebinds their module names.
+_SIGNATURES = {
+    owner: (inspect.signature(owner).parameters, get_type_hints(owner))
+    for owner, _ in (_SIM_FLAGS, _GA_FLAGS, _SPLIT_FLAGS, _LAMBDA_FLAGS, _SMOOTHING_FLAGS,
+                     _RASCH_FLAGS, _SUFFICIENCY_FLAGS)
 }
-# Each config's field types, evaluated once: at every parse they raised peak RSS by 1 MiB.
-_FIELD_TYPES = {cls: get_type_hints(cls) for cls in (SimConfig, GaConfig)}
-# The learner split's defaults; evaluate --genes falls back to them.
-_RATIO, _SPLIT_SEED = 0.8, 0
+_HELP = {"ratio": "train fraction of learners", "split_seed": "seed for the learner split"}
+
+
+def _settings(args: argparse.Namespace, table: tuple[Any, dict[str, str]]) -> dict[str, Any]:
+    """The keyword arguments that the flags of ``table`` pass to its owner."""
+    return {parameter: getattr(args, dest) for dest, parameter in table[1].items()}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = SimConfig(**{field: getattr(args, dest) for dest, field in _SIM_FIELDS.items()})
+    cfg = SimConfig(**_settings(args, _SIM_FLAGS))
     _, log, truth = simulate(cfg)
     write_interactions(log, args.interactions_out)
     write_snapshot(truth, args.snapshot_out)
@@ -106,13 +125,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     log = read_interactions(args.interactions)
-    split = split_learners(range(len(log.learner_ids)), args.ratio, args.split_seed)
+    split = split_learners(range(len(log.learner_ids)), **_settings(args, _SPLIT_FLAGS))
 
     doc: dict[str, Any] = {"estimator": args.estimator}
     if args.estimator == "rasch":
-        model = fit_rasch(
-            log, fit_learners=split.train, reg=args.reg, max_epochs=args.max_epochs, tol=args.tol
-        )
+        model = fit_rasch(log, fit_learners=split.train, **_settings(args, _RASCH_FLAGS))
         scored = fit_abilities(model, log)
         snapshot = rasch_snapshot(scored)
         doc |= {
@@ -123,7 +140,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "abilities_iterations": scored.iterations,
         }
     else:
-        snapshot = correct_ratio_snapshot(log, smoothing=args.smoothing, fit_learners=split.train)
+        snapshot = correct_ratio_snapshot(
+            log, fit_learners=split.train, **_settings(args, _SMOOTHING_FLAGS)
+        )
     write_snapshot(snapshot, args.out)
 
     doc |= {
@@ -143,9 +162,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     snapshot = read_snapshot(args.snapshot)
-    split = split_learners(range(snapshot.n_learners), args.ratio, args.split_seed)
+    split = split_learners(range(snapshot.n_learners), **_settings(args, _SPLIT_FLAGS))
     ctx = CriteriaContext.build(snapshot, split.train)
-    lam = calibrate_lambda(ctx, args.k, n_samples=args.samples, seed=args.lambda_seed)
+    lam = calibrate_lambda(ctx, args.k, **_settings(args, _LAMBDA_FLAGS))
     _print(
         {
             "lambda": lam,
@@ -167,8 +186,7 @@ def _run_algorithm(
     if args.algo == "brute":
         return brute_force(ctx, args.k)
     if args.algo == "ga":
-        fields = {field: getattr(args, dest) for dest, field in _GA_FIELDS.items()}
-        return ga_search(ctx, GaConfig(k=args.k, seed=seed, **fields))
+        return ga_search(ctx, GaConfig(k=args.k, seed=seed, **_settings(args, _GA_FLAGS)))
     raise ValueError(f"unknown algorithm {args.algo!r}")
 
 
@@ -187,11 +205,11 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         raise ValueError("repeats must be at least 1")
     snapshot = read_snapshot(args.snapshot)
-    split = split_learners(range(snapshot.n_learners), args.ratio, args.split_seed)
+    split = split_learners(range(snapshot.n_learners), **_settings(args, _SPLIT_FLAGS))
     train_ctx = CriteriaContext.build(snapshot, split.train)
     lam = args.lam
     if lam is None:
-        lam = calibrate_lambda(train_ctx, args.k, n_samples=args.samples, seed=args.lambda_seed)
+        lam = calibrate_lambda(train_ctx, args.k, **_settings(args, _LAMBDA_FLAGS))
     train_ctx = train_ctx.with_lambda(lam)
     test_ctx = CriteriaContext.build(snapshot, split.test, lam=lam)
 
@@ -210,7 +228,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             "seed": run_seed,
         }
         if args.algo == "ga":
-            config |= {dest: getattr(args, dest) for dest in _GA_FIELDS}
+            config |= {dest: getattr(args, dest) for dest in _GA_FLAGS[1]}
         runs.append(
             result_record(
                 result,
@@ -275,7 +293,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             record = runs[fits.index(max(fits))]
             doc["sub_seed"] = _result_field(record, "config.seed", int)
         ratio = _result_field(record, "config.ratio", (int, float))
-        split_seed = _result_field(record, "config.split_seed", int)
+        split_args = {"ratio": ratio, "seed": _result_field(record, "config.split_seed", int)}
         lam = _result_field(record, "config.lambda", (int, float))
         selected = _result_field(record, "selected_questions", list)
         if not all(isinstance(q, str) for q in selected):
@@ -283,8 +301,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         if args.genes is None or args.lam is None:
             raise ValueError("evaluate needs either --result or both --genes and --lam")
-        ratio = _RATIO if args.ratio is None else args.ratio
-        split_seed = _SPLIT_SEED if args.split_seed is None else args.split_seed
+        # An unset split flag falls back to split_learners' default.
+        split_args = {k: v for k, v in _settings(args, _SPLIT_FLAGS).items() if v is not None}
         lam = args.lam
         selected = [g.strip() for g in args.genes.split(",") if g.strip()]
 
@@ -294,7 +312,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError(f"questions not in snapshot: {unknown[:5]}")
     genes = [qpos[q] for q in selected]
 
-    split = split_learners(range(snapshot.n_learners), ratio, split_seed)
+    split = split_learners(range(snapshot.n_learners), **split_args)
     train_ctx = CriteriaContext.build(snapshot, split.train).with_lambda(lam)
     test_ctx = CriteriaContext.build(snapshot, split.test).with_lambda(lam)
     doc |= {
@@ -312,13 +330,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_sufficiency(args: argparse.Namespace) -> int:
     snapshot = read_snapshot(args.snapshot)
     build = per_question_sufficiency_curve if args.per_question else sufficiency_curve
-    curve = build(
-        snapshot,
-        step=args.step,
-        epsilon=args.epsilon,
-        window=args.window,
-        seed=args.seed,
-    )
+    curve = build(snapshot, **_settings(args, _SUFFICIENCY_FLAGS))
     with open(args.out, "w", newline="\n", encoding="utf-8") as fh:
         fh.write("count,delta\n")
         for count, delta in zip(curve.counts, curve.deltas):
@@ -327,26 +339,17 @@ def cmd_sufficiency(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_split_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--ratio", type=float, default=_RATIO, help="train fraction of learners"
-    )
-    parser.add_argument(
-        "--split-seed", type=int, default=_SPLIT_SEED, help="seed for the learner split"
-    )
-
-
-def _add_config_flags(parser: argparse.ArgumentParser, flags: dict[str, str], cls: type) -> None:
-    """One flag per dest of ``flags``, typed and defaulted by the field of
-    ``cls`` that it sets, and required when that field has no default."""
-    for dest, field in flags.items():
-        kwargs = {"default": getattr(cls, field)} if hasattr(cls, field) else {"required": True}
-        parser.add_argument("--" + dest.replace("_", "-"), type=_FIELD_TYPES[cls][field], **kwargs)
-
-
-def _add_lambda_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--samples", type=int, default=10_000)
-    parser.add_argument("--lambda-seed", type=int, default=1)
+def _add_flags(parser: argparse.ArgumentParser, table: tuple[Any, dict[str, str]]) -> None:
+    """One flag per dest of ``table``, typed and defaulted by the parameter
+    of its owner that it sets, and required when that parameter has none."""
+    owner, flags = table
+    parameters, hints = _SIGNATURES[owner]
+    for dest, name in flags.items():
+        default = parameters[name].default
+        kwargs = {"required": True} if default is inspect.Parameter.empty else {"default": default}
+        parser.add_argument(
+            "--" + dest.replace("_", "-"), type=hints[name], help=_HELP.get(dest), **kwargs
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic population")
-    _add_config_flags(p, _SIM_FIELDS, SimConfig)
+    _add_flags(p, _SIM_FLAGS)
     p.add_argument("--interactions-out", required=True)
     p.add_argument("--snapshot-out", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -367,18 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=("rasch", "ratio"), default="rasch")
     p.add_argument("--out", required=True)
     p.add_argument("--truth", help="true snapshot CSV to correlate against")
-    _add_split_flags(p)
-    p.add_argument("--smoothing", type=float, default=1.0)
-    p.add_argument("--reg", type=float, default=1e-4)
-    p.add_argument("--max-epochs", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-6)
+    _add_flags(p, _SPLIT_FLAGS)
+    _add_flags(p, _SMOOTHING_FLAGS)
+    _add_flags(p, _RASCH_FLAGS)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("calibrate", help="calibrate the criteria mixing weight")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_lambda_flags(p)
-    _add_split_flags(p)
+    _add_flags(p, _LAMBDA_FLAGS)
+    _add_flags(p, _SPLIT_FLAGS)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("search", help="search for an assessment and score it")
@@ -386,14 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("random", "greedy", "ga", "brute"), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True)
-    _add_split_flags(p)
-    _add_lambda_flags(p)
+    _add_flags(p, _SPLIT_FLAGS)
+    _add_flags(p, _LAMBDA_FLAGS)
     p.add_argument(
         "--lam", type=float, default=None, help="skip calibration, use this weight"
     )
     p.add_argument("--seed", type=int, default=0, help="search seed")
     p.add_argument("--repeats", type=int, default=1)
-    _add_config_flags(p, _GA_FIELDS, GaConfig)
+    _add_flags(p, _GA_FLAGS)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("evaluate", help="re-score an existing gene list")
@@ -401,17 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--result", help="result JSON to re-score")
     p.add_argument("--genes", help="comma-separated question ids")
     p.add_argument("--lam", type=float, default=None)
-    _add_split_flags(p)
+    _add_flags(p, _SPLIT_FLAGS)
     p.add_argument("--out")
     # None, so that a split flag beside --result is rejected.
     p.set_defaults(func=cmd_evaluate, ratio=None, split_seed=None)
 
     p = sub.add_parser("sufficiency", help="learner-count sufficiency curve")
     p.add_argument("--snapshot", required=True)
-    p.add_argument("--step", type=int, default=100)
-    p.add_argument("--epsilon", type=float, default=1e-4)
-    p.add_argument("--window", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, _SUFFICIENCY_FLAGS)
     p.add_argument("--per-question", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sufficiency)
@@ -485,6 +483,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args, parser)
+        for dest in ("seed", "split_seed", "lambda_seed"):
+            if getattr(args, dest, None) is not None and getattr(args, dest) < 0:
+                raise ValueError(f"--{dest.replace('_', '-')} must be non-negative")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -331,9 +331,7 @@ def _learner_mask(learners: Sequence[int], n: int) -> np.ndarray:
     return np.bincount(_learner_indices(learners, n)[0], minlength=n).astype(bool)
 
 
-def split_learners(
-    learners: Sequence[int], ratio: float, seed: int
-) -> LearnerSplit:
+def split_learners(learners: Sequence[int], ratio: float = 0.8, seed: int = 0) -> LearnerSplit:
     """Deterministically split learner indices into train and test.
 
     The train side gets round(ratio * n) learners, with at least one

@@ -479,7 +479,7 @@ def _sufficiency(
 
 def sufficiency_curve(
     snapshot: Snapshot,
-    step: int,
+    step: int = 100,
     epsilon: float = 1e-4,
     window: int = 3,
     seed: int = 0,
@@ -497,7 +497,7 @@ def sufficiency_curve(
 
 def per_question_sufficiency_curve(
     snapshot: Snapshot,
-    step: int,
+    step: int = 100,
     epsilon: float = 1e-4,
     window: int = 3,
     seed: int = 0,

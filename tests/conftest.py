@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diaggen import CriteriaContext, Snapshot
+from diaggen import CriteriaContext, InteractionLog, Snapshot
 
 
 @pytest.fixture
@@ -38,3 +38,22 @@ def random_snapshot(seed: int, n_questions: int = 12, n_learners: int = 30) -> S
         question_ids=tuple(f"q{i}" for i in range(n_questions)),
         learner_ids=tuple(f"l{j}" for j in range(n_learners)),
     )
+
+
+def kept_records(log, keep):
+    """The log of the records where ``keep`` holds, ids renumbered."""
+    learner_ids, question_ids = np.array(log.learner_ids), np.array(log.question_ids)
+    return InteractionLog.from_records(
+        zip(
+            learner_ids[log.learner[keep]].tolist(),
+            question_ids[log.question[keep]].tolist(),
+            log.correct[keep].tolist(),
+            log.order[keep].tolist(),
+        )
+    )
+
+
+def learners_log(log, learners):
+    """The log of the records of the learners at indices ``learners``, ids
+    renumbered: the reference sub-log for a fit on those learners."""
+    return kept_records(log, np.isin(log.learner, list(learners)))

@@ -1,11 +1,14 @@
+import argparse
 import csv
 import dataclasses
+import importlib
 import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -23,6 +26,10 @@ from diaggen.io import read_interactions, read_snapshot, write_interactions, wri
 from diaggen.cli import build_parser, derive_seeds, main
 from diaggen.search import GaConfig, ga_search, swap_gain
 from diaggen.simulator import SimConfig, simulate
+
+from conftest import learners_log
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run_cli(capsys, *argv):
@@ -207,7 +214,7 @@ class TestEstimate:
         assert set(rasch.question_ids) == set(snapshots["ratio"].question_ids)
         log = read_interactions(path)
         train = split_learners(range(len(log.learner_ids)), 0.8, split_seed).train
-        model = fit_rasch(log.restrict_learners(train))
+        model = fit_rasch(learners_log(log, train))
         scored = fit_abilities(model, log)
         assert (rasch.question_ids, rasch.learner_ids) == (scored.question_ids, scored.learner_ids)
         assert (19 not in train) == (split_seed in (1, 3))
@@ -984,6 +991,7 @@ REQUIRED = {
     "estimate": ["--interactions", "i.csv", "--out", "s.csv"],
     "calibrate": ["--snapshot", "s.csv", "--k", "1"],
     "search": ["--snapshot", "s.csv", "--algo", "ga", "--k", "1", "--out", "r.json"],
+    "evaluate": ["--snapshot", "s.csv"],
     "sufficiency": ["--snapshot", "s.csv", "--out", "c.csv"],
 }
 
@@ -998,6 +1006,11 @@ def flag_argv(flags):
 
 def parser_defaults(command):
     return vars(build_parser().parse_args([command, *REQUIRED[command]]))
+
+
+def flag_action(command, dest):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if a.dest == dest)
 
 
 class TestFlagsReachTheLibrary:
@@ -1061,12 +1074,38 @@ class TestFlagsReachTheLibrary:
                 ("sufficiency", name, [sufficiency_curve, per_question_sufficiency_curve], name)
                 for name in ("epsilon", "window", "seed")
             ),
+            ("sufficiency", "step", [sufficiency_curve, per_question_sufficiency_curve], "step"),
+            *(
+                (command, dest, [split_learners], parameter)
+                for command in ("estimate", "calibrate", "search")
+                for dest, parameter in (("ratio", "ratio"), ("split_seed", "seed"))
+            ),
+            *(("simulate", dest, [SimConfig], field) for dest, (field, _) in SIM_FLAGS.items()),
+            *(("search", dest, [GaConfig], field) for dest, (field, _) in GA_FLAGS.items()),
         ],
     )
     def test_flag_defaults_are_the_library_defaults(self, command, dest, functions, parameter):
+        action = flag_action(command, dest)
         for function in functions:
             default = inspect.signature(function).parameters[parameter].default
-            assert parser_defaults(command)[dest] == default
+            assert action.type is get_type_hints(function)[parameter]
+            if default is inspect.Parameter.empty:
+                assert action.required
+            else:
+                assert parser_defaults(command)[dest] == default
+
+    def test_traced_parse_equals_the_untraced_parse(self, monkeypatch):
+        # perfbench/tracing.py rebinds the library names in diaggen.cli
+        # before a traced pass parses its flags.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        tracing = importlib.import_module("tracing")
+        want = {command: parser_defaults(command) for command in REQUIRED}
+        restore = tracing.install(tracing.Tracer())
+        try:
+            got = {command: parser_defaults(command) for command in REQUIRED}
+        finally:
+            restore()
+        assert got == want
 
 
 def test_cli_import_loads_no_scipy():
@@ -1083,6 +1122,51 @@ def test_cli_import_loads_no_scipy():
 
 
 class TestErrorReporting:
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("simulate", "--seed"),
+            ("search", "--seed"),
+            ("search-brute", "--seed"),
+            ("sufficiency", "--seed"),
+            ("estimate", "--split-seed"),
+            ("calibrate", "--split-seed"),
+            ("search", "--split-seed"),
+            ("evaluate", "--split-seed"),
+            ("calibrate", "--lambda-seed"),
+            ("search", "--lambda-seed"),
+        ],
+    )
+    def test_negative_seed_names_its_flag(self, small_world, tmp_path, capsys, command, flag, via):
+        interactions, truth = small_world
+        search = ["--snapshot", str(truth), "--k", "3", "--out", str(tmp_path / "r.json")]
+        argv = {
+            "simulate": [
+                "--learners", "5", "--interactions-out", str(tmp_path / "i.csv"),
+                "--snapshot-out", str(tmp_path / "s.csv"),
+            ],
+            "search": [*search, "--algo", "greedy"],
+            "search-brute": [*search, "--algo", "brute"],
+            "sufficiency": ["--snapshot", str(truth), "--out", str(tmp_path / "c.csv")],
+            "estimate": ["--interactions", str(interactions), "--out", str(tmp_path / "e.csv")],
+            "calibrate": ["--snapshot", str(truth), "--k", "3"],
+            "evaluate": [
+                "--snapshot", str(truth), "--lam", "0.5",
+                "--genes", ",".join(read_snapshot(truth).question_ids[:3]),
+            ],
+        }[command]
+        if via == "flag":
+            argv += [flag, "-1"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({flag[2:].replace("-", "_"): -1}))
+            argv += ["--config", str(config)]
+        files = set(tmp_path.iterdir())
+        code, out, err = run_cli(capsys, command.split("-")[0], *argv)
+        assert (code, out, err) == (1, "", f"error: {flag} must be non-negative\n")
+        assert set(tmp_path.iterdir()) == files
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

@@ -77,6 +77,24 @@ class TestInteractionLog:
         for name in ("learner", "question", "correct", "order"):
             assert not getattr(sub, name).flags.writeable
 
+    @pytest.mark.parametrize(
+        "learners, message",
+        [
+            ({"l0", "l1"}, "learner indices must be integers"),
+            ([0, 3], "learner index out of range"),
+            ([-1], "learner index out of range"),
+            ([1, 1], "learner indices must be distinct"),
+            ([2.0], "learner indices must be integers"),
+            ([True], "learner indices must be integers"),
+        ],
+        ids=["id-set", "past-end", "negative", "repeated", "float", "bool"],
+    )
+    def test_restrict_learners_takes_distinct_indices(self, learners, message):
+        # Learners l0, l1 and l2 are at indices 0, 1 and 2.
+        log = make_log([(f"l{l}", "q0", l % 2, 0) for l in range(3)])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            log.restrict_learners(learners)
+
     def test_columns_frozen(self):
         log = make_log([("l1", "a", 1, 0)])
         with pytest.raises(ValueError):

@@ -16,9 +16,11 @@ from diaggen import (
     rasch_snapshot,
     sufficiency_curve,
 )
-from diaggen.core import sigmoid, split_learners, to_index_arrays
+from diaggen.core import sigmoid, split_learners
 from diaggen.estimation import _newton, per_question_sufficiency_curve
 from diaggen.simulator import SimConfig, simulate
+
+from conftest import kept_records, learners_log
 
 
 def make_log(triples):
@@ -37,19 +39,6 @@ def bernoulli_log(theta, b, seed):
         question=np.tile(np.arange(n_q), n_l),
         correct=y.ravel(),
         order=np.tile(np.arange(n_q), n_l),
-    )
-
-
-def kept_records(log, keep):
-    """The log of the records where ``keep`` holds, ids renumbered."""
-    learner_ids, question_ids = np.array(log.learner_ids), np.array(log.question_ids)
-    return InteractionLog.from_records(
-        zip(
-            learner_ids[log.learner[keep]].tolist(),
-            question_ids[log.question[keep]].tolist(),
-            log.correct[keep].tolist(),
-            log.order[keep].tolist(),
-        )
     )
 
 
@@ -254,11 +243,9 @@ class TestFitRasch:
         log = make_log(triples)
         model = fit_rasch(log)
         assert model.converged
-        l_idx, q_idx, y = to_index_arrays(
-            log,
-            {qid: i for i, qid in enumerate(model.question_ids)},
-            {lid: i for i, lid in enumerate(model.learner_ids)},
-        )
+        l_idx = np.array([model.learner_ids.index(lid) for lid in log.learner_ids])[log.learner]
+        q_idx = np.array([model.question_ids.index(qid) for qid in log.question_ids])[log.question]
+        y = log.correct.astype(np.float64)
         want = reference_objective(model.theta, model.b, l_idx, q_idx, y, model.reg)
         assert model.nll_history[-1] == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -322,7 +309,7 @@ class TestFitRasch:
         b = dict(zip(model.question_ids, model.b))
         for parity in (0, 1):
             form = [i for i, l in enumerate(forms.learner_ids) if int(l[1:]) % 2 == parity]
-            alone = fit_rasch(forms.restrict_learners(form))
+            alone = fit_rasch(learners_log(forms, form))
             assert alone.converged
             joint = [theta[l] for l in alone.learner_ids] + [b[q] for q in alone.question_ids]
             np.testing.assert_allclose(
@@ -350,7 +337,7 @@ def train_learners(log):
 
 
 class TestFitLearners:
-    """``fit_rasch(log, fit_learners=S)`` against ``fit_rasch(log.restrict_learners(S))``."""
+    """``fit_rasch(log, fit_learners=S)`` against ``fit_rasch(learners_log(log, S))``."""
 
     @pytest.mark.parametrize(
         "log",
@@ -363,7 +350,7 @@ class TestFitLearners:
     def test_log_order_is_bitwise_the_restricted_fit(self, log):
         fit = train_learners(log)
         got = fit_rasch(log, fit_learners=fit)
-        want = fit_rasch(log.restrict_learners(fit))
+        want = fit_rasch(learners_log(log, fit))
         # The fitting learners meet the questions in log order.
         assert want.question_ids == got.question_ids == log.question_ids
         assert got.learner_ids == want.learner_ids
@@ -383,7 +370,7 @@ class TestFitLearners:
             log = kept_records(log, np.random.default_rng(0).random(len(log)) < 0.1)
             fit = train_learners(log)
         got = fit_rasch(log, fit_learners=fit)
-        want = fit_rasch(log.restrict_learners(fit))
+        want = fit_rasch(learners_log(log, fit))
         assert got.question_ids == log.question_ids != want.question_ids
         assert got.learner_ids == want.learner_ids
         # Each learner's records are summed in another order. The thinned
@@ -408,7 +395,7 @@ class TestFitLearners:
         model = fit_rasch(log, fit_learners=fit)
         assert model.question_ids == log.question_ids == ("q0", "q1", "q2", "qX")
         assert model.b[3] == 0.0
-        want = fit_rasch(log.restrict_learners(fit))
+        want = fit_rasch(learners_log(log, fit))
         assert model.b[:3].tobytes() == want.b.tobytes()
         assert model.theta.tobytes() == want.theta.tobytes()
         scored = fit_abilities(model, log)
@@ -436,9 +423,8 @@ class TestFitLearners:
         [
             lambda log, learners: fit_rasch(log, fit_learners=learners),
             lambda log, learners: correct_ratio_snapshot(log, fit_learners=learners),
-            lambda log, learners: log.restrict_learners(learners),
         ],
-        ids=["fit_rasch", "correct_ratio_snapshot", "restrict_learners"],
+        ids=["fit_rasch", "correct_ratio_snapshot"],
     )
     def test_learners_other_than_distinct_indices_rejected(self, restrict, learners, message):
         # Learners l0, l1 and l2 are at indices 0, 1 and 2.
@@ -499,7 +485,7 @@ class TestRaschSnapshot:
     def test_scored_model_predicts_its_own_learners(self):
         rng = np.random.default_rng(43)
         log = bernoulli_log(rng.standard_normal(40), rng.standard_normal(9), 43)
-        scored = fit_abilities(fit_rasch(log.restrict_learners(range(30))), log)
+        scored = fit_abilities(fit_rasch(learners_log(log, range(30))), log)
         snap = rasch_snapshot(scored)
         want = sigmoid(scored.theta[None, :] - scored.b[:, None])
         assert snap.values.tobytes() == want.tobytes()
@@ -511,7 +497,7 @@ class TestFitAbilities:
         rng = np.random.default_rng(41)
         log = bernoulli_log(rng.standard_normal(50), rng.standard_normal(8), 41)
         # Fitted on learners l10-l49, then scored on every learner of the log.
-        train = log.restrict_learners(range(10, 50))
+        train = learners_log(log, range(10, 50))
         model = fit_rasch(train, reg=1e-3, max_epochs=200, tol=1e-7)
         scored = fit_abilities(model, log)
         assert isinstance(scored, RaschModel)
@@ -529,8 +515,8 @@ class TestFitAbilities:
         theta_true = rng.standard_normal(120)
         b_true = rng.standard_normal(30)
         log = bernoulli_log(theta_true, b_true, seed=23)
-        model = fit_rasch(log.restrict_learners(range(100)))
-        abilities = fit_abilities(model, log.restrict_learners(range(100, 120)))
+        model = fit_rasch(learners_log(log, range(100)))
+        abilities = fit_abilities(model, learners_log(log, range(100, 120)))
         assert abilities.learner_ids == log.learner_ids[100:]
         truth = np.array([theta_true[int(l[1:])] for l in abilities.learner_ids])
         assert spearmanr(abilities.theta, truth).statistic >= 0.85
@@ -566,15 +552,15 @@ class TestFitAbilities:
     def test_difficulties_untouched(self):
         rng = np.random.default_rng(2)
         log = bernoulli_log(rng.standard_normal(30), rng.standard_normal(8), 2)
-        model = fit_rasch(log.restrict_learners(range(20)))
+        model = fit_rasch(learners_log(log, range(20)))
         before = model.b.copy()
-        fit_abilities(model, log.restrict_learners(range(20, 30)))
+        fit_abilities(model, learners_log(log, range(20, 30)))
         np.testing.assert_array_equal(model.b, before)
 
     def test_unseen_questions_appended_with_zero_difficulty(self):
         rng = np.random.default_rng(47)
         log = bernoulli_log(rng.standard_normal(30), rng.standard_normal(6), 47)
-        model = fit_rasch(log.restrict_learners(range(20)))
+        model = fit_rasch(learners_log(log, range(20)))
         # q9 and q8 were never answered in the fit; q3 and q0 were.
         unseen = make_log(
             [("lx", "q9", 1, 0), ("lx", "q3", 0, 1), ("ly", "q8", 0, 0), ("ly", "q0", 1, 1),
