@@ -65,7 +65,10 @@ def derive_seeds(seed: int, repeats: int) -> list[int]:
     back with --repeats 1."""
     if repeats == 1:
         return [seed]
-    children = np.random.SeedSequence(seed).spawn(repeats)
+    try:
+        children = np.random.SeedSequence(seed).spawn(repeats)
+    except OverflowError:
+        raise ValueError(f"--repeats {repeats} is too large") from None
     return [int(child.generate_state(1, dtype=np.uint64)[0]) for child in children]
 
 
@@ -99,6 +102,9 @@ _SIGNATURES = {
                      _RASCH_FLAGS, _SUFFICIENCY_FLAGS)
 }
 _HELP = {"ratio": "train fraction of learners", "split_seed": "seed for the learner split"}
+_SEEDS = ("seed", "split_seed", "lambda_seed")  # flags and result config keys; never negative
+# The JSON value types that serve a value of each type: an int also serves a float.
+_JSON_TYPES: dict[type, type | tuple[type, ...]] = {float: (int, float)}
 
 
 def _settings(args: argparse.Namespace, table: tuple[Any, dict[str, str]]) -> dict[str, Any]:
@@ -204,6 +210,7 @@ def _summary(runs: list[dict[str, Any]]) -> dict[str, Any]:
 def cmd_search(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         raise ValueError("repeats must be at least 1")
+    seeds = derive_seeds(args.seed, args.repeats)
     snapshot = read_snapshot(args.snapshot)
     split = split_learners(range(snapshot.n_learners), **_settings(args, _SPLIT_FLAGS))
     train_ctx = CriteriaContext.build(snapshot, split.train)
@@ -213,65 +220,50 @@ def cmd_search(args: argparse.Namespace) -> int:
     train_ctx = train_ctx.with_lambda(lam)
     test_ctx = CriteriaContext.build(snapshot, split.test, lam=lam)
 
-    seeds = derive_seeds(args.seed, args.repeats)
+    # Every flag that steers the run is echoed, so the block reruns it as --config.
+    tables = (_SPLIT_FLAGS, _LAMBDA_FLAGS) + ((_GA_FLAGS,) if args.algo == "ga" else ())
+    flags = {dest: getattr(args, dest) for _, dests in tables for dest in dests}
     runs = []
     for run_seed in seeds:
         result = _run_algorithm(args, train_ctx, run_seed)
-        config: dict[str, Any] = {
-            "algo": args.algo,
-            "k": args.k,
-            "ratio": args.ratio,
-            "split_seed": args.split_seed,
-            "lambda_seed": args.lambda_seed,
-            "samples": args.samples,
-            "lambda": lam,
-            "seed": run_seed,
-        }
-        if args.algo == "ga":
-            config |= {dest: getattr(args, dest) for dest in _GA_FLAGS[1]}
         runs.append(
             result_record(
                 result,
                 question_ids=snapshot.question_ids,
                 test_report=fitness(test_ctx, result.best),
                 swap_gain=swap_gain(train_ctx, result.best),
-                config=config,
+                config={"algo": args.algo, "k": args.k, "lambda": lam, "seed": run_seed, **flags},
             )
         )
 
     if args.repeats == 1:
         doc = runs[0]
+        fits = {f"{b}_fitness": doc[b]["fitness"] for b in ("train", "test")}
     else:
+        summary = _summary(runs)
+        fits = {f"{b}_fitness_mean": summary[b]["fitness"]["mean"] for b in ("train", "test")}
         doc = {
             "schema_version": runs[0]["schema_version"],
             "algorithm": args.algo,
             "repeats": args.repeats,
             "sub_seeds": seeds,
             "runs": runs,
-            "summary": _summary(runs),
+            "summary": summary,
         }
     doc["created_at"] = datetime.now(timezone.utc).isoformat()
     write_json(doc, args.out)
-
-    printed: dict[str, Any] = {"algorithm": args.algo, "lambda": lam, "out": args.out}
-    if args.repeats == 1:
-        printed["train_fitness"] = runs[0]["train"]["fitness"]
-        printed["test_fitness"] = runs[0]["test"]["fitness"]
-    else:
-        printed["train_fitness_mean"] = doc["summary"]["train"]["fitness"]["mean"]
-        printed["test_fitness_mean"] = doc["summary"]["test"]["fitness"]["mean"]
-    _print(printed)
+    _print({"algorithm": args.algo, "lambda": lam, "out": args.out, **fits})
     return 0
 
 
-def _result_field(record: Any, path: str, kind: type | tuple[type, ...]) -> Any:
+def _result_field(record: Any, path: str, kind: type) -> Any:
     """The value at a dotted ``path`` of a result document, of type ``kind``."""
     value = record
     for key in path.split("."):
         if not isinstance(value, dict) or key not in value:
             raise ValueError(f"result document has no {path!r}")
         value = value[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES.get(kind, kind)):
         raise ValueError(f"result field {path!r} has the wrong type: {json.dumps(value)}")
     return value
 
@@ -280,7 +272,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     snapshot = read_snapshot(args.snapshot)
     doc: dict[str, Any] = {}
     if args.result is not None:
-        if any(v is not None for v in (args.genes, args.lam, args.ratio, args.split_seed)):
+        if any(getattr(args, dest) is not None for dest in ("genes", "lam", *_SPLIT_FLAGS[1])):
             raise ValueError("--result takes no --genes, --lam, --ratio or --split-seed")
         record = _load_json(args.result)
         if isinstance(record, dict) and "runs" in record:
@@ -289,20 +281,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             runs = _result_field(record, "runs", list)
             if not runs:
                 raise ValueError("result document has no runs")
-            fits = [_result_field(run, "train.fitness", (int, float)) for run in runs]
+            fits = [_result_field(run, "train.fitness", float) for run in runs]
             record = runs[fits.index(max(fits))]
             doc["sub_seed"] = _result_field(record, "config.seed", int)
-        ratio = _result_field(record, "config.ratio", (int, float))
-        split_args = {"ratio": ratio, "seed": _result_field(record, "config.split_seed", int)}
-        lam = _result_field(record, "config.lambda", (int, float))
+        hints = _SIGNATURES[_SPLIT_FLAGS[0]][1]
+        for dest, name in _SPLIT_FLAGS[1].items():
+            value = _result_field(record, f"config.{dest}", hints[name])
+            if dest in _SEEDS and value < 0:
+                raise ValueError(f"result field 'config.{dest}' must be non-negative")
+            setattr(args, dest, value)
+        lam = _result_field(record, "config.lambda", float)
         selected = _result_field(record, "selected_questions", list)
         if not all(isinstance(q, str) for q in selected):
             raise ValueError("result field 'selected_questions' must list question ids")
     else:
         if args.genes is None or args.lam is None:
             raise ValueError("evaluate needs either --result or both --genes and --lam")
-        # An unset split flag falls back to split_learners' default.
-        split_args = {k: v for k, v in _settings(args, _SPLIT_FLAGS).items() if v is not None}
         lam = args.lam
         selected = [g.strip() for g in args.genes.split(",") if g.strip()]
 
@@ -312,6 +306,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError(f"questions not in snapshot: {unknown[:5]}")
     genes = [qpos[q] for q in selected]
 
+    # An unset split flag falls back to split_learners' default.
+    split_args = {k: v for k, v in _settings(args, _SPLIT_FLAGS).items() if v is not None}
     split = split_learners(range(snapshot.n_learners), **split_args)
     train_ctx = CriteriaContext.build(snapshot, split.train).with_lambda(lam)
     test_ctx = CriteriaContext.build(snapshot, split.test).with_lambda(lam)
@@ -405,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, _SPLIT_FLAGS)
     p.add_argument("--out")
     # None, so that a split flag beside --result is rejected.
-    p.set_defaults(func=cmd_evaluate, ratio=None, split_seed=None)
+    p.set_defaults(func=cmd_evaluate, **dict.fromkeys(_SPLIT_FLAGS[1]))
 
     p = sub.add_parser("sufficiency", help="learner-count sufficiency curve")
     p.add_argument("--snapshot", required=True)
@@ -444,12 +440,14 @@ def _config_value(action: argparse.Action, key: str, value: Any) -> Any:
     if value is None and action.default is None and not action.required:
         return None
     kind = action.type or str
-    accepted = (int, float) if kind is float else (kind,)
-    if isinstance(value, bool) or not isinstance(value, accepted):
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES.get(kind, kind)):
         raise ValueError(
             f"config key {key!r} must be of type {kind.__name__}, got {json.dumps(value)}"
         )
-    value = kind(value)
+    try:
+        value = kind(value)
+    except OverflowError:
+        raise ValueError(f"config key {key!r} is too large for a {kind.__name__}") from None
     if action.choices is not None and value not in action.choices:
         raise ValueError(
             f"config key {key!r} must be one of {', '.join(map(str, action.choices))}"
@@ -483,7 +481,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args, parser)
-        for dest in ("seed", "split_seed", "lambda_seed"):
+        for dest in _SEEDS:
             if getattr(args, dest, None) is not None and getattr(args, dest) < 0:
                 raise ValueError(f"--{dest.replace('_', '-')} must be non-negative")
         return args.func(args)

@@ -29,6 +29,7 @@ which extend shared prefixes, score bitwise as ``fitness`` does.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -89,7 +90,8 @@ class CriteriaContext:
     def with_lambda(self, lam: float) -> "CriteriaContext":
         if not lam >= 0:
             raise ValueError("lam must be non-negative")
-        if not np.isfinite(lam):
+        # Compared exactly, so an int too large for a float is not finite either.
+        if not lam <= sys.float_info.max:
             raise ValueError("lam must be finite")
         return dataclasses.replace(self, lam=float(lam))
 

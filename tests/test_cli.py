@@ -497,6 +497,25 @@ class TestSearch:
         assert code == 1
         assert err == "error: repeats must be at least 1\n"
 
+    @pytest.mark.parametrize("algo", ["greedy", "ga"])
+    @pytest.mark.parametrize("repeats", ["1", "2"])
+    def test_config_block_echoes_every_table_flag(self, small_world, tmp_path, capsys, algo,
+                                                  repeats):
+        _, truth = small_world
+        out_path = tmp_path / "res.json"
+        code, _, err = self.run_search(
+            capsys, truth, out_path, "--algo", algo, "--repeats", repeats,
+            "--population", "20", "--generations", "2",
+        )
+        assert code == 0, err
+        doc = json.loads(out_path.read_text())
+        # algo, k, lambda and seed, then the split, lambda and (for ga) GA flags.
+        want = {"algo", "k", "lambda", "seed", "ratio", "split_seed", "samples", "lambda_seed"}
+        if algo == "ga":
+            want |= set(GA_FLAGS)
+        for run in doc["runs"] if repeats == "2" else [doc]:
+            assert set(run["config"]) == want
+
     def test_lambda_override_skips_calibration(self, small_world, tmp_path, capsys):
         _, truth = small_world
         out_path = tmp_path / "res.json"
@@ -1166,6 +1185,45 @@ class TestErrorReporting:
         code, out, err = run_cli(capsys, command.split("-")[0], *argv)
         assert (code, out, err) == (1, "", f"error: {flag} must be non-negative\n")
         assert set(tmp_path.iterdir()) == files
+
+    @pytest.mark.parametrize(
+        "command, document, message",
+        [
+            ("search", {"pc": 10**400}, "config key 'pc' is too large for a float"),
+            ("search", {"lambda": 10**400}, "config key 'lambda' is too large for a float"),
+            ("search", None, "--repeats 100000000000000000000000 is too large"),
+            (
+                "evaluate",
+                {**RESULT, "config": {**RESULT["config"], "split_seed": -1}},
+                "result field 'config.split_seed' must be non-negative",
+            ),
+            (
+                "evaluate",
+                {**RESULT, "config": {**RESULT["config"], "lambda": 10**400}},
+                "lam must be finite",
+            ),
+        ],
+        ids=["config-float", "config-lambda", "repeats", "result-split-seed", "result-lambda"],
+    )
+    def test_out_of_range_number_is_one_error_line(
+        self, small_world, tmp_path, capsys, command, document, message
+    ):
+        _, truth = small_world
+        out_path = tmp_path / "r.json"
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(document))
+        if command == "evaluate":
+            argv = ["evaluate", "--snapshot", str(truth), "--result", str(doc_path)]
+        else:
+            argv = [
+                "search", "--snapshot", str(truth), "--algo", "ga", "--k", "3",
+                "--out", str(out_path),
+                *(["--config", str(doc_path)] if document else
+                  ["--repeats", "100000000000000000000000"]),
+            ]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_path.exists()
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -206,7 +206,13 @@ class TestFitness:
 
     @pytest.mark.parametrize(
         "lam, message",
-        [(-1.0, "non-negative"), (float("nan"), "non-negative"), (float("inf"), "finite")],
+        [
+            (-1.0, "non-negative"),
+            (float("nan"), "non-negative"),
+            (float("inf"), "finite"),
+            (10**400, "finite"),  # an int too large for a float
+        ],
+        ids=["-1", "nan", "inf", "huge-int"],
     )
     def test_build_checks_lam_like_with_lambda(self, toy_snapshot, lam, message):
         with pytest.raises(ValueError, match=f"lam must be {message}"):
