@@ -423,6 +423,8 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _config_value(action: argparse.Action, key: str, value: Any) -> Any:

@@ -126,8 +126,8 @@ class InteractionLog(_Owned):
     def __len__(self) -> int:
         return len(self.order)
 
-    # Nothing in src/ calls restrict_learners; the tests take it as the plain
-    # reference sub-log, and perfbench/tracing.py wraps it under this name.
+    # Only test_core.py calls restrict_learners (conftest's learners_log is the
+    # tests' reference sub-log); perfbench/tracing.py wraps it under this name.
     def restrict_learners(self, learners: Sequence[int]) -> "InteractionLog":
         """Sub-log of the records of the learners at the given indices, in
         order, renumbered as ``from_records`` numbers them."""

@@ -345,18 +345,13 @@ def fit_abilities(model: RaschModel, log: InteractionLog) -> RaschModel:
     """
     if not len(log):
         raise ValueError("empty interaction log")
-    if model.question_ids == log.question_ids:
-        # The model's questions are the log's, in the same order: no remap.
-        question, question_ids, b = log.question, model.question_ids, model.b.copy()
-    else:
-        position = {qid: i for i, qid in enumerate(model.question_ids)}
-        for qid in log.question_ids:
-            position.setdefault(qid, len(position))
-        lookup = np.array([position[qid] for qid in log.question_ids], dtype=np.intp)
-        question, question_ids = lookup.take(log.question), tuple(position)
-        b = np.concatenate((model.b, np.zeros(len(position) - model.b.size)))
+    position = {qid: i for i, qid in enumerate(model.question_ids)}
+    for qid in log.question_ids:
+        position.setdefault(qid, len(position))
+    lookup = np.array([position[qid] for qid in log.question_ids], dtype=np.intp)
+    b = np.concatenate((model.b, np.zeros(len(position) - model.b.size)))
     return _newton(
-        log.learner, question, log.correct, b, log.learner_ids, question_ids,
+        log.learner, lookup.take(log.question), log.correct, b, log.learner_ids, tuple(position),
         reg=model.reg, max_epochs=model.max_epochs, tol=model.tol, fit_b=False,
     )
 
@@ -521,25 +516,22 @@ def mean_performance_correlation(
     over the common question set. Raises when either side's means are all
     equal, since no correlation is defined then.
     """
-    if (predicted.learner_ids, predicted.question_ids) == (truth.learner_ids, truth.question_ids):
-        common_l, common_q = truth.learner_ids, truth.question_ids
-    else:
-        truth_l, truth_q = set(truth.learner_ids), set(truth.question_ids)
-        common_l = tuple(l for l in predicted.learner_ids if l in truth_l)
-        common_q = tuple(q for q in predicted.question_ids if q in truth_q)
+    truth_l, truth_q = set(truth.learner_ids), set(truth.question_ids)
+    common_l = tuple(l for l in predicted.learner_ids if l in truth_l)
+    common_q = tuple(q for q in predicted.question_ids if q in truth_q)
     if len(common_l) < 2:
         raise ValueError("need at least 2 common learners to correlate")
     if not common_q:
         raise ValueError("no common questions between snapshots")
 
     def means(snap: Snapshot) -> np.ndarray:
-        if (snap.learner_ids, snap.question_ids) == (common_l, common_q):
-            return snap.values.mean(axis=0)  # No id is dropped or moved.
         qpos = {q: i for i, q in enumerate(snap.question_ids)}
         lpos = {l: i for i, l in enumerate(snap.learner_ids)}
-        rows = np.asarray([qpos[q] for q in common_q], dtype=np.intp)
         cols = np.asarray([lpos[l] for l in common_l], dtype=np.intp)
-        return snap.values[np.ix_(rows, cols)].mean(axis=0)
+        # Rows are added one by one, as numpy's mean over axis 0 of a C-ordered
+        # matrix adds them: the same bits, without a copy of the common rows.
+        total = sum(snap.values[qpos[q]] for q in common_q)
+        return (total / len(common_q)).take(cols)
 
     a, b = means(predicted), means(truth)
     for name, m in (("predicted", a), ("true", b)):

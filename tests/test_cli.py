@@ -900,6 +900,25 @@ class TestConfigOverride:
             "line 1 column 9 (char 8)\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["calibrate", "--k", "3", "--config"], ["evaluate", "--result"]],
+        ids=["config", "result"],
+    )
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000, '{"a": ' * 5_000 + "1" + "}" * 5_000],
+        ids=["array", "object"],
+    )
+    def test_deeply_nested_json_names_the_file(self, small_world, tmp_path, capsys, argv, text):
+        # Past the recursion limit the decoder raises RecursionError, not
+        # ValueError; it still ends in one error line.
+        _, truth = small_world
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, argv[0], "--snapshot", str(truth), *argv[1:], str(path))
+        assert (code, out, err) == (1, "", f"error: {path}: JSON nested too deeply\n")
+
     def test_unknown_key_rejected(self, small_world, tmp_path, capsys):
         _, truth = small_world
         cfg_path = tmp_path / "cfg.json"

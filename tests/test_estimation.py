@@ -710,6 +710,10 @@ class TestMeanPerformanceCorrelation:
         for pair in ((permuted, truth), (truth, permuted), (permuted, permuted)):
             assert mean_performance_correlation(*pair) == reference_correlation(*pair)
         assert np.allclose(mean_performance_correlation(permuted, truth), aligned, atol=1e-12)
+        # Moving the truth's learners alone changes no bit: each learner's
+        # mean still sums the same questions in the same order.
+        moved = Snapshot(truth.values[:, cols], qids, tuple(lids[j] for j in cols))
+        assert mean_performance_correlation(predicted, moved) == aligned
         # Extra ids on one side drop out of the common sets.
         wider = Snapshot(np.vstack([truth.values, rng.random((1, 300))]), qids + ("extra",), lids)
         assert mean_performance_correlation(predicted, wider) == aligned
